@@ -1,29 +1,34 @@
 """Backlund residual functionals and the lifting/descent solvers.
 
 The first-order transform links two solutions phi (vacuum side) and psi (kink
-side) through a parameter a.  Solving the transform for one side given the
-other is done with damped Newton iterations whose linear steps are the exact
-integrating-factor solves of the equations linearized at the current iterate:
+side) through a parameter a.  Every map solves it around one background: the
+kink or the wobbler on the kink side, the vacuum or the breather on the vacuum
+side, and the multiplier a.  Two damped Newton solvers act on a background;
+their linear steps are the exact integrating-factor solves of the equations
+linearized at the current iterate:
 
-* growing integrating factors are integrated outward from the center, so every
-  kernel ratio stays <= 1;
-* decaying integrating factors are integrated inward from the boundaries,
-  after checking the compatibility integral that parity must annihilate.
+* the kink-side solver integrates the growing factor outward from the
+  center, so every kernel ratio stays <= 1;
+* the vacuum-side solver integrates the decaying factor inward from the
+  boundaries, after checking the compatibility integral that parity must
+  annihilate.
 
-Background profiles (kink, breather, wobbler) always enter residuals through
-their analytic derivatives; only the unknown perturbations are differentiated
-discretely.  This keeps fixed points of the solvers exact at the discrete
-level, so forward and backward maps invert each other to solver tolerance.
+The public maps wrap them with their guards and parity contracts.  Background
+profiles always enter residuals through their analytic derivatives; only the
+unknown perturbations are differentiated discretely.  This keeps fixed points
+of the solvers exact at the discrete level, so forward and backward maps
+invert each other to solver tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from .conserved import momentum
 from .grids import (
     ContractError,
     FieldState,
@@ -39,14 +44,11 @@ from .grids import (
 )
 from .solutions import (
     KinkParams,
-    KinkProfile,
     SolutionSampler,
     WobblerParams,
     breather,
-    breather_half_angle,
     kink_profile,
     wobbler,
-    wobbler_half_angle,
 )
 
 __all__ = [
@@ -113,10 +115,11 @@ class LiftReport:
     nu0: float
     residual_history: list = field(default_factory=list)
     ortho_residual: Optional[float] = None
+    status: str = "converged"  # or "stalled": accepted under the looser stall_tol
 
 
 def _a_value(a) -> float:
-    return a.a if isinstance(a, BtParameter) else float(a)
+    return (a if isinstance(a, BtParameter) else BtParameter(float(a))).a
 
 
 def bt_residual(phi: FieldState, psi: FieldState, a) -> tuple:
@@ -129,8 +132,6 @@ def bt_residual(phi: FieldState, psi: FieldState, a) -> tuple:
         F2 = psi_v - phi_u_x - (1/a) sin((psi_u + phi_u)/2) + a sin((psi_u - phi_u)/2)
     """
     av = _a_value(a)
-    if av == 0:
-        raise ParameterError("Backlund parameter a must be nonzero")
     if phi.grid != psi.grid:
         raise ContractError("bt_residual needs matching grids")
     s_plus = np.sin(0.5 * (psi.u + phi.u))
@@ -148,8 +149,6 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
     residuals are at round-off level independent of the grid spacing.
     """
     av = _a_value(a)
-    if av == 0:
-        raise ParameterError("Backlund parameter a must be nonzero")
     x = grid.x
 
     def dx_of(s):
@@ -166,22 +165,68 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
     return f1, f2
 
 
-# --- kink-centered functionals ----------------------------------------------
+# --- the transform background -------------------------------------------------
 
-def _kink_f1(prof: KinkProfile, grid: GridSpec, u, du, y, v, mult):
-    """First kink-centered residual; background derivatives analytic, du discrete."""
-    x = grid.x
-    arg = prof.q_tilde(x) + u
-    return (prof.q_x(x) + du - v
-            - np.cos(0.5 * (arg + y)) / mult - mult * np.cos(0.5 * (arg - y)))
+@dataclass(frozen=True)
+class _Background:
+    """One background of the transform: the kink side (Psi - pi, Psi_x, Psi_t),
+    the vacuum side (Phi, Phi_x, Phi_t), all analytic, and the multiplier a.
+
+    Perturbations (u, s) ride on the kink side and (y, v) on the vacuum side,
+    with discrete u_x, y_x.  With p = (Psi + u + Phi + y)/2 and
+    m = (Psi + u - Phi - y)/2 the residuals are
+
+        F1 = Psi_x + u_x - Phi_t - v - cos(p)/a - a cos(m)
+        F2 = Psi_t + s - Phi_x - y_x - cos(p)/a + a cos(m)
+
+    and both linearize with one coefficient, dF1/du = -dF2/dy = coeff.
+    """
+
+    psi: np.ndarray
+    psi_x: np.ndarray
+    psi_t: np.ndarray
+    phi: object  # an array, or the scalar 0.0 for the vacuum
+    phi_x: object
+    phi_t: object
+    a: float
+
+    @classmethod
+    def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
+        """The kink `kinkp` (static by default) over the vacuum, with multiplier a."""
+        prof = kink_profile(kinkp)
+        x = grid.x
+        return cls(prof.q_tilde(x), prof.q_x(x), prof.q_t(x), 0.0, 0.0, 0.0, a)
+
+    @classmethod
+    def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
+        """The wobbler over the breather at time t, with multiplier 1."""
+        w, b = wobbler(WobblerParams(beta)), breather(beta)
+        fields = (w.value, w.dvalue_dx, w.dvalue_dt, b.value, b.dvalue_dx, b.dvalue_dt)
+        w_u, *rest = (np.asarray(f(t, grid.x), dtype=float) for f in fields)
+        return cls(w_u - np.pi, *rest, 1.0)
+
+    def _half_angles(self, u, y):
+        kink_side = self.psi + u
+        return 0.5 * (kink_side + self.phi + y), 0.5 * (kink_side - self.phi - y)
+
+    def f1(self, u, u_x, y, v):
+        p, m = self._half_angles(u, y)
+        return self.psi_x + u_x - self.phi_t - v - np.cos(p) / self.a - self.a * np.cos(m)
+
+    def f2(self, u, s, y, y_x):
+        p, m = self._half_angles(u, y)
+        return self.psi_t + s - self.phi_x - y_x - np.cos(p) / self.a + self.a * np.cos(m)
+
+    def coeff(self, u, y):
+        p, m = self._half_angles(u, y)
+        return np.sin(p) / (2.0 * self.a) + (0.5 * self.a) * np.sin(m)
 
 
-def _kink_f2(prof: KinkProfile, grid: GridSpec, u, s, y, dy, mult):
-    """Second kink-centered residual; dy is the discrete derivative of y."""
-    x = grid.x
-    arg = prof.q_tilde(x) + u
-    return (prof.q_t(x) + s - dy
-            - np.cos(0.5 * (arg + y)) / mult + mult * np.cos(0.5 * (arg - y)))
+def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair) -> tuple:
+    grid = u_s.grid
+    u, s = u_s.first, u_s.second
+    y, v = y_v.first, y_v.second
+    return bg.f1(u, derivative(u, grid), y, v), bg.f2(u, s, y, derivative(y, grid))
 
 
 def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
@@ -195,44 +240,7 @@ def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
     mult = BtParameter.from_beta(kinkp.beta).a + delta
     if mult == 0:
         raise ParameterError(f"a(beta) + delta must be nonzero, got {mult}")
-    grid = utilde_stilde.grid
-    prof = kink_profile(kinkp)
-    u, s = utilde_stilde.first, utilde_stilde.second
-    y, v = y_v.first, y_v.second
-    f1 = _kink_f1(prof, grid, u, derivative(u, grid), y, v, mult)
-    f2 = _kink_f2(prof, grid, u, s, y, derivative(y, grid), mult)
-    return f1, f2
-
-
-def _wobbler_background(beta: float, t: float, grid: GridSpec):
-    """Analytic wobbler/breather background data used by the wobbler maps."""
-    x = grid.x
-    w = wobbler(WobblerParams(beta))
-    b = breather(beta)
-    data = {
-        "w_tilde": np.asarray(w.value(t, x), dtype=float) - np.pi,
-        "w_x": np.asarray(w.dvalue_dx(t, x), dtype=float),
-        "w_t": np.asarray(w.dvalue_dt(t, x), dtype=float),
-        "b": np.asarray(b.value(t, x), dtype=float),
-        "b_x": np.asarray(b.dvalue_dx(t, x), dtype=float),
-        "b_t": np.asarray(b.dvalue_dt(t, x), dtype=float),
-    }
-    sin_w, _ = wobbler_half_angle(beta, t, x)
-    _, cos_b = breather_half_angle(beta, t, x)
-    data["coeff"] = sin_w * cos_b
-    return data
-
-
-def _wobbler_f1(bg, u, du, y, v):
-    arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-    arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-    return bg["w_x"] + du - bg["b_t"] - v - np.cos(arg_p) - np.cos(arg_m)
-
-
-def _wobbler_f2(bg, u, s, y, dy):
-    arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-    arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-    return bg["w_t"] + s - bg["b_x"] - dy - np.cos(arg_p) + np.cos(arg_m)
+    return _pair_residual(_Background.kink(utilde_stilde.grid, mult, kinkp), utilde_stilde, y_v)
 
 
 def wobbler_pair_residual(u_s: PerturbationPair, y_v: PerturbationPair,
@@ -241,30 +249,31 @@ def wobbler_pair_residual(u_s: PerturbationPair, y_v: PerturbationPair,
     wobbler-side (u, s) perturbations at time t."""
     if u_s.grid != y_v.grid:
         raise ContractError("wobbler_pair_residual needs matching grids")
-    grid = u_s.grid
-    bg = _wobbler_background(beta, t, grid)
-    f1 = _wobbler_f1(bg, u_s.first, derivative(u_s.first, grid), y_v.first, y_v.second)
-    f2 = _wobbler_f2(bg, u_s.first, u_s.second, y_v.first, derivative(y_v.first, grid))
-    return f1, f2
+    return _pair_residual(_Background.wobbler(u_s.grid, beta, t), u_s, y_v)
 
 
 # --- integrating-factor linear solves ----------------------------------------
 
-def _check_span(lw):
+def _log_factor(c, grid, m):
+    """lw = int_{x_m}^x c, the log of the integrating factor for coefficient c."""
+    lw = cumulative_quadrature(c, grid)
+    lw -= lw[m]
     span = float(np.max(lw) - np.min(lw))
     if span > _MAX_LOG_SPAN:
         raise SolverError(
             f"integrating factor spans e^{span:.0f}; domain too wide for this solve"
         )
+    return lw
 
 
-def _solve_outward(lw, f, h, m):
-    """Solve w' + c w = f with c = lw', w(x_m) = 0, integrating outward from m.
+def _solve_outward(c, f, grid, m):
+    """Solve w' + c w = f with w(x_m) = 0, integrating outward from m.
 
-    w(x) = e^{-lw(x)} int_{x_m}^x e^{lw} f; computed per half with the maximum
-    log subtracted so every factor stays bounded.
+    w(x) = e^{-lw(x)} int_{x_m}^x e^{lw} f with lw = int_{x_m}^x c; computed
+    per half with the maximum log subtracted so every factor stays bounded.
     """
-    _check_span(lw)
+    h = grid.h
+    lw = _log_factor(c, grid, m)
     w = np.empty_like(f)
     # right half (center .. right boundary)
     lwr, fr = lw[m:], f[m:]
@@ -278,17 +287,19 @@ def _solve_outward(lw, f, h, m):
     g = fl * np.exp(lwl - ml)
     k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
     w[:m + 1] = (-np.exp(-(lwl - ml)) * k)[::-1]
+    _fix_boundary_rows(w, f, c, h)
     return w
 
 
-def _solve_inward(lw, f, h, m, compat_tol=1e-10):
-    """Solve w' - c w = f with c = lw', where e^{-lw} decays at both ends.
+def _solve_inward(c, f, grid, m, compat_tol):
+    """Solve w' - c w = f where e^{-lw}, lw = int_{x_m}^x c, decays at both ends.
 
     w(x) = e^{lw(x)} int_{-inf}^x e^{-lw} f, integrated inward from each
     boundary; requires the compatibility integral int e^{-lw} f = 0, which is
     checked (in the max-normalized weight) before integrating.
     """
-    _check_span(lw)
+    h = grid.h
+    lw = _log_factor(c, grid, m)
     base = lw.min()
     weight = np.exp(-(lw - base))
     total = h * ((weight * f).sum() - 0.5 * (weight[0] * f[0] + weight[-1] * f[-1]))
@@ -308,24 +319,25 @@ def _solve_inward(lw, f, h, m, compat_tol=1e-10):
     g = fr * np.exp(-(lwr - base))
     k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
     w[m:] = (-np.exp(lwr - base) * k)[::-1]
+    _fix_boundary_rows(w, f, -c, h)
     return w
 
 
-def _fix_boundary_rows(w, r, c, h, sign):
+def _fix_boundary_rows(w, r, c, h):
     """Make the one-sided end rows of the linearized system exact.
 
     The integrating-factor solve satisfies the trapezoid cell relations; the
     residual, however, uses one-sided difference rows at the two boundary
     nodes.  Solving those two scalar rows directly removes a slowly decaying
     boundary layer that otherwise limits convergence for slowly decaying data.
-    The row enforced at each end is (Dw)[end] + sign * c[end] * w[end] = r[end]
+    The row enforced at each end is (Dw)[end] + c[end] * w[end] = r[end]
     with D the one-sided three-point stencil.
     """
-    w[0] = (r[0] - (4.0 * w[1] - w[2]) / (2.0 * h)) / (-3.0 / (2.0 * h) + sign * c[0])
-    w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + sign * c[-1])
+    w[0] = (r[0] - (4.0 * w[1] - w[2]) / (2.0 * h)) / (-3.0 / (2.0 * h) + c[0])
+    w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
 
 
-def _newton(residual_fn, step_fn, n, tol, max_iter, start=None, stall_tol=None):
+def _newton(residual_fn, step_fn, n, tol, max_iter, stall_tol, start=None):
     """Damped Newton with integrating-factor linear solves.
 
     ``step_fn(u, r)`` returns the correction for residual r, re-linearizing at
@@ -334,6 +346,9 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, start=None, stall_tol=None):
     residual is already under ``stall_tol``, the iterate is accepted with the
     achieved residual (slowly decaying data excites a boundary layer that the
     one-sided end stencils shed only gradually).
+
+    Returns (u, iterations, residual, history, status), status "converged"
+    (residual <= tol) or "stalled" (accepted under stall_tol).
     """
     u = np.zeros(n) if start is None else start.copy()
     r = residual_fn(u)
@@ -343,10 +358,9 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, start=None, stall_tol=None):
         if not math.isfinite(rmax):
             raise SolverError("residual became non-finite", history)
         if rmax <= tol:
-            return u, k, rmax, history
-        if (stall_tol is not None and rmax <= stall_tol and k >= 3
-                and history[-2] - rmax < 0.02 * rmax):
-            return u, k, rmax, history
+            return u, k, rmax, history, "converged"
+        if rmax <= stall_tol and k >= 3 and history[-2] - rmax < 0.02 * rmax:
+            return u, k, rmax, history, "stalled"
         delta = step_fn(u, r)
         lam = 1.0
         for _ in range(6):
@@ -359,9 +373,9 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, start=None, stall_tol=None):
         u, r, rmax = u_new, r_new, r_new_max
         history.append(rmax)
     if rmax <= tol:
-        return u, max_iter, rmax, history
-    if stall_tol is not None and rmax <= stall_tol:
-        return u, max_iter, rmax, history
+        return u, max_iter, rmax, history, "converged"
+    if rmax <= stall_tol:
+        return u, max_iter, rmax, history, "stalled"
     raise SolverError(
         f"no convergence after {max_iter} iterations (residual {history[-1]:.3e})",
         history,
@@ -373,44 +387,68 @@ def _center_index(grid: GridSpec, center: float = 0.0) -> int:
 
 
 def _require_parity(values, grid, kind, tol, what):
+    """Return `values` as a float array, raising unless it has parity `kind`."""
+    values = np.asarray(values, dtype=float)
     defect = parity_check(values, grid, kind)
     if defect > tol:
         raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {tol:.1e})")
+    return values
+
+
+def _offset_multiplier(delta: float) -> float:
+    a = 1.0 + delta
+    if not a > 0:
+        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    return a
+
+
+# --- the two Newton solvers -----------------------------------------------------
+
+def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
+                     nu0: float, *, tol, max_iter, stall_tol, start=None) -> LiftReport:
+    """Solve F1 = 0 for the kink-side u given (y, v), then read off
+    s = -F2(u, 0, y, y_x); the result pair is tagged `kind`.
+
+    Newton starts from `start` (default zero); each step integrates the growing
+    factor exp(int coeff) outward from node m, the kink center.
+    """
+    def residual(u):
+        return bg.f1(u, derivative(u, grid), y, v)
+
+    def step(u, r):
+        return -_solve_outward(bg.coeff(u, y), r, grid, m)
+
+    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, tol,
+                                              max_iter, stall_tol, start)
+    s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
+    pair = PerturbationPair(grid, u, s, kind, parity_tol=1e-8)
+    return LiftReport(pair, iters, rmax, nu0, history, status=status)
+
+
+def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, tol, max_iter,
+                       stall_tol, compat_tol=1e-10) -> LiftReport:
+    """Solve F2 = 0 for the vacuum-side y given (u, s), then read off
+    v = F1(u, u_x, y, 0); the result must be (even, even).
+
+    Each Newton step integrates the decaying factor exp(-int coeff) inward
+    from the boundaries, after checking the compatibility integral.
+    """
+    m = _center_index(grid)
+
+    def residual(y):
+        return bg.f2(u, s, y, derivative(y, grid))
+
+    def step(y, r):
+        return _solve_inward(bg.coeff(u, y), r, grid, m, compat_tol)
+
+    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, tol,
+                                              max_iter, stall_tol)
+    v = bg.f1(u, derivative(u, grid), y, 0.0)
+    pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
+    return LiftReport(pair, iters, rmax, 1.0, history, status=status)
 
 
 # --- the kink-side maps -------------------------------------------------------
-
-def _solve_kink_lift(grid: GridSpec, y, v, delta: float, tol, max_iter,
-                     stall_tol=1e-10):
-    """Common core: solve F1 = 0 for u around the static kink, then read off s."""
-    mult = 1.0 + delta
-    if not mult > 0:
-        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
-    prof = kink_profile(KinkParams(0.0, 0.0))
-    x = grid.x
-    dy = derivative(y, grid)
-    nu0 = 0.5 * (1.0 / mult + mult)
-    m = _center_index(grid)
-    q_tilde = prof.q_tilde(x)
-
-    def residual(u):
-        return _kink_f1(prof, grid, u, derivative(u, grid), y, v, mult)
-
-    def step(u, r):
-        arg = q_tilde + u
-        c = np.sin(0.5 * (arg + y)) / (2.0 * mult) + (0.5 * mult) * np.sin(0.5 * (arg - y))
-        lw = cumulative_quadrature(c, grid)
-        lw -= lw[m]
-        w = _solve_outward(lw, r, grid.h, m)
-        _fix_boundary_rows(w, r, c, grid.h, 1)
-        return -w
-
-    u, iters, rmax, history = _newton(residual, step, grid.n_points, tol, max_iter,
-                                      stall_tol=stall_tol)
-    arg = prof.q_tilde(x) + u
-    s = dy + np.cos(0.5 * (arg + y)) / mult - mult * np.cos(0.5 * (arg - y)) - prof.q_t(x)
-    return u, s, iters, rmax, history, nu0
-
 
 def construct_manifold_data(grid: GridSpec, y0, v0, delta: float, *,
                             tol: float = 1e-11, max_iter: int = 50,
@@ -422,16 +460,15 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float, *,
     nu0 = (1/(1+delta) + (1+delta))/2, integrated outward from the center.
     """
     grid.require_symmetric()
-    y0 = np.asarray(y0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    _require_parity(y0, grid, "odd", parity_tol, "y0")
-    _require_parity(v0, grid, "even", parity_tol, "v0")
+    y0 = _require_parity(y0, grid, "odd", parity_tol, "y0")
+    v0 = _require_parity(v0, grid, "even", parity_tol, "v0")
     guard = pair_norm(PerturbationPair(grid, y0, v0))
     if guard >= 0.5:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
-    u, s, iters, rmax, history, nu0 = _solve_kink_lift(grid, y0, v0, delta, tol, max_iter)
-    pair = PerturbationPair(grid, u, s, "odd-even", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, nu0, history)
+    mult = _offset_multiplier(delta)
+    return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
+                            "odd-even", 0.5 * (1.0 / mult + mult), tol=tol,
+                            max_iter=max_iter, stall_tol=1e-10)
 
 
 def lift_zero_to_kink(grid: GridSpec, y, v, *, tol: float = 1e-11,
@@ -439,13 +476,10 @@ def lift_zero_to_kink(grid: GridSpec, y, v, *, tol: float = 1e-11,
     """Map a small (even, even) vacuum perturbation to the unique (odd, odd)
     perturbation of the static kink (transform parameter fixed at 1)."""
     grid.require_symmetric()
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _require_parity(y, grid, "even", parity_tol, "y")
-    _require_parity(v, grid, "even", parity_tol, "v")
-    u, s, iters, rmax, history, nu0 = _solve_kink_lift(grid, y, v, 0.0, tol, max_iter)
-    pair = PerturbationPair(grid, u, s, "odd-odd", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, nu0, history)
+    y = _require_parity(y, grid, "even", parity_tol, "y")
+    v = _require_parity(v, grid, "even", parity_tol, "v")
+    return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
+                            "odd-odd", 1.0, tol=tol, max_iter=max_iter, stall_tol=1e-10)
 
 
 def descend_kink_to_zero(grid: GridSpec, u, s, *, tol: float = 1e-11,
@@ -458,34 +492,10 @@ def descend_kink_to_zero(grid: GridSpec, u, s, *, tol: float = 1e-11,
     parity and is checked.
     """
     grid.require_symmetric()
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _require_parity(u, grid, "odd", parity_tol, "u")
-    _require_parity(s, grid, "odd", parity_tol, "s")
-    prof = kink_profile(KinkParams(0.0, 0.0))
-    x = grid.x
-    du = derivative(u, grid)
-    m = _center_index(grid)
-    q_tilde = prof.q_tilde(x)
-
-    def residual(y):
-        return _kink_f2(prof, grid, u, s, y, derivative(y, grid), 1.0)
-
-    def step(y, r):
-        arg = q_tilde + u
-        c = 0.5 * (np.sin(0.5 * (arg + y)) + np.sin(0.5 * (arg - y)))
-        lw = cumulative_quadrature(c, grid)
-        lw -= lw[m]
-        w = _solve_inward(lw, r, grid.h, m)
-        _fix_boundary_rows(w, r, -c, grid.h, 1)
-        return w
-
-    y, iters, rmax, history = _newton(residual, step, grid.n_points, tol, max_iter,
-                                      stall_tol=1e-10)
-    arg = prof.q_tilde(x) + u
-    v = prof.q_x(x) + du - np.cos(0.5 * (arg + y)) - np.cos(0.5 * (arg - y))
-    pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, 1.0, history)
+    u = _require_parity(u, grid, "odd", parity_tol, "u")
+    s = _require_parity(s, grid, "odd", parity_tol, "s")
+    return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, tol=tol,
+                              max_iter=max_iter, stall_tol=1e-10)
 
 
 # --- the wobbler-side maps ----------------------------------------------------
@@ -502,34 +512,11 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
     grid.require_symmetric()
     if beta == 0 or not abs(beta) < 1:
         raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _require_parity(y, grid, "even", parity_tol, "y")
-    _require_parity(v, grid, "even", parity_tol, "v")
-    bg = _wobbler_background(beta, t, grid)
-    dy = derivative(y, grid)
-    m = _center_index(grid)
-
-    def residual(u):
-        return _wobbler_f1(bg, u, derivative(u, grid), y, v)
-
-    def step(u, r):
-        arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-        arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-        c = 0.5 * (np.sin(arg_p) + np.sin(arg_m))
-        lw = cumulative_quadrature(c, grid)
-        lw -= lw[m]
-        w = _solve_outward(lw, r, grid.h, m)
-        _fix_boundary_rows(w, r, c, grid.h, 1)
-        return -w
-
-    u, iters, rmax, history = _newton(residual, step, grid.n_points, tol, max_iter,
-                                      stall_tol=1e-9)
-    arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-    arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-    s = -bg["w_t"] + bg["b_x"] + dy + np.cos(arg_p) - np.cos(arg_m)
-    pair = PerturbationPair(grid, u, s, "odd-odd", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, 1.0, history)
+    y = _require_parity(y, grid, "even", parity_tol, "y")
+    v = _require_parity(v, grid, "even", parity_tol, "v")
+    return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
+                            y, v, "odd-odd", 1.0, tol=tol, max_iter=max_iter,
+                            stall_tol=1e-9)
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float, *,
@@ -546,34 +533,10 @@ def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float, *,
     grid.require_symmetric()
     if beta == 0 or not abs(beta) < 1:
         raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _require_parity(u, grid, "odd", parity_tol, "u")
-    _require_parity(s, grid, "odd", parity_tol, "s")
-    bg = _wobbler_background(beta, t, grid)
-    du = derivative(u, grid)
-    m = _center_index(grid)
-
-    def residual(y):
-        return _wobbler_f2(bg, u, s, y, derivative(y, grid))
-
-    def step(y, r):
-        arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-        arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-        c = 0.5 * (np.sin(arg_p) + np.sin(arg_m))
-        lw = cumulative_quadrature(c, grid)
-        lw -= lw[m]
-        w = _solve_inward(lw, r, grid.h, m, compat_tol)
-        _fix_boundary_rows(w, r, -c, grid.h, 1)
-        return w
-
-    y, iters, rmax, history = _newton(residual, step, grid.n_points, tol, max_iter,
-                                      stall_tol=1e-9)
-    arg_p = 0.5 * (bg["w_tilde"] + u + bg["b"] + y)
-    arg_m = 0.5 * (bg["w_tilde"] + u - bg["b"] - y)
-    v = bg["w_x"] + du - bg["b_t"] - np.cos(arg_p) - np.cos(arg_m)
-    pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, 1.0, history)
+    u = _require_parity(u, grid, "odd", parity_tol, "u")
+    s = _require_parity(s, grid, "odd", parity_tol, "s")
+    return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, tol=tol,
+                              max_iter=max_iter, stall_tol=1e-9, compat_tol=compat_tol)
 
 
 # --- lifting with an orthogonality constraint ----------------------------------
@@ -591,80 +554,59 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     """
     if not abs(beta) < 1:
         raise ParameterError(f"|beta| < 1 required, got {beta}")
-    mult = 1.0 + delta
-    if not mult > 0:
-        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    mult = _offset_multiplier(delta)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     center = beta * t + rho
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
-    prof = kink_profile(KinkParams(beta, center))
+    kinkp = KinkParams(beta, center)
+    prof = kink_profile(kinkp)
     x = grid.x
     gamma = prof.gamma
-    dy = derivative(y, grid)
     coeff_scale = 0.5 * (1.0 / mult + mult)
     nu0 = coeff_scale / gamma
     xi = gamma * (x - center)
-    lw = (coeff_scale / gamma) * (np.abs(xi) + np.log1p(np.exp(-2.0 * np.abs(xi))) - math.log(2.0))
+    lw = nu0 * (np.abs(xi) + np.log1p(np.exp(-2.0 * np.abs(xi))) - math.log(2.0))
     m = _center_index(grid, center)
-    lw = lw - lw[m]
-    hom = np.exp(-lw)
+    hom = np.exp(-(lw - lw[m]))
     q_x = prof.q_x(x)
     q_tx = prof.q_tx(x)
     norm_sq = quadrature(q_x ** 2 + q_tx ** 2, grid)
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
-
-    q_tilde = prof.q_tilde(x)
-
-    def residual(u):
-        return _kink_f1(prof, grid, u, derivative(u, grid), y, v, mult)
-
-    def step(u, r):
-        arg = q_tilde + u
-        c = np.sin(0.5 * (arg + y)) / (2.0 * mult) + (0.5 * mult) * np.sin(0.5 * (arg - y))
-        lw_cur = cumulative_quadrature(c, grid)
-        lw_cur -= lw_cur[m]
-        w = _solve_outward(lw_cur, r, grid.h, m)
-        _fix_boundary_rows(w, r, c, grid.h, 1)
-        return -w
+    bg = _Background.kink(grid, mult, kinkp)
 
     def solve_at(a0, start):
         guess = a0 * hom if start is None else start + (a0 - start[m]) * hom
-        u, iters, rmax, history = _newton(residual, step, grid.n_points, tol, max_iter,
-                                          start=guess, stall_tol=1e-9)
-        arg = prof.q_tilde(x) + u
-        s = dy + np.cos(0.5 * (arg + y)) / mult - mult * np.cos(0.5 * (arg - y)) - prof.q_t(x)
-        ortho = quadrature(u * q_x + s * q_tx, grid)
-        return u, s, iters, rmax, history, ortho
+        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, tol=tol, max_iter=max_iter,
+                               stall_tol=1e-9, start=guess)
+        return rep, quadrature(rep.result.first * q_x + rep.result.second * q_tx, grid)
 
     # scalar secant on the center value a0; the orthogonality functional is
     # affine in a0 to leading order with slope ~ int hom * Q_x
-    a_prev, a_cur = 0.0, None
-    u, s, iters, rmax, history, g_prev = solve_at(a_prev, None)
-    total_iters = iters
+    a_prev = 0.0
+    rep, g_prev = solve_at(a_prev, None)
+    total_iters = rep.iterations
     if abs(g_prev) > ortho_tol:
         slope = quadrature(hom * q_x, grid)
         if abs(slope) < 1e-10:
-            raise SolverError("orthogonality constraint is degenerate", history)
+            raise SolverError("orthogonality constraint is degenerate", rep.residual_history)
         a_cur = a_prev - g_prev / slope
         for _ in range(20):
-            u, s, iters, rmax, history, g_cur = solve_at(a_cur, u)
-            total_iters += iters
+            rep, g_cur = solve_at(a_cur, rep.result.first)
+            total_iters += rep.iterations
             if abs(g_cur) <= ortho_tol:
                 g_prev = g_cur
                 break
             denom = g_cur - g_prev
             if denom == 0:
-                raise SolverError("orthogonality secant stalled", history)
+                raise SolverError("orthogonality secant stalled", rep.residual_history)
             a_next = a_cur - g_cur * (a_cur - a_prev) / denom
             a_prev, g_prev, a_cur = a_cur, g_cur, a_next
         else:
-            raise SolverError("orthogonality constraint did not converge", history)
-        g_prev = quadrature(u * q_x + s * q_tx, grid)
-    pair = PerturbationPair(grid, u, s, "none")
-    return LiftReport(pair, total_iters, rmax, nu0, history, ortho_residual=float(g_prev))
+            raise SolverError("orthogonality constraint did not converge", rep.residual_history)
+    return replace(rep, iterations=total_iters, ortho_residual=float(g_prev))
 
 
 def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
@@ -678,18 +620,14 @@ def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
 
     Returns (LiftReport, delta).
     """
-    from .conserved import momentum as _momentum
-    from .grids import FieldState as _FieldState
-
     y0 = np.asarray(y0, dtype=float)
-    prof = kink_profile(KinkParams(0.0, 0.0))
-    q = prof.q(grid.x)
+    q = kink_profile(KinkParams()).q(grid.x)
     zero = np.zeros_like(y0)
     delta = 0.0
     rep = None
     for _ in range(max_iter):
         rep = construct_manifold_data(grid, y0, zero, delta, **solve_kwargs)
-        p = _momentum(_FieldState(0.0, grid, q + rep.result.first, rep.result.second))
+        p = momentum(FieldState(0.0, grid, q + rep.result.first, rep.result.second))
         if abs(p) <= tol:
             break
         delta += p / 4.0
@@ -705,7 +643,5 @@ def final_speed_from_momentum(P: float) -> float:
 
 def final_speed_from_delta(delta: float) -> float:
     """The speed whose transform parameter is 1 + delta."""
-    a = 1.0 + delta
-    if not a > 0:
-        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    a = _offset_multiplier(delta)
     return (a * a - 1.0) / (a * a + 1.0)

@@ -49,16 +49,10 @@ class EvolveConfig:
 
     dt: float
     t_end: float
-    scheme: str = "leapfrog"
     background: Optional[KinkFrame] = None
-    boundary: str = "dirichlet-perturbation"
     snapshot_every: float = 0.5
 
     def __post_init__(self):
-        if self.scheme != "leapfrog":
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.boundary != "dirichlet-perturbation":
-            raise ParameterError(f"unknown boundary {self.boundary!r}")
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
         if self.t_end < 0:

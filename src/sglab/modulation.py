@@ -150,10 +150,6 @@ def track_modulation(traj, beta: float, rho0: float = 0.0,
     return records
 
 
-def _weighted_integral(values_sq_sum, x, rho, rate):
-    return float(np.trapezoid(np.exp(-rate * np.abs(x - rho)) * values_sq_sum, x))
-
-
 def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> dict:
     """Measure the weighted inequalities bounding |rho'|.
 
@@ -172,7 +168,9 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> di
         x = grid.x
         y, v = pair.first, pair.second
         y_x = derivative(y, grid)
-        rhs = _weighted_integral(v ** 2 + y ** 2 + y_x ** 2, x, rec.rho, 1.0 - eps)
+        dist = np.abs(x - rec.rho)
+        w_minus = np.exp(-(1.0 - eps) * dist)
+        rhs = float(quadrature(w_minus * (v ** 2 + y ** 2 + y_x ** 2), grid))
         rec.rhs_bound = rhs
         lhs = rec.lhs_rate if rec.lhs_rate is not None else 0.0
         if rhs > 0:
@@ -181,18 +179,19 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> di
             kp = kink_pairs[k]
             u, s = kp.first, kp.second
             u_x = derivative(u, kp.grid)
-            rhs_mixed = (_weighted_integral(u ** 2 + u_x ** 2, x, rec.rho, 1.0 + eps)
-                         + _weighted_integral(y ** 2 + y_x ** 2, x, rec.rho, 1.0 - eps))
+            w_plus = np.exp(-(1.0 + eps) * dist)
+            rhs_mixed = (float(quadrature(w_plus * (u ** 2 + u_x ** 2), grid))
+                         + float(quadrature(w_minus * (y ** 2 + y_x ** 2), grid)))
             if rhs_mixed > 0:
                 ratios_mixed.append(lhs / rhs_mixed)
-            lhs_grad = _weighted_integral(u_x ** 2, x, rec.rho, 1.0 + eps)
-            rhs_grad = _weighted_integral(u ** 2 + y ** 2 + v ** 2, x, rec.rho, 1.0 + eps)
+            lhs_grad = float(quadrature(w_plus * u_x ** 2, grid))
+            rhs_grad = float(quadrature(w_plus * (u ** 2 + y ** 2 + v ** 2), grid))
             if rhs_grad > 0:
                 ratios_grad.append(lhs_grad / rhs_grad)
             sech_p = (1.0 / np.cosh(x - rec.rho)) ** (1.0 + eps)
             sech_m = (1.0 / np.cosh(x - rec.rho)) ** (1.0 - eps)
-            lhs_loc = float(np.trapezoid(u ** 2 * sech_p, x))
-            rhs_loc = float(np.trapezoid((y ** 2 + y_x ** 2 + v ** 2) * sech_m, x))
+            lhs_loc = float(quadrature(u ** 2 * sech_p, grid))
+            rhs_loc = float(quadrature((y ** 2 + y_x ** 2 + v ** 2) * sech_m, grid))
             if rhs_loc > 0:
                 ratios_local.append(lhs_loc / rhs_loc)
     out = {

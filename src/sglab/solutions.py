@@ -126,9 +126,6 @@ class SolutionSampler:
     dvalue_dt: Callable
     dvalue_dx: Optional[Callable] = None
 
-    def eval(self, t, x):
-        return self.value(t, x), self.dvalue_dt(t, x)
-
     def sample(self, grid: GridSpec, t: float) -> FieldState:
         x = grid.x
         return FieldState(t, grid, np.asarray(self.value(t, x), dtype=float),

@@ -31,7 +31,7 @@ from .grids import (
     dirichlet_second_derivative,
     quadrature,
 )
-from .solutions import SolutionSampler
+from .solutions import SolutionSampler, _sech
 
 __all__ = [
     "SchrodingerOperator",
@@ -47,11 +47,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _sech(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / np.cosh(x)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,14 @@ class TestZeroKinkMaps:
             lift_zero_to_kink(grid40, wild, zeros_like_grid(grid40), max_iter=4)
         assert len(err.value.residual_history) > 0
 
+    def test_status_reports_stall(self, grid40, rng):
+        y = smooth_random(grid40, "even", 0.04, rng)
+        v = smooth_random(grid40, "even", 0.04, rng)
+        assert lift_zero_to_kink(grid40, y, v).status == "converged"
+        rep = lift_zero_to_kink(grid40, y, v, tol=1e-16)
+        assert rep.status == "stalled"
+        assert 1e-16 < rep.final_residual <= 1e-10
+
 
 class TestWobblerMaps:
     def test_zero_fixed_points(self, grid40):
@@ -343,7 +351,7 @@ class TestWobblerMaps:
     def test_l2_gain_constant(self, grid40):
         # the lift's output is L^2-bounded by its effective linear data;
         # the measured constant stays well under 10 across a seeded suite
-        from sglab.backlund import _wobbler_background, _wobbler_f1
+        from sglab.backlund import _Background
 
         rng = np.random.default_rng(11)
         z = zeros_like_grid(grid40)
@@ -352,8 +360,7 @@ class TestWobblerMaps:
             y = smooth_random(grid40, "even", 0.04, rng)
             v = smooth_random(grid40, "even", 0.04, rng)
             rep = lift_breather_to_wobbler(grid40, y, v, 0.4, 1.1)
-            bg = _wobbler_background(0.4, 1.1, grid40)
-            f = _wobbler_f1(bg, z, z, y, v)
+            f = _Background.wobbler(grid40, 0.4, 1.1).f1(z, z, y, v)
             gain = math.sqrt(quadrature(rep.result.first ** 2, grid40)
                              / quadrature(f ** 2, grid40))
             worst = max(worst, gain)
@@ -366,13 +373,17 @@ class TestWobblerMaps:
         f1, f2 = wobbler_pair_residual(rep.result, PerturbationPair(grid40, y, v), 0.4, 1.1)
         assert max(np.max(np.abs(f1)), np.max(np.abs(f2))) <= rep.final_residual + 1e-15
 
-    def test_compatibility_violation_signals_parity_loss(self, grid40):
+    @pytest.mark.parametrize("descend", [
+        lambda g, u, s: descend_wobbler_to_breather(g, u, s, 0.4, 1.1, parity_tol=1e-6,
+                                                    compat_tol=1e-12),
+        lambda g, u, s: descend_kink_to_zero(g, u, s, parity_tol=1e-6),
+    ], ids=["wobbler", "kink"])
+    def test_compatibility_violation_signals_parity_loss(self, grid40, descend):
         u = 0.02 * np.tanh(grid40.x) * np.exp(-(grid40.x / 3) ** 2)
         s = u.copy()
         s += 1e-7 * np.exp(-((grid40.x - 1) / 2) ** 2)  # break oddness slightly
-        with pytest.raises(ContractError):
-            descend_wobbler_to_breather(grid40, u, s, 0.4, 1.1, parity_tol=1e-6,
-                                        compat_tol=1e-12)
+        with pytest.raises(ContractError, match="compatibility integral"):
+            descend(grid40, u, s)
 
     def test_beta_guard(self, grid40):
         z = zeros_like_grid(grid40)
