@@ -433,6 +433,8 @@ def _stability_manifold(cfg, tol_scale, rng, bundle):
                 dt=dt, t_end=t_end, background=KinkFrame(),
                 snapshot_every=cfg.get("snapshot_every", 0.5)))
             records = track_modulation(traj, 0.0, intervals=(interval,))
+            bundle.check(f"untracked snapshots (seed {seed}, eta {eta})",
+                         len(traj) - len(records), 0, "tracker stays in the tube")
             momenta = np.array(traj.momenta)
             bundle.check(f"momentum stays zero (seed {seed}, eta {eta})",
                          float(np.max(np.abs(momenta))), 1e-5 * tol_scale,

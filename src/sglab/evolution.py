@@ -114,7 +114,9 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
 
     ``initial`` is always the full field; with a background the perturbation
     u = field - kink is evolved with the exact background force and zero
-    Dirichlet ends, and snapshots record the perturbation.
+    Dirichlet ends, and snapshots record the perturbation.  A static frame's
+    background force terms are computed once; a translating frame's are
+    evaluated each step from the kink's closed-form sin Q and cos Q.
     """
     grid = initial.grid
     h = grid.h
@@ -133,48 +135,65 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     else:
         u = initial.u.copy()
         v = initial.v.copy()
-    u_left, u_right = u[0], u[-1]
     inv_h2 = 1.0 / h ** 2
+    half_dt = 0.5 * dt
+    # interior views: the end values of u stay fixed and those of a are zero
+    a = np.zeros_like(u)
+    u_in, v_in, a_in = u[1:-1], v[1:-1], a[1:-1]
+    x_in = grid.x[1:-1]
+    force = np.empty_like(u_in)
+    work = np.empty_like(u_in)
+    if frame is not None and frame.beta == 0:
+        static_terms = model.background_terms(prof0.q(x_in))
 
-    def accel(u_arr, t):
-        a = np.empty_like(u_arr)
-        a[1:-1] = (u_arr[2:] - 2.0 * u_arr[1:-1] + u_arr[:-2]) * inv_h2
-        a[0] = 0.0
-        a[-1] = 0.0
+    def background_terms(t):
+        if frame.beta == 0:
+            return static_terms
+        prof = kink_profile(KinkParams(frame.beta, frame.center(t)))
+        if model.kind == "sine-gordon":
+            return prof.sin_cos_q(x_in)
+        return model.background_terms(prof.q(x_in))
+
+    def accel(t):
+        # a = u_xx - force, built in place with the operations of
+        # (u[2:] - 2 u + u[:-2]) / h^2 - force in the same order
+        np.multiply(u_in, 2.0, out=a_in)
+        np.subtract(u[2:], a_in, out=a_in)
+        np.add(a_in, u[:-2], out=a_in)
+        np.multiply(a_in, inv_h2, out=a_in)
         if frame is None:
-            a[1:-1] -= model.nonlinearity(u_arr[1:-1])
+            np.subtract(a_in, model.nonlinearity(u_in), out=a_in)
         else:
-            prof = kink_profile(KinkParams(frame.beta, frame.center(t)))
-            bg = prof.q(grid.x[1:-1])
-            a[1:-1] -= model.perturbation_force(bg, u_arr[1:-1])
-        return a
+            np.subtract(a_in, model.force_from_terms(background_terms(t), u_in, force, work),
+                        out=a_in)
 
     traj = Trajectory(grid, model, frame)
 
-    def record(t, u_arr, v_arr):
+    def record(t):
         traj.times.append(t)
-        traj.u_snaps.append(u_arr.copy())
-        traj.v_snaps.append(v_arr.copy())
+        traj.u_snaps.append(u.copy())
+        traj.v_snaps.append(v.copy())
         if frame is None:
-            full_u, full_v = u_arr, v_arr
+            full_u, full_v = u, v
         else:
-            prof = kink_profile(KinkParams(frame.beta, frame.center(t)))
-            full_u = u_arr + prof.q(grid.x)
-            full_v = v_arr + prof.q_t(grid.x)
+            full_u = u + traj.background_field(t)
+            full_v = v + traj.background_field_t(t)
         e, p = _full_energy_momentum(grid, model, full_u, full_v)
         traj.energies.append(e)
         traj.momenta.append(p)
 
-    record(t0, u, v)
-    a = accel(u, t0)
+    record(t0)
+    accel(t0)
     t = t0
     for step in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        u = u + dt * v_half
-        u[0], u[-1] = u_left, u_right
+        np.multiply(a_in, half_dt, out=work)
+        v_in += work
+        np.multiply(v_in, dt, out=work)
+        u_in += work
         t = t0 + step * dt
-        a = accel(u, t)
-        v = v_half + 0.5 * dt * a
+        accel(t)
+        np.multiply(a_in, half_dt, out=work)
+        v_in += work
         v[0] = 0.0
         v[-1] = 0.0
         if not np.isfinite(u[grid.n_points // 2]):
@@ -182,7 +201,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         if step % snap_stride == 0 or step == n_steps:
             if not np.all(np.isfinite(u)):
                 raise ContractError(f"evolution became non-finite at t = {t:.6g}")
-            record(t, u, v)
+            record(t)
     return traj
 
 

@@ -186,9 +186,48 @@ class Model:
         For sine-Gordon this is sin(Q)(cos u - 1) + cos(Q) sin u, which is the
         form that keeps odd parity of u manifestly preserved around a kink.
         """
+        return self.force_from_terms(self.background_terms(background), u)
+
+    def background_terms(self, background) -> tuple:
+        """The factors of the perturbation force that depend on the background Q
+        alone: (sin Q, cos Q) for sine-Gordon, (3 Q^2 - 1, 3 Q) for phi^4.
+
+        A caller whose background does not change computes them once.
+        """
         if self.kind == "sine-gordon":
-            return np.sin(background) * (np.cos(u) - 1.0) + np.cos(background) * np.sin(u)
-        return (3.0 * background * background - 1.0) * u + 3.0 * background * u * u + u ** 3
+            return np.sin(background), np.cos(background)
+        q3 = 3.0 * background
+        return q3 * background - 1.0, q3
+
+    def force_from_terms(self, terms, u, out=None, work=None):
+        """``perturbation_force`` from precomputed ``background_terms``.
+
+        The result is written into ``out`` (allocated when None); ``work`` is a
+        scratch array of the same shape.  The operations are those of the
+        expanded formula in the same order, so the values are bitwise equal.
+        """
+        u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(u.shape, np.shape(terms[0])))
+        if work is None:
+            work = np.empty_like(out)
+        if self.kind == "sine-gordon":
+            sin_q, cos_q = terms
+            np.cos(u, out=out)
+            out -= 1.0
+            out *= sin_q
+            np.sin(u, out=work)
+            work *= cos_q
+            out += work
+            return out
+        linear, quadratic = terms
+        np.multiply(linear, u, out=out)
+        np.multiply(quadratic, u, out=work)
+        work *= u
+        out += work
+        np.power(u, 3, out=work)
+        out += work
+        return out
 
 
 SINE_GORDON = Model("sine-gordon")

@@ -9,6 +9,7 @@ second remainder component, and classify whether rho settles.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,6 +37,8 @@ __all__ = [
     "stilde_bound_check",
     "convergence_classifier",
 ]
+
+log = logging.getLogger("sglab.modulation")
 
 
 class TubeExitError(SolverError):
@@ -122,7 +125,8 @@ def track_modulation(traj, beta: float, rho0: float = 0.0,
     Returns one ModulationRecord per snapshot with rho, the orthogonality
     residual, local remainder norms on the given intervals, and centered
     rho-rate estimates filled in afterwards.  Tracking stops early (with the
-    records so far) if the state exits the tube.
+    records so far) if the state exits the tube, and logs a warning on the
+    ``sglab.modulation`` logger with the snapshot time and the reason.
     """
     records = []
     rho = rho0
@@ -130,7 +134,9 @@ def track_modulation(traj, beta: float, rho0: float = 0.0,
         state = traj.state(i)
         try:
             rho = solve_shift(state, beta, rho_guess=rho, tube_radius=tube_radius)
-        except TubeExitError:
+        except TubeExitError as exc:
+            log.warning("tracking stopped at t = %.6g after %d of %d snapshots: %s",
+                        state.t, len(records), len(traj), exc)
             break
         value, _ = _family_mismatch(state, beta, rho)
         pair = decompose(state, beta, rho)

@@ -212,6 +212,12 @@ class KinkProfile:
         a = self._arg(x)
         return 2.0 * self.beta * self.gamma ** 3 * _sech(a) * (1.0 - 2.0 * np.tanh(a) ** 2)
 
+    def sin_cos_q(self, x):
+        """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan."""
+        a = self._arg(x)
+        s = _sech(a)
+        return -2.0 * s * np.tanh(a), 1.0 - 2.0 * s * s
+
     def sin_half_tilde(self, x):
         return np.tanh(self._arg(x))
 

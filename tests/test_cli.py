@@ -138,3 +138,15 @@ class TestCliCommands:
         assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "wobbler_distance.csv").exists()
         assert (tmp_path / "o" / "wobbler_distance.svg").exists()
+
+    def test_stability_manifold_reports_untracked_snapshots(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "experiment": "kink-manifold", "t_end": 2.0, "dt": 0.02,
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 1001},
+            "seeds": 1, "etas": [0.02, 0.04], "snapshot_every": 1.0})
+        main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
+        checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+        untracked = [c for c in checks if c["name"].startswith("untracked snapshots")]
+        assert [c["name"] for c in untracked] == [
+            "untracked snapshots (seed 0, eta 0.02)", "untracked snapshots (seed 0, eta 0.04)"]
+        assert all(c["measured"] == 0 and c["tolerance"] == 0 and c["passed"] for c in untracked)

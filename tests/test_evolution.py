@@ -10,8 +10,10 @@ from sglab.grids import (
     PerturbationPair,
     PHI4,
     SINE_GORDON,
+    derivative,
     local_energy_norm,
     parity_check,
+    quadrature,
 )
 from sglab.inputs import smooth_random
 from sglab.solutions import (
@@ -20,6 +22,7 @@ from sglab.solutions import (
     WobblerParams,
     breather,
     kink,
+    kink_profile,
     phi4_kink,
     three_soliton,
     two_kink,
@@ -201,3 +204,90 @@ def test_probe_series(grid40):
     assert len(out["weighted_norm[0.5]"]) == n
     with pytest.raises(ParameterError):
         evolve_probe(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=1.0), [("bogus",)])
+
+
+def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
+    """The kick-drift-kick loop with the kink rebuilt and the perturbation force
+    recomputed from Q on every step, as ``evolve`` did before it cached them."""
+    grid = initial.grid
+    x = grid.x
+
+    def background(t):
+        return kink_profile(KinkParams(frame.beta, frame.center(t)))
+
+    def accel(u, t):
+        a = np.zeros_like(u)
+        a[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * (1.0 / grid.h ** 2)
+        if frame is None:
+            a[1:-1] -= model.nonlinearity(u[1:-1])
+        else:
+            a[1:-1] -= model.perturbation_force(background(t).q(x[1:-1]), u[1:-1])
+        return a
+
+    def conserved(u, v, t):
+        if frame is not None:
+            u, v = u + background(t).q(x), v + background(t).q_t(x)
+        ux = derivative(u, grid)
+        return (quadrature(0.5 * (ux ** 2 + v ** 2) + model.potential(u), grid),
+                0.5 * quadrature(v * ux, grid))
+
+    t = initial.t
+    u, v = initial.u.copy(), initial.v.copy()
+    if frame is not None:
+        u, v = u - background(t).q(x), v - background(t).q_t(x)
+    snaps = [(u.copy(), v.copy(), *conserved(u, v, t))]
+    a = accel(u, t)
+    for step in range(1, n_steps + 1):
+        v_half = v + 0.5 * dt * a
+        u_ends = u[0], u[-1]
+        u = u + dt * v_half
+        u[0], u[-1] = u_ends
+        t = initial.t + step * dt
+        a = accel(u, t)
+        v = v_half + 0.5 * dt * a
+        v[0] = v[-1] = 0.0
+        if step % snap_stride == 0:
+            snaps.append((u.copy(), v.copy(), *conserved(u, v, t)))
+    return snaps
+
+
+class TestAgainstReferenceLeapfrog:
+    CASES = [
+        ("sg-static-frame", SINE_GORDON, KinkFrame(), 0.0),
+        ("sg-plain", SINE_GORDON, None, 0.0),
+        ("phi4-static-frame", PHI4, KinkFrame(x0=0.3), 0.0),
+        ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3), 1e-10),
+        ("phi4-moving-frame", PHI4, KinkFrame(beta=0.3), 0.0),
+    ]
+
+    @pytest.mark.parametrize("name,model,frame,tol", CASES, ids=[c[0] for c in CASES])
+    def test_matches_reference(self, name, model, frame, tol):
+        grid = GridSpec(-20.0, 20.0, 801)
+        rng = np.random.default_rng(7)
+        if frame is None:
+            base = breather(0.5).sample(grid, 0.0)
+        else:
+            base = kink(KinkParams(frame.beta, -frame.x0)).sample(grid, 0.0)
+        st = FieldState(0.0, grid, base.u + smooth_random(grid, "odd", 0.05, rng),
+                        base.v + smooth_random(grid, "odd", 0.05, rng))
+        dt, n_steps, stride = 0.02, 250, 25
+        traj = evolve(st, model, EvolveConfig(dt=dt, t_end=n_steps * dt, background=frame,
+                                              snapshot_every=stride * dt))
+        ref = reference_leapfrog(st, model, frame, dt, n_steps, stride)
+        assert len(traj) == len(ref)
+        for i, (u, v, e, p) in enumerate(ref):
+            got = (traj.u_snaps[i], traj.v_snaps[i], traj.energies[i], traj.momenta[i])
+            if tol == 0.0:
+                assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
+            else:
+                assert max(float(np.max(np.abs(g - r))) for g, r in zip(got, (u, v, e, p))) < tol
+
+
+def test_closed_form_sin_cos_of_kink():
+    x = np.linspace(-40.0, 40.0, 8001)
+    for beta, x0 in ((0.0, 0.0), (0.3, -0.5), (-0.6, 1.7)):
+        prof = kink_profile(KinkParams(beta, x0))
+        q = prof.q(x)
+        sin_q, cos_q = prof.sin_cos_q(x)
+        assert np.max(np.abs(sin_q - np.sin(q))) <= 1e-15
+        assert np.max(np.abs(cos_q - np.cos(q))) <= 1e-15

@@ -156,6 +156,26 @@ class TestTracking:
         slope = np.polyfit(np.log(etas), np.log(peaks), 1)[0]
         assert slope > 1.7
 
+    def test_tube_exit_shortens_run_and_warns(self, caplog):
+        # a strong velocity kick beside the kink creates a kink-antikink pair;
+        # the remainder norm grows from 6.7 past the tube radius 8 at t = 1.5
+        grid = GridSpec(-20.0, 20.0, 2001)
+        x = grid.x
+        st = FieldState(0.0, grid, kink_profile(KinkParams(0.0)).q(x),
+                        6.0 * np.exp(-(x - 3.0) ** 2))
+        traj = evolve(st, SINE_GORDON,
+                      EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
+                                   snapshot_every=0.5))
+        with caplog.at_level("WARNING", logger="sglab.modulation"):
+            records = track_modulation(traj, 0.0, tube_radius=8.0)
+        assert type(records) is list
+        assert 0 < len(records) < len(traj)
+        assert records[-1].t < 1.5
+        (warning,) = [r for r in caplog.records if r.name == "sglab.modulation"]
+        assert warning.levelname == "WARNING"
+        assert "t = 1.5" in warning.getMessage()
+        assert "tube radius" in warning.getMessage()
+
 
 def test_rate_check_zero_run(grid40):
     # an unperturbed run has both sides of every rate bound identically zero
