@@ -398,6 +398,8 @@ def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
     records = []
     if cfg.get("track_modulation", False):
         records = track_modulation(traj, background.beta if background else 0.0)
+        bundle.check("untracked snapshots", len(traj) - len(records), 0,
+                     "tracker stays in the tube")
     interval = tuple(cfg.get("interval", (-5.0, 5.0)))
     rows = _probe_rows(traj, records, interval, cfg.get("weight_rate", 0.5))
     bundle.tables["run"] = (list(PROBE_HEADER), rows)

@@ -25,7 +25,7 @@ from .grids import (
     local_energy_norm,
     quadrature,
 )
-from .solutions import KinkParams, kink_profile
+from .solutions import KinkParams, _arctan_exp, _sech, kink_profile
 
 __all__ = [
     "TubeExitError",
@@ -58,19 +58,54 @@ class ModulationRecord:
     local_norms: dict = field(default_factory=dict)
 
 
-def _family_mismatch(state: FieldState, beta: float, rho: float):
-    """Orthogonality functional and its rho-derivative at shift rho."""
+def _mismatch(state: FieldState, beta: float, rho: float):
+    """Orthogonality functional at shift rho, its rho-derivative and the
+    remainder (field minus kink), from one evaluation of the kink profile.
+
+    The profile terms are ``KinkProfile``'s q, q_t, q_x, q_tx, q_xx and q_txx
+    with the same operations, so their values are bitwise equal, built from a
+    single evaluation of the argument a, sech a, tanh a and arctan(e^a).
+    """
     grid = state.grid
-    x = grid.x
-    center = beta * state.t + rho
-    prof = kink_profile(KinkParams(beta, center))
-    du = state.u - prof.q(x)
-    dv = state.v - prof.q_t(x)
-    q_x, q_tx = prof.q_x(x), prof.q_tx(x)
+    p = KinkParams(beta, beta * state.t + rho)
+    g = p.gamma
+    a = g * (grid.x - p.x0)
+    sech, tanh = _sech(a), np.tanh(a)
+    du = state.u - 4.0 * _arctan_exp(a)
+    q_t = -2.0 * beta * g * sech
+    dv = state.v - q_t
+    q_x = 2.0 * g * sech
+    q_tx = 2.0 * beta * g ** 2 * sech * tanh
+    q_xx = -2.0 * g ** 2 * sech * tanh
+    q_txx = 2.0 * beta * g ** 3 * sech * (1.0 - 2.0 * tanh ** 2)
     value = quadrature(du * q_x + dv * q_tx, grid)
-    dvalue = quadrature(q_x ** 2 + q_tx ** 2
-                        - du * prof.q_xx(x) - dv * prof.q_txx(x), grid)
-    return value, dvalue
+    dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * q_xx - dv * q_txx, grid)
+    return value, dvalue, du, dv
+
+
+def _fit_shift(state, beta, rho_guess, tube_radius, tol=1e-10, max_iter=50):
+    """``solve_shift``, also returning the converged orthogonality value and
+    the remainder pair, so a caller needs no further profile evaluation."""
+    if not abs(beta) < 1:
+        raise ParameterError(f"|beta| < 1 required, got {beta}")
+    rho = float(rho_guess)
+    span = state.grid.x_max - state.grid.x_min
+    for _ in range(max_iter):
+        value, dvalue, du, dv = _mismatch(state, beta, rho)
+        if abs(value) <= tol:
+            pair = PerturbationPair(state.grid, du, dv)
+            dist = local_energy_norm(pair)
+            if dist > tube_radius:
+                raise TubeExitError(
+                    f"remainder norm {dist:.3f} exceeds the tube radius {tube_radius}")
+            return rho, value, pair
+        if abs(dvalue) < 1e-12 or not math.isfinite(value):
+            raise TubeExitError("shift solve lost its nondegeneracy")
+        step = value / dvalue
+        if abs(step) > 0.5 * span:
+            raise TubeExitError(f"shift solve diverged (step {step:.3g})")
+        rho -= step
+    raise TubeExitError(f"shift solve: no convergence after {max_iter} iterations")
 
 
 def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
@@ -82,28 +117,7 @@ def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
     Divergence (or a remainder larger than `tube_radius` at the root) raises
     TubeExitError, mirroring the exit-time mechanism of orbital tracking.
     """
-    if not abs(beta) < 1:
-        raise ParameterError(f"|beta| < 1 required, got {beta}")
-    rho = float(rho_guess)
-    span = state.grid.x_max - state.grid.x_min
-    for _ in range(max_iter):
-        value, dvalue = _family_mismatch(state, beta, rho)
-        if abs(value) <= tol:
-            prof = kink_profile(KinkParams(beta, beta * state.t + rho))
-            dist = local_energy_norm(PerturbationPair(
-                state.grid, state.u - prof.q(state.grid.x),
-                state.v - prof.q_t(state.grid.x)))
-            if dist > tube_radius:
-                raise TubeExitError(
-                    f"remainder norm {dist:.3f} exceeds the tube radius {tube_radius}")
-            return rho
-        if abs(dvalue) < 1e-12 or not math.isfinite(value):
-            raise TubeExitError("shift solve lost its nondegeneracy")
-        step = value / dvalue
-        if abs(step) > 0.5 * span:
-            raise TubeExitError(f"shift solve diverged (step {step:.3g})")
-        rho -= step
-    raise TubeExitError(f"shift solve: no convergence after {max_iter} iterations")
+    return _fit_shift(state, beta, rho_guess, tube_radius, tol, max_iter)[0]
 
 
 def decompose(state: FieldState, beta: float, rho: float) -> PerturbationPair:
@@ -133,13 +147,11 @@ def track_modulation(traj, beta: float, rho0: float = 0.0,
     for i in range(len(traj)):
         state = traj.state(i)
         try:
-            rho = solve_shift(state, beta, rho_guess=rho, tube_radius=tube_radius)
+            rho, value, pair = _fit_shift(state, beta, rho, tube_radius)
         except TubeExitError as exc:
             log.warning("tracking stopped at t = %.6g after %d of %d snapshots: %s",
                         state.t, len(records), len(traj), exc)
             break
-        value, _ = _family_mismatch(state, beta, rho)
-        pair = decompose(state, beta, rho)
         norms = {iv: local_energy_norm(pair, iv) for iv in intervals}
         records.append(ModulationRecord(t=state.t, rho=rho,
                                         ortho_residual=abs(value),

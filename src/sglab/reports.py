@@ -8,12 +8,16 @@ dependencies, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-__all__ = ["ReportRow", "ReportBundle", "fmt", "write_csv", "svg_line_plot"]
+from . import __version__
+
+__all__ = ["ReportRow", "ReportBundle", "fmt", "runtime_info", "write_csv", "svg_line_plot"]
 
 
 def fmt(value) -> str:
@@ -25,6 +29,30 @@ def fmt(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
+
+
+def runtime_info() -> dict:
+    """Package versions and numpy's float64 dispatch targets for sin, cos and tan.
+
+    Evolver speed depends on those targets: the kink-frame force calls tan,
+    the full-field force sin.  The targets read ``"unavailable"`` on numpy < 2,
+    which has no ``numpy.lib.introspect``.
+    """
+    names = ("sin", "cos", "tan")
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        dispatch = dict.fromkeys(names, "unavailable")
+    else:
+        info = opt_func_info(func_name="^(sin|cos|tan)$", signature="float64")
+        dispatch = {name: next(iter(info[name].values()))["current"] for name in names}
+    return {
+        "sglab": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "float64_dispatch": dispatch,
+    }
 
 
 @dataclass
@@ -88,6 +116,7 @@ class ReportBundle:
             "title": self.title,
             "passed": self.passed,
             "checks": [r.as_dict() for r in self.rows],
+            "runtime": runtime_info(),
         }
 
     def write(self, outdir) -> Path:

@@ -36,6 +36,14 @@ class TestReportBundle:
         svg = (out / "line.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>")
 
+    def test_summary_records_runtime(self, tmp_path):
+        out = ReportBundle("demo").write(tmp_path / "report")
+        runtime = json.loads((out / "summary.json").read_text())["runtime"]
+        assert set(runtime) == {"sglab", "python", "numpy", "scipy", "float64_dispatch"}
+        assert runtime["numpy"] == np.__version__
+        assert set(runtime["float64_dispatch"]) == {"sin", "cos", "tan"}
+        assert all(isinstance(v, str) and v for v in runtime["float64_dispatch"].values())
+
     def test_csv_is_deterministic(self, tmp_path):
         rows = [(0.1, 1 / 3), (2.0, np.float64(0.7))]
         write_csv(tmp_path / "a.csv", ["p", "q"], rows)
@@ -150,3 +158,21 @@ class TestCliCommands:
         assert [c["name"] for c in untracked] == [
             "untracked snapshots (seed 0, eta 0.02)", "untracked snapshots (seed 0, eta 0.04)"]
         assert all(c["measured"] == 0 and c["tolerance"] == 0 and c["passed"] for c in untracked)
+
+    @pytest.mark.parametrize("speed,untracked", [(0.05, 0), (0.2, 9)])
+    def test_evolve_reports_untracked_snapshots(self, tmp_path, speed, untracked):
+        # a kink moving at 0.2 in the static frame carries a remainder norm of
+        # 0.58 (mostly its velocity), outside the tracker's radius-0.5 tube
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "solution": "kink", "params": {"beta": speed},
+            "background": "static-kink", "track_modulation": True,
+            "t_end": 4.0, "dt": 0.01, "snapshot_every": 0.5,
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
+        code = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == (0 if untracked == 0 else 1)
+        checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+        (row,) = [c for c in checks if c["name"] == "untracked snapshots"]
+        assert row["measured"] == untracked and row["tolerance"] == 0
+        assert row["passed"] is (untracked == 0)
+        assert [c["name"] for c in checks if not c["passed"]] == (
+            [] if untracked == 0 else ["untracked snapshots"])

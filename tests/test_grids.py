@@ -21,7 +21,7 @@ from sglab.grids import (
     second_derivative,
     weighted_norm_sq,
 )
-from sglab.solutions import KinkParams, kink, zero_sampler
+from sglab.solutions import KinkParams, kink, kink_profile, zero_sampler
 
 
 class TestGridSpec:
@@ -240,6 +240,32 @@ class TestModel:
         bg = np.tanh(grid40.x)
         for model in (SINE_GORDON, PHI4):
             assert np.all(model.perturbation_force(bg, np.zeros(4001)) == 0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double has no more precision than float64 here")
+    @pytest.mark.parametrize("amplitude,center", [
+        (1e-6, 0.0), (1e-3, 0.0), (1.0, 0.0), (3.0, 0.0), (10.0, 0.0),
+        (1e-6, np.pi), (1e-6, -np.pi)])
+    def test_half_angle_force_against_long_double(self, grid40, amplitude, center):
+        # Reference: sin Q (cos u - 1) + cos Q sin u in long double from the same
+        # float64 sin Q and cos Q.  Its cos u - 1 is taken as -2 sin^2(u/2):
+        # computed directly it cancels to ~1e-19/|u| relative even in long
+        # double, about 3e-14 at |u| ~ 1e-6, too close to the bound.
+        terms = SINE_GORDON.background_terms(kink_profile(KinkParams()).q(grid40.x))
+        u = center + amplitude * np.random.default_rng(11).uniform(-1.0, 1.0, grid40.n_points)
+        got = SINE_GORDON.force_from_terms(terms, u)
+        sin_q, cos_q = (np.asarray(t, dtype=np.longdouble) for t in terms)
+        ul = u.astype(np.longdouble)
+        ref = sin_q * (-2.0 * np.sin(0.5 * ul) ** 2) + cos_q * np.sin(ul)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-3, 1.0, 3.0, 10.0])
+    def test_force_keeps_odd_parity_around_kink(self, grid40, amplitude):
+        # the defect comes from sin Q, which is not bitwise odd about the kink
+        w = amplitude * np.random.default_rng(12).uniform(-1.0, 1.0, grid40.n_points)
+        u = 0.5 * (w - w[::-1])
+        force = SINE_GORDON.perturbation_force(kink_profile(KinkParams()).q(grid40.x), u)
+        assert parity_check(force, grid40, "odd") <= 1e-13
 
     def test_unknown_model(self):
         with pytest.raises(ParameterError):

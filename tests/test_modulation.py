@@ -9,10 +9,12 @@ from sglab.grids import (
     ParameterError,
     PerturbationPair,
     SINE_GORDON,
+    quadrature,
 )
 from sglab.inputs import smooth_random
 from sglab.modulation import (
     TubeExitError,
+    _mismatch,
     convergence_classifier,
     decompose,
     rho_rate_check,
@@ -67,6 +69,24 @@ class TestSolveShift:
         st = kink(KinkParams(0.0)).sample(grid40, 0.0)
         with pytest.raises(ParameterError):
             solve_shift(st, 1.5)
+
+
+    @pytest.mark.parametrize("beta,t,rho", [(0.0, 0.0, 0.2), (0.3, 1.5, -0.4)])
+    def test_mismatch_matches_profile_methods(self, grid40, rng, beta, t, rho):
+        # one sech/tanh/arctan evaluation must reproduce KinkProfile's
+        # per-term methods bitwise, so tracking records do not move
+        x = grid40.x
+        prof = kink_profile(KinkParams(beta, beta * t + rho))
+        st = FieldState(t, grid40, prof.q(x) + smooth_random(grid40, "odd", 0.05, rng),
+                        prof.q_t(x) + smooth_random(grid40, "even", 0.05, rng))
+        du, dv = st.u - prof.q(x), st.v - prof.q_t(x)
+        q_x, q_tx = prof.q_x(x), prof.q_tx(x)
+        value = quadrature(du * q_x + dv * q_tx, grid40)
+        dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * prof.q_xx(x) - dv * prof.q_txx(x),
+                            grid40)
+        got = _mismatch(st, beta, rho)
+        assert got[:2] == (value, dvalue)
+        assert np.array_equal(got[2], du) and np.array_equal(got[3], dv)
 
 
 class TestDecompose:
