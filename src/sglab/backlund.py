@@ -122,49 +122,6 @@ def _a_value(a) -> float:
     return (a if isinstance(a, BtParameter) else BtParameter(float(a))).a
 
 
-def bt_residual(phi: FieldState, psi: FieldState, a) -> tuple:
-    """Transform residuals (F1, F2) for sampled states, derivatives by finite
-    differences.
-
-    phi is the vacuum-side state, psi the kink-side state:
-
-        F1 = psi_u_x - phi_v - (1/a) sin((psi_u + phi_u)/2) - a sin((psi_u - phi_u)/2)
-        F2 = psi_v - phi_u_x - (1/a) sin((psi_u + phi_u)/2) + a sin((psi_u - phi_u)/2)
-    """
-    av = _a_value(a)
-    if phi.grid != psi.grid:
-        raise ContractError("bt_residual needs matching grids")
-    s_plus = np.sin(0.5 * (psi.u + phi.u))
-    s_minus = np.sin(0.5 * (psi.u - phi.u))
-    f1 = derivative(psi.u, psi.grid) - phi.v - s_plus / av - av * s_minus
-    f2 = psi.v - derivative(phi.u, phi.grid) - s_plus / av + av * s_minus
-    return f1, f2
-
-
-def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
-                     grid: GridSpec) -> tuple:
-    """Transform residuals for two samplers, using analytic derivatives.
-
-    This is the exact-identity evaluation: for a genuine transform pair the
-    residuals are at round-off level independent of the grid spacing.
-    """
-    av = _a_value(a)
-    x = grid.x
-
-    def dx_of(s):
-        if s.dvalue_dx is not None:
-            return np.asarray(s.dvalue_dx(t, x), dtype=float)
-        return derivative(np.asarray(s.value(t, x), dtype=float), grid)
-
-    phi_u = np.asarray(phi.value(t, x), dtype=float)
-    psi_u = np.asarray(psi.value(t, x), dtype=float)
-    s_plus = np.sin(0.5 * (psi_u + phi_u))
-    s_minus = np.sin(0.5 * (psi_u - phi_u))
-    f1 = dx_of(psi) - np.asarray(phi.dvalue_dt(t, x), dtype=float) - s_plus / av - av * s_minus
-    f2 = np.asarray(psi.dvalue_dt(t, x), dtype=float) - dx_of(phi) - s_plus / av + av * s_minus
-    return f1, f2
-
-
 # --- the transform background -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -250,6 +207,48 @@ def wobbler_pair_residual(u_s: PerturbationPair, y_v: PerturbationPair,
     if u_s.grid != y_v.grid:
         raise ContractError("wobbler_pair_residual needs matching grids")
     return _pair_residual(_Background.wobbler(u_s.grid, beta, t), u_s, y_v)
+
+
+def _identity_residual(psi_u, psi_x, psi_t, phi_u, phi_x, phi_t, a) -> tuple:
+    """(F1, F2) of two full solutions: the background's residuals at zero
+    perturbation."""
+    bg = _Background(psi_u - np.pi, psi_x, psi_t, phi_u, phi_x, phi_t, _a_value(a))
+    return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
+
+
+def bt_residual(phi: FieldState, psi: FieldState, a) -> tuple:
+    """Transform residuals (F1, F2) for sampled states, derivatives by finite
+    differences.
+
+    phi is the vacuum-side state, psi the kink-side state:
+
+        F1 = psi_u_x - phi_v - (1/a) sin((psi_u + phi_u)/2) - a sin((psi_u - phi_u)/2)
+        F2 = psi_v - phi_u_x - (1/a) sin((psi_u + phi_u)/2) + a sin((psi_u - phi_u)/2)
+
+    evaluated as ``_Background``'s cosine form with Psi - pi in place of psi_u.
+    """
+    if phi.grid != psi.grid:
+        raise ContractError("bt_residual needs matching grids")
+    return _identity_residual(psi.u, derivative(psi.u, psi.grid), psi.v,
+                              phi.u, derivative(phi.u, phi.grid), phi.v, a)
+
+
+def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
+                     grid: GridSpec) -> tuple:
+    """Transform residuals for two samplers, using analytic derivatives.
+
+    This is the exact-identity evaluation: for a genuine transform pair the
+    residuals are at round-off level independent of the grid spacing.
+    """
+    x = grid.x
+
+    def fields(s):
+        u = np.asarray(s.value(t, x), dtype=float)
+        u_x = (derivative(u, grid) if s.dvalue_dx is None
+               else np.asarray(s.dvalue_dx(t, x), dtype=float))
+        return u, u_x, np.asarray(s.dvalue_dt(t, x), dtype=float)
+
+    return _identity_residual(*fields(psi), *fields(phi), a)
 
 
 # --- integrating-factor linear solves ----------------------------------------

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import __version__
 from .backlund import (
-    BtParameter,
-    bt_pair_residual,
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
@@ -31,31 +29,31 @@ from .backlund import (
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
-    zero_momentum_manifold_data,
 )
 from .conserved import manifold_momentum, momentum
-from .evolution import EvolveConfig, KinkFrame, evolve
+from .evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
+from .experiments import (
+    EXACT_FAMILIES,
+    linear_transform_cases,
+    manifold_run,
+    residual_study,
+    transform_identity_cases,
+    vacuum_rate_check,
+    wobbler_family_distances,
+)
 from .grids import (
     ContractError,
     FieldState,
     GridSpec,
     ParameterError,
-    PerturbationPair,
     SINE_GORDON,
     PHI4,
     SolverError,
-    local_energy_norm,
     parity_check,
     pde_residual,
-    WeightSpec,
-    weighted_norm_sq,
 )
 from .inputs import load_pair, named_pair, smooth_random
-from .modulation import (
-    convergence_classifier,
-    rho_rate_check,
-    track_modulation,
-)
+from .modulation import convergence_classifier
 from .reports import ReportBundle, svg_line_plot
 from .solutions import (
     KinkParams,
@@ -64,25 +62,27 @@ from .solutions import (
     breather,
     kink,
     kink_profile,
-    linear_mode,
     phi4_kink,
     three_soliton,
     two_kink,
     wobbler,
-    zero_sampler,
 )
 from .spectra import (
     discrete_spectrum,
     kink_phi4_dual_operator,
     kink_phi4_operator,
     kink_sg_operator,
-    lbt_residual_phi4,
-    lbt_residual_phi4_dual,
-    lbt_residual_sg,
 )
 
 PROBE_HEADER = ("t", "rho", "rho_rate", "energy", "momentum",
                 "local_norm_I", "weighted_norm")
+
+# verify-bt case label (its first two words) -> provenance of the identity
+_PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
+               "wobbler-breather identity": "wobbler and breather linked at parameter 1",
+               "sg linear": "kink-side resonance pair",
+               "phi4 linear": "phi4 internal-mode/resonance pair",
+               "phi4 dual": "dual resonance pair"}
 
 
 def _grid_from(cfg) -> GridSpec:
@@ -109,17 +109,6 @@ def _sampler_from(cfg):
     raise ParameterError(f"unknown solution {name!r}")
 
 
-def _residual_study(sampler, model, grid, t, dt, levels):
-    """Max residual per refinement level and the observed orders."""
-    residuals = []
-    g, step = grid, dt
-    for _ in range(levels):
-        residuals.append(float(np.max(np.abs(pde_residual(sampler, model, t, g, step)))))
-        g, step = g.refined(2), step / 2.0
-    orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
-    return residuals, orders
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_verify_exact(cfg, tol_scale, rng) -> ReportBundle:
@@ -130,17 +119,9 @@ def cmd_verify_exact(cfg, tol_scale, rng) -> ReportBundle:
     levels = cfg.get("levels", 3)
     order_min = cfg.get("order_min", 1.9)
     res_max = cfg.get("max_residual", 1e-5) * tol_scale
-    families = [
-        ("kink", kink(KinkParams(0.6, 0.0)), SINE_GORDON),
-        ("breather", breather(0.5), SINE_GORDON),
-        ("wobbler", wobbler(WobblerParams(0.5)), SINE_GORDON),
-        ("two-kink", two_kink(0.5), SINE_GORDON),
-        ("three-soliton", three_soliton(ThreeSolitonParams(0.5, 0.4)), SINE_GORDON),
-        ("phi4-kink", phi4_kink(), PHI4),
-    ]
     table = []
-    for name, sampler, model in families:
-        residuals, orders = _residual_study(sampler, model, grid, t, dt, levels)
+    for name, sampler, model in EXACT_FAMILIES:
+        residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
         bundle.check(f"{name} refinement order", min(orders), order_min,
                      "closed-form solution under (h, dt) halving", larger_ok=True)
         bundle.check(f"{name} finest residual", residuals[-1], res_max,
@@ -159,7 +140,7 @@ def cmd_verify_exact(cfg, tol_scale, rng) -> ReportBundle:
 
     # profile snapshots of each family at a few times
     window = np.linspace(-20.0, 20.0, 801)
-    for name, sampler, _ in families:
+    for name, sampler, _ in EXACT_FAMILIES:
         series = {f"t={ts:g}": (window, np.asarray(sampler.value(ts, window)))
                   for ts in cfg.get("snapshot_times", [0.0, 2.0, 6.0])}
         bundle.plots[f"{name}_snapshots"] = svg_line_plot(
@@ -174,44 +155,11 @@ def cmd_verify_bt(cfg, tol_scale, rng) -> ReportBundle:
     betas = cfg.get("betas", [0.1, 0.3, 0.5, 0.7])
     times = cfg.get("times", [0.0, 1.3, 5.0])
 
-    for beta in betas:
-        a = BtParameter.from_beta(beta)
-        f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(beta, 0.0)), a, 0.0, grid)
-        bundle.check(f"kink-from-vacuum identity beta={beta}",
-                     max(np.max(np.abs(f1)), np.max(np.abs(f2))), tol,
-                     "kink as transform of the vacuum")
-        for t in times:
-            f1, f2 = bt_pair_residual(breather(beta), wobbler(WobblerParams(beta)),
-                                      1.0, t, grid)
-            bundle.check(f"wobbler-breather identity beta={beta} t={t}",
-                         max(np.max(np.abs(f1)), np.max(np.abs(f2))), tol,
-                         "wobbler and breather linked at parameter 1")
-
-    # linearized-transform identity suites
-    gl = GridSpec(-30.0, 30.0, grid.n_points)
-    ts = cfg.get("mode_time", 0.9)
-    sg_pairs = [("L,M", linear_mode("L"), linear_mode("M")),
-                ("L-alt,M-alt", linear_mode("L-alt"), linear_mode("M-alt"))]
-    for label, phi, psi in sg_pairs:
-        e1, e2 = lbt_residual_sg(phi, psi, ts, gl)
-        bundle.check(f"sg linear transform ({label})",
-                     max(np.max(np.abs(e1)), np.max(np.abs(e2))), tol,
-                     "kink-side resonance pair")
-    y_pair = linear_mode("Y1-sin-pair")
-    phi4_pairs = [("Y1,Y0", y_pair[0], y_pair[1]),
-                  ("L4,M4", linear_mode("L4"), linear_mode("M4")),
-                  ("L4-alt,M4-alt", linear_mode("L4-alt"), linear_mode("M4-alt"))]
-    for label, phi, psi in phi4_pairs:
-        e1, e2 = lbt_residual_phi4(phi, psi, ts, gl)
-        bundle.check(f"phi4 linear transform ({label})",
-                     max(np.max(np.abs(e1)), np.max(np.abs(e2))), tol,
-                     "phi4 internal-mode/resonance pair")
-    m4 = linear_mode("M4-complex")
-    for sign, mode in ((1, "N4-plus"), (-1, "N4-minus")):
-        (a1, b1), (a2, b2) = lbt_residual_phi4_dual(m4, linear_mode(mode), sign, ts, gl)
-        worst = max(np.max(np.abs(v)) for v in (a1, b1, a2, b2))
-        bundle.check(f"phi4 dual transform sign={sign:+d}", worst, tol,
-                     "dual resonance pair")
+    cases = (transform_identity_cases(grid, betas, times)
+             + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points),
+                                      cfg.get("mode_time", 0.9)))
+    for label, worst in cases:
+        bundle.check(label, worst, tol, _PROVENANCE[" ".join(label.split()[:2])])
     return bundle
 
 
@@ -356,28 +304,6 @@ def cmd_descend(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def _probe_rows(traj, records, interval, weight_rate):
-    """Assemble the fixed-header probe table from a trajectory."""
-    rec_by_time = {}
-    if records:
-        rec_by_time = {round(r.t, 9): r for r in records}
-    rows = []
-    for i in range(len(traj)):
-        t = traj.times[i]
-        pair = PerturbationPair(traj.grid, traj.u_snaps[i], traj.v_snaps[i])
-        rec = rec_by_time.get(round(t, 9))
-        rows.append((
-            t,
-            rec.rho if rec else float("nan"),
-            (rec.rho_rate if rec and rec.rho_rate is not None else float("nan")),
-            traj.energies[i],
-            traj.momenta[i],
-            local_energy_norm(pair, interval),
-            weighted_norm_sq(pair, WeightSpec(weight_rate)),
-        ))
-    return rows
-
-
 def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
     bundle = ReportBundle("evolve")
     grid = _grid_from(cfg)
@@ -393,17 +319,24 @@ def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
     ecfg = EvolveConfig(dt=cfg.get("dt", 0.005), t_end=cfg.get("t_end", 10.0),
                         background=background,
                         snapshot_every=cfg.get("snapshot_every", 0.5))
-    state = sampler.sample(grid, cfg.get("t0", 0.0))
-    traj = evolve(state, model, ecfg)
-    records = []
-    if cfg.get("track_modulation", False):
-        records = track_modulation(traj, background.beta if background else 0.0)
-        bundle.check("untracked snapshots", len(traj) - len(records), 0,
-                     "tracker stays in the tube")
     interval = tuple(cfg.get("interval", (-5.0, 5.0)))
-    rows = _probe_rows(traj, records, interval, cfg.get("weight_rate", 0.5))
-    bundle.tables["run"] = (list(PROBE_HEADER), rows)
-    energies = np.array(traj.energies)
+    weight_rate = cfg.get("weight_rate", 0.5)
+    probes = [("energy",), ("momentum",), ("local_energy_norm", interval),
+              ("weighted_norm", weight_rate)]
+    tracked = cfg.get("track_modulation", False)
+    if tracked:
+        probes.append(("modulation", background.beta if background else 0.0))
+    out, traj = evolve_probe(sampler.sample(grid, cfg.get("t0", 0.0)), model, ecfg, probes)
+    if tracked:
+        bundle.check("untracked snapshots", int(np.count_nonzero(np.isnan(out["rho"]))), 0,
+                     "tracker stays in the tube")
+    no_shift = np.full(len(traj), np.nan)
+    columns = (out["t"], out.get("rho", no_shift), out.get("rho_rate", no_shift),
+               out["energy"], out["momentum"],
+               out[f"local_norm[{interval[0]:g},{interval[1]:g}]"],
+               out[f"weighted_norm[{weight_rate:g}]"])
+    bundle.tables["run"] = (list(PROBE_HEADER), list(zip(*columns)))
+    energies = out["energy"]
     drift = float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
     bundle.check("relative energy drift", drift, cfg.get("drift_tol", 1e-5) * tol_scale,
                  "conservation along the run")
@@ -414,14 +347,13 @@ def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
 
 def _stability_manifold(cfg, tol_scale, rng, bundle):
     grid = _grid_from(cfg)
-    x = grid.x
     etas = cfg.get("etas", [0.02, 0.04, 0.08])
     n_seeds = cfg.get("seeds", 2)
     t_end = cfg.get("t_end", 60.0)
     dt = cfg.get("dt", 0.015)
+    snapshot_every = cfg.get("snapshot_every", 0.5)
     interval = tuple(cfg.get("interval", (-5.0, 5.0)))
     eps = cfg.get("eps", 0.1)
-    prof = kink_profile(KinkParams(0.0, 0.0))
     rate_peaks = {}
     rate_rows = []
     for seed in range(n_seeds):
@@ -429,27 +361,14 @@ def _stability_manifold(cfg, tol_scale, rng, bundle):
         shape = smooth_random(grid, "odd", 1.0, seed_rng)
         for eta in etas:
             y0 = eta * shape
-            rep, _delta = zero_momentum_manifold_data(grid, y0)
-            st = FieldState(0.0, grid, prof.q(x) + rep.result.first, rep.result.second)
-            traj = evolve(st, SINE_GORDON, EvolveConfig(
-                dt=dt, t_end=t_end, background=KinkFrame(),
-                snapshot_every=cfg.get("snapshot_every", 0.5)))
-            records = track_modulation(traj, 0.0, intervals=(interval,))
+            traj, records = manifold_run(grid, y0, dt, t_end, snapshot_every, interval)
             bundle.check(f"untracked snapshots (seed {seed}, eta {eta})",
                          len(traj) - len(records), 0, "tracker stays in the tube")
-            momenta = np.array(traj.momenta)
             bundle.check(f"momentum stays zero (seed {seed}, eta {eta})",
-                         float(np.max(np.abs(momenta))), 1e-5 * tol_scale,
+                         float(np.max(np.abs(traj.momenta))), 1e-5 * tol_scale,
                          "zero-momentum manifold data")
-            zero_traj = evolve(FieldState(0.0, grid, y0, np.zeros_like(x)),
-                               SINE_GORDON, EvolveConfig(
-                                   dt=dt, t_end=t_end,
-                                   snapshot_every=cfg.get("snapshot_every", 0.5)))
-            zero_pairs = [PerturbationPair(grid, zero_traj.u_snaps[i], zero_traj.v_snaps[i])
-                          for i in range(len(records))]
-            check = rho_rate_check(records, zero_pairs, eps)
-            peak = max((abs(r.rho_rate) for r in records if r.rho_rate is not None),
-                       default=0.0)
+            check = vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, eps)
+            peak = max((abs(r.rho_rate) for r in records), default=0.0)
             rate_peaks.setdefault(eta, []).append(peak)
             cls = convergence_classifier(records)
             series = cls["local_norms"][interval]
@@ -497,31 +416,7 @@ def _stability_wobbler(cfg, tol_scale, rng, bundle):
         dt=cfg.get("dt", 0.01), t_end=t_end, background=KinkFrame(),
         snapshot_every=cfg.get("snapshot_every", 1.0)))
     period = 2.0 * math.pi / math.sqrt(1.0 - beta ** 2)
-
-    def dist_to_family(i):
-        t = traj.times[i]
-        full_u = traj.u_snaps[i] + traj.background_field(t)
-        full_v = traj.v_snaps[i] + traj.background_field_t(t)
-
-        def dist(tau):
-            du = full_u - np.asarray(w.value(t + tau, x))
-            dv = full_v - np.asarray(w.dvalue_dt(t + tau, x))
-            return local_energy_norm(PerturbationPair(grid, du, dv))
-
-        taus = np.linspace(-0.5 * period, 0.5 * period, 41)
-        vals = [dist(tau) for tau in taus]
-        k = int(np.argmin(vals))
-        lo, hi = taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)]
-        for _ in range(40):
-            mid1 = lo + (hi - lo) / 3
-            mid2 = hi - (hi - lo) / 3
-            if dist(mid1) < dist(mid2):
-                hi = mid2
-            else:
-                lo = mid1
-        return dist(0.5 * (lo + hi))
-
-    distances = [dist_to_family(i) for i in range(len(traj))]
+    distances = wobbler_family_distances(traj, w, period)
     measured_c = max(distances) / eta
     bundle.tables["wobbler_distance"] = (["t", "distance"],
                                          list(zip(traj.times, distances)))

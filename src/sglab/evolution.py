@@ -9,6 +9,7 @@ order, and time-reversible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +28,7 @@ from .grids import (
     weighted_norm_sq,
     WeightSpec,
 )
+from .modulation import track_modulation
 from .solutions import KinkParams, kink_profile
 
 __all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve", "evolve_probe"]
@@ -209,9 +211,11 @@ def evolve_probe(initial: FieldState, model: Model, cfg: EvolveConfig, probes):
     """Evolve and evaluate probes at every snapshot.
 
     Probes are ("energy",), ("momentum",), ("local_energy_norm", (a, b)),
-    ("weighted_norm", rate) or ("modulation", beta); the result maps each probe
-    name to its time series, always including "t".  The modulation probe is
-    resolved through the modulation tracker.
+    ("weighted_norm", rate) or ("modulation", beta); the result maps "t" and
+    "energy", "momentum", "local_norm[a,b]", "weighted_norm[rate]", or "rho",
+    "rho_rate" and "ortho_residual" to series aligned with the snapshots.  The
+    modulation probe is resolved through the modulation tracker; snapshots
+    after a tube exit read nan.
     """
     traj = evolve(initial, model, cfg)
     out = {"t": np.array(traj.times)}
@@ -222,27 +226,20 @@ def evolve_probe(initial: FieldState, model: Model, cfg: EvolveConfig, probes):
         elif kind == "momentum":
             out["momentum"] = np.array(traj.momenta)
         elif kind == "local_energy_norm":
-            interval = probe[1]
-            vals = []
-            for i in range(len(traj)):
-                pair = PerturbationPair(traj.grid, traj.u_snaps[i], traj.v_snaps[i])
-                vals.append(local_energy_norm(pair, interval))
-            out[f"local_norm[{interval[0]:g},{interval[1]:g}]"] = np.array(vals)
+            a, b = probe[1]
+            out[f"local_norm[{a:g},{b:g}]"] = np.array(
+                [local_energy_norm(traj.perturbation(i), (a, b)) for i in range(len(traj))])
         elif kind == "weighted_norm":
             rate = probe[1]
-            vals = []
-            for i in range(len(traj)):
-                pair = PerturbationPair(traj.grid, traj.u_snaps[i], traj.v_snaps[i])
-                vals.append(weighted_norm_sq(pair, WeightSpec(rate)))
-            out[f"weighted_norm[{rate:g}]"] = np.array(vals)
+            out[f"weighted_norm[{rate:g}]"] = np.array(
+                [weighted_norm_sq(traj.perturbation(i), WeightSpec(rate))
+                 for i in range(len(traj))])
         elif kind == "modulation":
-            from .modulation import track_modulation
-
-            beta = probe[1]
-            records = track_modulation(traj, beta)
-            out["rho"] = np.array([r.rho for r in records])
-            out["rho_rate"] = np.array([r.rho_rate for r in records])
-            out["ortho_residual"] = np.array([r.ortho_residual for r in records])
+            records = track_modulation(traj, probe[1])
+            untracked = [math.nan] * (len(traj) - len(records))
+            out["rho"] = np.array([r.rho for r in records] + untracked)
+            out["rho_rate"] = np.array([r.rho_rate for r in records] + untracked)
+            out["ortho_residual"] = np.array([r.ortho_residual for r in records] + untracked)
         else:
             raise ParameterError(f"unknown probe {probe!r}")
     return out, traj

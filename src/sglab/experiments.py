@@ -1,0 +1,140 @@
+"""Experiment cells shared by the command-line recipes and the acceptance suite.
+
+Each cell runs one measurement and returns it: no tolerance, no printing and
+no report.  The ``sglab`` recipes render the results into checked rows; the
+acceptance tests assert on them, so both run the same numerics.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .backlund import BtParameter, bt_pair_residual, zero_momentum_manifold_data
+from .evolution import EvolveConfig, KinkFrame, evolve
+from .grids import (PHI4, SINE_GORDON, FieldState, ParameterError, PerturbationPair,
+                    local_energy_norm, pde_residual)
+from .modulation import rho_rate_check, track_modulation
+from .solutions import (KinkParams, ThreeSolitonParams, WobblerParams, breather, kink,
+                        kink_profile, linear_mode, phi4_kink, three_soliton, two_kink,
+                        wobbler, zero_sampler)
+from .spectra import lbt_residual_phi4, lbt_residual_phi4_dual, lbt_residual_sg
+
+__all__ = ["EXACT_FAMILIES", "residual_study", "transform_identity_cases",
+           "linear_transform_cases", "wobbler_family_distances", "manifold_run",
+           "vacuum_rate_check"]
+
+#: (name, sampler, model) of the six closed-form families
+EXACT_FAMILIES = (
+    ("kink", kink(KinkParams(0.6, 0.0)), SINE_GORDON),
+    ("breather", breather(0.5), SINE_GORDON),
+    ("wobbler", wobbler(WobblerParams(0.5)), SINE_GORDON),
+    ("two-kink", two_kink(0.5), SINE_GORDON),
+    ("three-soliton", three_soliton(ThreeSolitonParams(0.5, 0.4)), SINE_GORDON),
+    ("phi4-kink", phi4_kink(), PHI4),
+)
+
+
+def residual_study(sampler, model, grid, t, dt, levels):
+    """Max PDE residual at each of `levels` (h, dt) halvings, and the observed
+    orders log2(r_i / r_{i+1})."""
+    residuals = []
+    g, step = grid, dt
+    for _ in range(levels):
+        residuals.append(float(np.max(np.abs(pde_residual(sampler, model, t, g, step)))))
+        g, step = g.refined(2), step / 2.0
+    orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
+    return residuals, orders
+
+
+def transform_identity_cases(grid, betas, times):
+    """(label, max of |F1| and |F2|) of the kink-from-vacuum identity at each
+    beta and of the wobbler-breather identity at each beta and time."""
+    cases = []
+    for beta in betas:
+        f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(beta, 0.0)),
+                                  BtParameter.from_beta(beta), 0.0, grid)
+        cases.append((f"kink-from-vacuum identity beta={beta}",
+                      float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))))
+        for t in times:
+            f1, f2 = bt_pair_residual(breather(beta), wobbler(WobblerParams(beta)),
+                                      1.0, t, grid)
+            cases.append((f"wobbler-breather identity beta={beta} t={t}",
+                          float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))))
+    return cases
+
+
+def linear_transform_cases(grid, t):
+    """(label, max residual) of the closed-form linear-mode pairs in their
+    first-order systems at time t: around the sine-Gordon kink, around the
+    phi^4 kink, and the phi^4 dual pairs."""
+    m = linear_mode
+    cases = [
+        ("sg linear transform (L,M)", lbt_residual_sg(m("L"), m("M"), t, grid)),
+        ("sg linear transform (L-alt,M-alt)", lbt_residual_sg(m("L-alt"), m("M-alt"), t, grid)),
+        ("phi4 linear transform (Y1,Y0)", lbt_residual_phi4(*m("Y1-sin-pair"), t, grid)),
+        ("phi4 linear transform (L4,M4)", lbt_residual_phi4(m("L4"), m("M4"), t, grid)),
+        ("phi4 linear transform (L4-alt,M4-alt)",
+         lbt_residual_phi4(m("L4-alt"), m("M4-alt"), t, grid)),
+    ]
+    for sign, name in ((1, "N4-plus"), (-1, "N4-minus")):
+        (a1, b1), (a2, b2) = lbt_residual_phi4_dual(m("M4-complex"), m(name), sign, t, grid)
+        cases.append((f"phi4 dual transform sign={sign:+d}", (a1, b1, a2, b2)))
+    return [(label, float(max(np.max(np.abs(e)) for e in residuals)))
+            for label, residuals in cases]
+
+
+def wobbler_family_distances(traj, wobbler_sampler, period):
+    """Local energy distance of each snapshot's full field to the nearest
+    time-shifted member of the wobbler family.
+
+    The shift tau runs over one period: a 41-point scan brackets the minimum,
+    40 ternary steps refine it.
+    """
+    grid, x, w = traj.grid, traj.grid.x, wobbler_sampler
+    distances = []
+    for i in range(len(traj)):
+        state = traj.state(i)
+        t = state.t
+
+        def dist(tau):
+            du = state.u - np.asarray(w.value(t + tau, x))
+            dv = state.v - np.asarray(w.dvalue_dt(t + tau, x))
+            return local_energy_norm(PerturbationPair(grid, du, dv))
+
+        taus = np.linspace(-0.5 * period, 0.5 * period, 41)
+        k = int(np.argmin([dist(tau) for tau in taus]))
+        lo, hi = taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)]
+        for _ in range(40):
+            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            if dist(m1) < dist(m2):
+                hi = m2
+            else:
+                lo = m1
+        distances.append(dist(0.5 * (lo + hi)))
+    return distances
+
+
+def manifold_run(grid, y0, dt, t_end, snapshot_every, interval):
+    """Evolve the static kink plus the zero-momentum manifold data built from
+    odd vacuum data y0 in the kink frame.  Returns the trajectory and its
+    tracker records (local norms on `interval`), which stop at a tube exit."""
+    rep, _delta = zero_momentum_manifold_data(grid, y0)
+    state = FieldState(0.0, grid, kink_profile(KinkParams(0.0, 0.0)).q(grid.x)
+                       + rep.result.first, rep.result.second)
+    traj = evolve(state, SINE_GORDON, EvolveConfig(
+        dt=dt, t_end=t_end, background=KinkFrame(), snapshot_every=snapshot_every))
+    return traj, track_modulation(traj, 0.0, intervals=(interval,))
+
+
+def vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, eps):
+    """Evolve the vacuum twin (y0, 0) and run ``rho_rate_check`` against it,
+    which fills each record's ``rhs_bound``.  The records must sit at the
+    twin's first snapshot times, as a ``manifold_run`` with the same dt,
+    t_end and snapshot_every gives them."""
+    vacuum = evolve(FieldState(0.0, grid, y0, np.zeros_like(grid.x)), SINE_GORDON,
+                    EvolveConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every))
+    if [r.t for r in records] != vacuum.times[:len(records)]:
+        raise ParameterError("records are not aligned with the vacuum snapshots")
+    return rho_rate_check(records, [vacuum.perturbation(i) for i in range(len(records))], eps)

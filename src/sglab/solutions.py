@@ -513,10 +513,6 @@ _OMEGA_INTERNAL = math.sqrt(1.5)
 _SQRT3 = math.sqrt(3.0)
 
 
-def _mode(label, f, ft, fx):
-    return SolutionSampler(label, f, ft, fx)
-
-
 def _tanh_s(x):
     return np.tanh(np.asarray(x, dtype=float) / _SQRT2)
 
@@ -525,25 +521,58 @@ def _sech_s(x):
     return _sech(np.asarray(x, dtype=float) / _SQRT2)
 
 
-def _resonance_profile(x):
-    """Even zero-energy profile 1 - (3/2) sech^2(x/sqrt 2) of the phi^4 operator."""
-    return 1.0 - 1.5 * _sech_s(x) ** 2
+def _quarter(k, s):
+    """cos(s - k pi/2) exactly: cos s, sin s, -cos s, -sin s for k = 0, 1, 2, 3."""
+    c = np.sin(s) if k % 2 else np.cos(s)
+    return -c if k % 4 >= 2 else c
 
 
-def _y1(x):
-    return _sech_s(x) * _tanh_s(x)
+# profile p and its derivative p_x; 1 - (3/2) sech^2(x/sqrt 2) is the even
+# zero-energy resonance of the phi^4 operator
+_MODE_PROFILES = {
+    "tanh": (np.tanh, lambda x: _sech(x) ** 2),
+    "one": (np.ones_like, np.zeros_like),
+    "Y0": (lambda x: -(1.0 / _SQRT3) * _sech_s(x),
+           lambda x: (1.0 / _SQRT3 / _SQRT2) * _sech_s(x) * _tanh_s(x)),
+    "Y1": (lambda x: _sech_s(x) * _tanh_s(x),
+           lambda x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2)),
+    "resonance": (lambda x: 1.0 - 1.5 * _sech_s(x) ** 2,
+                  lambda x: (3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x)),
+    "tanh_s": (_tanh_s, lambda x: (1.0 / _SQRT2) * _sech_s(x) ** 2),
+    # N4 = -i (2 +/- sqrt 3) e^{i sqrt 2 t}: constant in space
+    "N4-plus": (lambda x: np.full_like(x, 2.0 + _SQRT3), np.zeros_like),
+    "N4-minus": (lambda x: np.full_like(x, 2.0 - _SQRT3), np.zeros_like),
+}
+
+# mode name -> components (label, profile, omega, k), each p(x) cos(omega t - k pi/2)
+_LINEAR_MODES = {
+    "L": (("L", "tanh", 1.0, 0),),
+    "M": (("M", "one", 1.0, 1),),
+    "L-alt": (("L-alt", "tanh", 1.0, 3),),
+    "M-alt": (("M-alt", "one", 1.0, 0),),
+    "Y0": (("Y0", "Y0", 0.0, 0),),
+    "Y1": (("Y1", "Y1", 0.0, 0),),
+    "Y1-sin-pair": (("Y1-sin", "Y1", _OMEGA_INTERNAL, 1),
+                    ("Y0-cos", "Y0", _OMEGA_INTERNAL, 0)),
+    "L4": (("L4", "resonance", _SQRT2, 3),),
+    "M4": (("M4", "tanh_s", _SQRT2, 0),),
+    "L4-alt": (("L4-alt", "resonance", _SQRT2, 2),),
+    "M4-alt": (("M4-alt", "tanh_s", _SQRT2, 3),),
+    "M4-complex": (("M4-re", "tanh_s", _SQRT2, 0), ("M4-im", "tanh_s", _SQRT2, 1)),
+    "N4-plus": (("N4-re", "N4-plus", _SQRT2, 1), ("N4-im", "N4-plus", _SQRT2, 2)),
+    "N4-minus": (("N4-re", "N4-minus", _SQRT2, 1), ("N4-im", "N4-minus", _SQRT2, 2)),
+}
+
+LINEAR_MODE_NAMES = tuple(_LINEAR_MODES)
 
 
-def _y0(x):
-    return -(1.0 / _SQRT3) * _sech_s(x)
-
-
-LINEAR_MODE_NAMES = (
-    "L", "M", "L-alt", "M-alt",
-    "Y0", "Y1", "Y1-sin-pair",
-    "L4", "M4", "L4-alt", "M4-alt",
-    "M4-complex", "N4-plus", "N4-minus",
-)
+def _table_mode(label, profile, omega, k):
+    p, p_x = _MODE_PROFILES[profile]
+    x_ = lambda x: np.asarray(x, dtype=float)
+    return SolutionSampler(label,
+                           lambda t, x: p(x_(x)) * _quarter(k, omega * t),
+                           lambda t, x: (omega * p(x_(x))) * _quarter(k - 1, omega * t),
+                           lambda t, x: p_x(x_(x)) * _quarter(k, omega * t))
 
 
 def linear_mode(name: str):
@@ -553,75 +582,10 @@ def linear_mode(name: str):
     internal-mode pair (two samplers).  Complex modes return a (real part,
     imaginary part) tuple of samplers.
     """
-    x_ = lambda x: np.asarray(x, dtype=float)
-    if name == "L":
-        return _mode("L", lambda t, x: np.tanh(x_(x)) * np.cos(t),
-                     lambda t, x: -np.tanh(x_(x)) * np.sin(t),
-                     lambda t, x: _sech(x_(x)) ** 2 * np.cos(t))
-    if name == "M":
-        return _mode("M", lambda t, x: np.full_like(x_(x), np.sin(t)),
-                     lambda t, x: np.full_like(x_(x), np.cos(t)),
-                     lambda t, x: np.zeros_like(x_(x)))
-    if name == "L-alt":
-        return _mode("L-alt", lambda t, x: -np.tanh(x_(x)) * np.sin(t),
-                     lambda t, x: -np.tanh(x_(x)) * np.cos(t),
-                     lambda t, x: -_sech(x_(x)) ** 2 * np.sin(t))
-    if name == "M-alt":
-        return _mode("M-alt", lambda t, x: np.full_like(x_(x), np.cos(t)),
-                     lambda t, x: np.full_like(x_(x), -np.sin(t)),
-                     lambda t, x: np.zeros_like(x_(x)))
-    if name == "Y0":
-        return _mode("Y0", lambda t, x: _y0(x),
-                     lambda t, x: np.zeros_like(x_(x)),
-                     lambda t, x: (1.0 / _SQRT3 / _SQRT2) * _sech_s(x) * _tanh_s(x))
-    if name == "Y1":
-        return _mode("Y1", lambda t, x: _y1(x),
-                     lambda t, x: np.zeros_like(x_(x)),
-                     lambda t, x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2))
-    if name == "Y1-sin-pair":
-        w = _OMEGA_INTERNAL
-        first = _mode("Y1-sin", lambda t, x: _y1(x) * np.sin(w * t),
-                      lambda t, x: w * _y1(x) * np.cos(w * t),
-                      lambda t, x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2) * np.sin(w * t))
-        second = _mode("Y0-cos", lambda t, x: _y0(x) * np.cos(w * t),
-                       lambda t, x: -w * _y0(x) * np.sin(w * t),
-                       lambda t, x: (1.0 / _SQRT3 / _SQRT2) * _sech_s(x) * _tanh_s(x) * np.cos(w * t))
-        return first, second
-    if name == "L4":
-        return _mode("L4", lambda t, x: -_resonance_profile(x) * np.sin(_SQRT2 * t),
-                     lambda t, x: -_SQRT2 * _resonance_profile(x) * np.cos(_SQRT2 * t),
-                     lambda t, x: -(3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x) * np.sin(_SQRT2 * t))
-    if name == "M4":
-        return _mode("M4", lambda t, x: _tanh_s(x) * np.cos(_SQRT2 * t),
-                     lambda t, x: -_SQRT2 * _tanh_s(x) * np.sin(_SQRT2 * t),
-                     lambda t, x: (1.0 / _SQRT2) * _sech_s(x) ** 2 * np.cos(_SQRT2 * t))
-    if name == "L4-alt":
-        return _mode("L4-alt", lambda t, x: -_resonance_profile(x) * np.cos(_SQRT2 * t),
-                     lambda t, x: _SQRT2 * _resonance_profile(x) * np.sin(_SQRT2 * t),
-                     lambda t, x: -(3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x) * np.cos(_SQRT2 * t))
-    if name == "M4-alt":
-        return _mode("M4-alt", lambda t, x: -_tanh_s(x) * np.sin(_SQRT2 * t),
-                     lambda t, x: -_SQRT2 * _tanh_s(x) * np.cos(_SQRT2 * t),
-                     lambda t, x: -(1.0 / _SQRT2) * _sech_s(x) ** 2 * np.sin(_SQRT2 * t))
-    if name == "M4-complex":
-        re = _mode("M4-re", lambda t, x: _tanh_s(x) * np.cos(_SQRT2 * t),
-                   lambda t, x: -_SQRT2 * _tanh_s(x) * np.sin(_SQRT2 * t),
-                   lambda t, x: (1.0 / _SQRT2) * _sech_s(x) ** 2 * np.cos(_SQRT2 * t))
-        im = _mode("M4-im", lambda t, x: _tanh_s(x) * np.sin(_SQRT2 * t),
-                   lambda t, x: _SQRT2 * _tanh_s(x) * np.cos(_SQRT2 * t),
-                   lambda t, x: (1.0 / _SQRT2) * _sech_s(x) ** 2 * np.sin(_SQRT2 * t))
-        return re, im
-    if name in ("N4-plus", "N4-minus"):
-        # N4 = -i (2 +/- sqrt 3) e^{i sqrt 2 t}: constant in space
-        amp = 2.0 + _SQRT3 if name == "N4-plus" else 2.0 - _SQRT3
-        re = _mode("N4-re", lambda t, x: np.full_like(x_(x), amp * np.sin(_SQRT2 * t)),
-                   lambda t, x: np.full_like(x_(x), amp * _SQRT2 * np.cos(_SQRT2 * t)),
-                   lambda t, x: np.zeros_like(x_(x)))
-        im = _mode("N4-im", lambda t, x: np.full_like(x_(x), -amp * np.cos(_SQRT2 * t)),
-                   lambda t, x: np.full_like(x_(x), amp * _SQRT2 * np.sin(_SQRT2 * t)),
-                   lambda t, x: np.zeros_like(x_(x)))
-        return re, im
-    raise ParameterError(f"unknown linear mode {name!r}; known: {LINEAR_MODE_NAMES}")
+    if name not in _LINEAR_MODES:
+        raise ParameterError(f"unknown linear mode {name!r}; known: {LINEAR_MODE_NAMES}")
+    modes = tuple(_table_mode(*row) for row in _LINEAR_MODES[name])
+    return modes[0] if len(modes) == 1 else modes
 
 
 # --- Lorentz boost ----------------------------------------------------------

@@ -9,11 +9,9 @@ stability, and the zero-momentum decay experiments.
 import math
 
 import numpy as np
-import pytest
 
 from sglab.backlund import (
     BtParameter,
-    bt_pair_residual,
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
@@ -21,31 +19,28 @@ from sglab.backlund import (
     final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_zero_to_kink,
-    zero_momentum_manifold_data,
 )
 from sglab.conserved import energy, manifold_momentum, momentum
-from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab.evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
+from sglab.experiments import (
+    EXACT_FAMILIES,
+    linear_transform_cases,
+    manifold_run,
+    residual_study,
+    transform_identity_cases,
+    vacuum_rate_check,
+    wobbler_family_distances,
+)
 from sglab.grids import (
     FieldState,
     GridSpec,
     PHI4,
     PerturbationPair,
     SINE_GORDON,
-    WeightSpec,
-    derivative,
     local_energy_norm,
     parity_check,
-    pde_residual,
-    quadrature,
 )
 from sglab.inputs import smooth_random
-from sglab.modulation import (
-    convergence_classifier,
-    decompose,
-    rho_rate_check,
-    solve_shift,
-    track_modulation,
-)
 from sglab.solutions import (
     KinkParams,
     SolutionSampler,
@@ -67,7 +62,6 @@ from sglab.spectra import (
     kink_phi4_operator,
     kink_sg_operator,
     lbt_residual_phi4,
-    lbt_residual_phi4_dual,
     lbt_residual_sg,
     wave_residual,
 )
@@ -81,24 +75,11 @@ def report(criterion, passed, detail):
 def test_criterion_01_exact_solution_suite():
     """Residuals of all six closed-form families refine at order >= 1.9 and
     reach <= 1e-5 at the finest of three levels."""
-    families = [
-        ("kink", kink(KinkParams(0.6, 0.0)), SINE_GORDON),
-        ("breather", breather(0.5), SINE_GORDON),
-        ("wobbler", wobbler(WobblerParams(0.5)), SINE_GORDON),
-        ("two-kink", two_kink(0.5), SINE_GORDON),
-        ("three-soliton", three_soliton(ThreeSolitonParams(0.5, 0.4)), SINE_GORDON),
-        ("phi4-kink", phi4_kink(), PHI4),
-    ]
     details = []
     ok = True
-    for name, sampler, model in families:
-        grid, dt = GridSpec(-40.0, 40.0, 8001), 0.01
-        residuals = []
-        for _ in range(3):
-            residuals.append(float(np.max(np.abs(
-                pde_residual(sampler, model, 0.7, grid, dt)))))
-            grid, dt = grid.refined(2), dt / 2.0
-        orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
+    for name, sampler, model in EXACT_FAMILIES:
+        residuals, orders = residual_study(sampler, model, GridSpec(-40.0, 40.0, 8001),
+                                           0.7, 0.01, 3)
         ok &= min(orders) >= 1.9 and residuals[-1] <= 1e-5
         details.append(f"{name}: orders {orders[0]:.2f}/{orders[1]:.2f}, "
                        f"finest {residuals[-1]:.2e}")
@@ -108,15 +89,8 @@ def test_criterion_01_exact_solution_suite():
 def test_criterion_02_transform_identity_suite(grid40):
     """Kink-from-vacuum and wobbler-breather identities stay below 5e-6 on the
     default grid across the stated parameter set."""
-    worst = 0.0
-    for beta in (0.1, 0.3, 0.5, 0.7):
-        f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(beta, 0.0)),
-                                  BtParameter.from_beta(beta), 0.0, grid40)
-        worst = max(worst, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
-        for t in (0.0, 1.3, 5.0):
-            f1, f2 = bt_pair_residual(breather(beta), wobbler(WobblerParams(beta)),
-                                      1.0, t, grid40)
-            worst = max(worst, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
+    worst = max(value for _, value in transform_identity_cases(
+        grid40, (0.1, 0.3, 0.5, 0.7), (0.0, 1.3, 5.0)))
     report(2, worst <= 5e-6, f"max transform residual {worst:.2e} (tol 5e-6)")
 
 
@@ -151,27 +125,17 @@ def test_criterion_03_linear_transform_suite():
         lambda tt, x: -np.tanh(np.asarray(x, dtype=float) / math.sqrt(2))
         * (1.0 / np.cosh(np.asarray(x, dtype=float) / math.sqrt(2))) ** 2,
     )
-    pair57 = linear_mode("Y1-sin-pair")
     pair57_alt = (scale_mode(y1, lambda tt: np.cos(omega * tt),
                              lambda tt: -omega * np.sin(omega * tt)),
                   scale_mode(y0, lambda tt: -np.sin(omega * tt),
                              lambda tt: -omega * np.cos(omega * tt)))
-    worst = 0.0
-    sg_pairs = [(q_slope, zero_sampler()), (linear_mode("L"), linear_mode("M")),
-                (linear_mode("L-alt"), linear_mode("M-alt"))]
-    for phi, psi in sg_pairs:
-        e1, e2 = lbt_residual_sg(phi, psi, t, g)
-        worst = max(worst, float(np.max(np.abs(e1))), float(np.max(np.abs(e2))))
-    phi4_pairs = [(h_slope, zero_sampler()), pair57, pair57_alt,
-                  (linear_mode("L4"), linear_mode("M4")),
-                  (linear_mode("L4-alt"), linear_mode("M4-alt"))]
-    for phi, psi in phi4_pairs:
-        e1, e2 = lbt_residual_phi4(phi, psi, t, g)
-        worst = max(worst, float(np.max(np.abs(e1))), float(np.max(np.abs(e2))))
-    m4c = linear_mode("M4-complex")
-    for sign, name in ((1, "N4-plus"), (-1, "N4-minus")):
-        (a1, b1), (a2, b2) = lbt_residual_phi4_dual(m4c, linear_mode(name), sign, t, g)
-        worst = max(worst, max(float(np.max(np.abs(v))) for v in (a1, b1, a2, b2)))
+    # the seven pairs that verify-bt checks, plus the kink slopes (with the
+    # zero mode on the vacuum side) and the cos-phase internal-mode pair
+    worst = max(value for _, value in linear_transform_cases(g, t))
+    for residual, phi, psi in ((lbt_residual_sg, q_slope, zero_sampler()),
+                               (lbt_residual_phi4, h_slope, zero_sampler()),
+                               (lbt_residual_phi4, *pair57_alt)):
+        worst = max(worst, *(float(np.max(np.abs(e))) for e in residual(phi, psi, t, g)))
 
     # second-order companions on a finer grid where the h^2 floor is below tol
     gf = GridSpec(-30.0, 30.0, 30001)
@@ -361,31 +325,7 @@ def test_criterion_08_wobbler_periodicity_and_orbital_stability():
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=100.0,
                                                 background=KinkFrame(),
                                                 snapshot_every=2.0))
-
-    def family_distance(i):
-        t = traj.times[i]
-        fu = traj.u_snaps[i] + traj.background_field(t)
-        fv = traj.v_snaps[i] + traj.background_field_t(t)
-
-        def dist(tau):
-            return local_energy_norm(PerturbationPair(
-                g, fu - np.asarray(w.value(t + tau, g.x)),
-                fv - np.asarray(w.dvalue_dt(t + tau, g.x))))
-
-        taus = np.linspace(-0.5 * period, 0.5 * period, 31)
-        vals = [dist(tau) for tau in taus]
-        k = int(np.argmin(vals))
-        lo, hi = taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)]
-        for _ in range(35):
-            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            if dist(m1) < dist(m2):
-                hi = m2
-            else:
-                lo = m1
-        return dist(0.5 * (lo + hi))
-
-    sup_dist = max(family_distance(i) for i in range(len(traj)))
-    measured_c = sup_dist / eta
+    measured_c = max(wobbler_family_distances(traj, w, period)) / eta
     # C measured once at this configuration (5.7; 5.4 at twice the
     # resolution) and pinned with regression margin
     ok = period_err <= 1e-4 and measured_c <= 8.0
@@ -399,8 +339,6 @@ def test_criterion_09_manifold_asymptotic_stability():
     within 2 +/- 0.3, a uniform weighted-bound ratio, and local remainder
     decay below 10% at T = 200."""
     grid = GridSpec(-40.0, 40.0, 12001)
-    x = grid.x
-    prof = kink_profile(KinkParams(0.0))
     etas = (0.02, 0.04, 0.08)
     slopes = []
     max_ratio = 0.0
@@ -409,20 +347,10 @@ def test_criterion_09_manifold_asymptotic_stability():
         shape = smooth_random(grid, "odd", 1.0, np.random.default_rng(seed))
         peaks = []
         for eta in etas:
-            rep, _ = zero_momentum_manifold_data(grid, eta * shape)
-            st = FieldState(0.0, grid, prof.q(x) + rep.result.first, rep.result.second)
-            traj = evolve(st, SINE_GORDON,
-                          EvolveConfig(dt=0.005, t_end=60.0, background=KinkFrame(),
-                                       snapshot_every=0.5))
+            traj, records = manifold_run(grid, eta * shape, 0.005, 60.0, 0.5, (-5.0, 5.0))
             mom_worst = max(mom_worst, float(np.max(np.abs(traj.momenta))))
-            records = track_modulation(traj, 0.0)
             peaks.append(max(abs(r.rho_rate) for r in records))
-            vacuum = evolve(FieldState(0.0, grid, eta * shape, np.zeros_like(x)),
-                            SINE_GORDON,
-                            EvolveConfig(dt=0.005, t_end=60.0, snapshot_every=0.5))
-            zero_pairs = [PerturbationPair(grid, vacuum.u_snaps[i], vacuum.v_snaps[i])
-                          for i in range(len(records))]
-            rho_rate_check(records, zero_pairs, 0.1)
+            vacuum_rate_check(grid, eta * shape, records, 0.005, 60.0, 0.5, 0.1)
             # the pointwise inequality is meaningful while its right side is
             # above the late-time measurement floor; the denominator is
             # floored at 1e-3 of its peak over the run
@@ -435,19 +363,12 @@ def test_criterion_09_manifold_asymptotic_stability():
     # long-horizon decay on a box wide enough that no reflected radiation
     # re-enters the observation window before T = 200
     gwide = GridSpec(-120.0, 120.0, 24001)
-    pwide = kink_profile(KinkParams(0.0))
     decay_worst = 0.0
     for seed in (1, 2, 3):
         shape = smooth_random(gwide, "odd", 1.0, np.random.default_rng(seed))
         for eta in (0.08,):
-            rep, _ = zero_momentum_manifold_data(gwide, eta * shape)
-            st = FieldState(0.0, gwide, pwide.q(gwide.x) + rep.result.first,
-                            rep.result.second)
-            traj = evolve(st, SINE_GORDON,
-                          EvolveConfig(dt=0.009, t_end=200.0, background=KinkFrame(),
-                                       snapshot_every=2.0))
+            traj, records = manifold_run(gwide, eta * shape, 0.009, 200.0, 2.0, (-5.0, 5.0))
             mom_worst = max(mom_worst, float(np.max(np.abs(traj.momenta))))
-            records = track_modulation(traj, 0.0)
             first = records[0].local_norms[(-5.0, 5.0)]
             last = records[-1].local_norms[(-5.0, 5.0)]
             decay_worst = max(decay_worst, last / first)
@@ -471,27 +392,17 @@ def test_criterion_10_vacuum_odd_data_decay():
     rng = np.random.default_rng(42)
     y0 = smooth_random(grid, "odd", 0.08, rng)
     st = FieldState(0.0, grid, y0, np.zeros(grid.n_points))
-    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.012, t_end=200.0,
-                                                snapshot_every=2.0))
-    interval = (-5.0, 5.0)
-    weight = WeightSpec(0.5)
-    norms, weighted = [], []
-    for i in range(len(traj)):
-        pair = PerturbationPair(grid, traj.u_snaps[i], traj.v_snaps[i])
-        norms.append(local_energy_norm(pair, interval))
-        weighted.append(
-            quadrature(weight.values(grid.x)
-                       * (derivative(pair.first, grid) ** 2 + pair.first ** 2
-                          + pair.second ** 2), grid))
-    norms = np.array(norms)
-    times = np.array(traj.times)
+    out, _ = evolve_probe(st, SINE_GORDON,
+                          EvolveConfig(dt=0.012, t_end=200.0, snapshot_every=2.0),
+                          [("local_energy_norm", (-5.0, 5.0)), ("weighted_norm", 0.5)])
+    norms, weighted, times = out["local_norm[-5,5]"], out["weighted_norm[0.5]"], out["t"]
     decay_ok = norms[-1] <= 0.1 * norms[0]
     # trending down: quarter-averages decrease monotonically
     q = len(norms) // 4
     quarters = [norms[i * q:(i + 1) * q].mean() for i in range(4)]
     trend_ok = all(quarters[i + 1] < quarters[i] for i in range(3))
     cumulative = np.concatenate(([0.0], np.cumsum(
-        0.5 * np.diff(times) * (np.array(weighted)[1:] + np.array(weighted)[:-1]))))
+        0.5 * np.diff(times) * (weighted[1:] + weighted[:-1]))))
     tail_increment = cumulative[-1] - cumulative[3 * len(cumulative) // 4]
     plateau_ok = tail_increment <= 0.05 * cumulative[-1]
     ok = decay_ok and trend_ok and plateau_ok

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +77,20 @@ class TestCliCommands:
         assert main(["descend", "--out", str(tmp_path / "d")]) == 0
 
     def test_evolve_probe_csv_header(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "solution": "breather", "params": {"beta": 0.5},
-            "t_end": 2.0, "dt": 0.005,
-            "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 4001}})
+        # the README's configuration and the probe rows it shows; compared as
+        # numbers, since the last digits follow numpy's sin/cos dispatch
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (config,) = re.findall(r"```json\n(.*?)```", text, re.S)
+        header, *shown = re.findall(r"```csv\n(.*?)```", text, re.S)[0].splitlines()
+        cfg = write_config(tmp_path, "c.json", json.loads(config))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "run.csv").read_text().splitlines()
-        assert lines[0] == ",".join(PROBE_HEADER)
-        assert len(lines) > 3
+        assert lines[0] == header == ",".join(PROBE_HEADER)
+        assert len(lines) == 22 and len(shown) == 2
+        for got, want in zip(lines[1:], shown):
+            np.testing.assert_allclose(np.array(got.split(","), dtype=float),
+                                       np.array(want.split(","), dtype=float),
+                                       rtol=1e-12, atol=1e-12, equal_nan=True)
 
     def test_corrupted_speed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -176,3 +183,4 @@ class TestCliCommands:
         assert row["passed"] is (untracked == 0)
         assert [c["name"] for c in checks if not c["passed"]] == (
             [] if untracked == 0 else ["untracked snapshots"])
+

@@ -206,6 +206,18 @@ def test_probe_series(grid40):
         evolve_probe(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=1.0), [("bogus",)])
 
 
+def test_probe_modulation_is_padded_after_tube_exit():
+    # a kink moving at 0.2 in the static frame starts outside the tracker's
+    # tube, so no snapshot is tracked
+    st = kink(KinkParams(0.2)).sample(GridSpec(-20.0, 20.0, 2001), 0.0)
+    out, traj = evolve_probe(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=4.0,
+                                                           background=KinkFrame()),
+                             [("modulation", 0.0)])
+    assert len(traj) == len(out["t"]) == 9
+    for key in ("rho", "rho_rate", "ortho_residual"):
+        assert out[key].shape == (9,) and np.all(np.isnan(out[key]))
+
+
 def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
     """The kick-drift-kick loop with the kink rebuilt and the perturbation force
     recomputed from Q on every step, as ``evolve`` did before it cached them."""

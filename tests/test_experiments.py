@@ -1,0 +1,83 @@
+import math
+
+import numpy as np
+import pytest
+
+from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab.experiments import (
+    EXACT_FAMILIES,
+    linear_transform_cases,
+    manifold_run,
+    residual_study,
+    transform_identity_cases,
+    vacuum_rate_check,
+    wobbler_family_distances,
+)
+from sglab.grids import GridSpec, ParameterError, SINE_GORDON
+from sglab.inputs import smooth_random
+from sglab.solutions import WobblerParams, wobbler
+
+
+def test_residual_study_kink_orders_are_two():
+    name, sampler, model = EXACT_FAMILIES[0]
+    grid = GridSpec(-20.0, 20.0, 801)
+    residuals, orders = residual_study(sampler, model, grid, 0.7, 0.5 * grid.h, 3)
+    assert name == "kink" and len(residuals) == 3 and len(orders) == 2
+    assert residuals[0] > residuals[1] > residuals[2]
+    assert all(abs(order - 2.0) <= 0.05 for order in orders)
+
+
+def test_transform_cases_are_at_round_off():
+    identity = transform_identity_cases(GridSpec(-20.0, 20.0, 801), (0.3,), (0.0, 1.3))
+    assert [label for label, _ in identity] == [
+        "kink-from-vacuum identity beta=0.3", "wobbler-breather identity beta=0.3 t=0.0",
+        "wobbler-breather identity beta=0.3 t=1.3"]
+    linear = linear_transform_cases(GridSpec(-30.0, 30.0, 801), 0.9)
+    assert [label.split(" (")[0] for label, _ in linear] == (
+        ["sg linear transform"] * 2 + ["phi4 linear transform"] * 3
+        + ["phi4 dual transform sign=+1", "phi4 dual transform sign=-1"])
+    assert all(value <= 1e-13 for _, value in identity + linear)
+
+
+def test_unperturbed_wobbler_stays_at_scheme_floor():
+    # measured: 7.5e-9 at t = 0 (the search's resolution in the shift), and
+    # at most 8.0e-4 over T = 8 at h = 0.04, dt = 0.02 (2.0e-4 at half of both)
+    beta = 0.3
+    w = wobbler(WobblerParams(beta))
+    grid = GridSpec(-40.0, 40.0, 2001)
+    traj = evolve(w.sample(grid, 0.0), SINE_GORDON,
+                  EvolveConfig(dt=0.02, t_end=8.0, background=KinkFrame(),
+                               snapshot_every=2.0))
+    distances = wobbler_family_distances(traj, w, 2.0 * math.pi / math.sqrt(1.0 - beta ** 2))
+    assert len(distances) == len(traj) == 5
+    assert distances[0] <= 1e-7
+    assert max(distances) <= 1.2e-3
+
+
+@pytest.fixture(scope="module")
+def small_manifold_run():
+    grid = GridSpec(-20.0, 20.0, 4001)
+    y0 = 0.04 * smooth_random(grid, "odd", 1.0, np.random.default_rng(1))
+    traj, records = manifold_run(grid, y0, 0.005, 2.0, 0.5, (-5.0, 5.0))
+    return grid, y0, traj, records
+
+
+def test_manifold_run_tracks_every_snapshot(small_manifold_run):
+    _, _, traj, records = small_manifold_run
+    assert len(traj) == len(records) == 5
+    assert [r.t for r in records] == traj.times
+    assert all(set(r.local_norms) == {(-5.0, 5.0)} for r in records)
+    assert float(np.max(np.abs(traj.momenta))) <= 1e-5
+
+
+def test_vacuum_rate_check_fills_bounds_and_rejects_misaligned_records(small_manifold_run):
+    grid, y0, _, records = small_manifold_run
+    check = vacuum_rate_check(grid, y0, records, 0.005, 2.0, 0.5, 0.1)
+    assert all(r.rhs_bound > 0 for r in records)
+    assert len(check["rate_ratios"]) == len(records)
+    # a twin snapshotted every 1.0 puts its second snapshot at t = 1, not 0.5
+    with pytest.raises(ParameterError, match="not aligned"):
+        vacuum_rate_check(grid, y0, records, 0.005, 2.0, 1.0, 0.1)
+    # more records than the twin has snapshots
+    with pytest.raises(ParameterError, match="not aligned"):
+        vacuum_rate_check(grid, y0, records, 0.005, 1.0, 0.5, 0.1)

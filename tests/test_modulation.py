@@ -3,6 +3,7 @@ import pytest
 
 from sglab.backlund import lift_zero_to_kink, zero_momentum_manifold_data
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab.experiments import manifold_run
 from sglab.grids import (
     FieldState,
     GridSpec,
@@ -31,12 +32,6 @@ from sglab.solutions import (
     three_soliton,
     wobbler,
 )
-
-
-def manifold_state(grid, y0):
-    rep, _ = zero_momentum_manifold_data(grid, y0)
-    prof = kink_profile(KinkParams(0.0))
-    return FieldState(0.0, grid, prof.q(grid.x) + rep.result.first, rep.result.second)
 
 
 class TestSolveShift:
@@ -111,7 +106,9 @@ class TestDecompose:
         assert np.max(np.abs(pair.second - np.asarray(w.dvalue_dt(0.0, grid40.x)))) < 1e-12
 
     def test_reconstruction_is_bitwise(self, grid40, rng):
-        st = manifold_state(grid40, smooth_random(grid40, "odd", 0.05, rng))
+        rep, _ = zero_momentum_manifold_data(grid40, smooth_random(grid40, "odd", 0.05, rng))
+        st = FieldState(0.0, grid40, kink_profile(KinkParams(0.0)).q(grid40.x)
+                        + rep.result.first, rep.result.second)
         rho = solve_shift(st, 0.0)
         pair = decompose(st, 0.0, rho)
         prof = kink_profile(KinkParams(0.0, rho))
@@ -123,11 +120,7 @@ def tracked_run():
     grid = GridSpec(-40.0, 40.0, 4001)
     rng = np.random.default_rng(2)
     y0 = smooth_random(grid, "odd", 0.05, rng)
-    st = manifold_state(grid, y0)
-    traj = evolve(st, SINE_GORDON,
-                  EvolveConfig(dt=0.01, t_end=30.0, background=KinkFrame(),
-                               snapshot_every=0.5))
-    records = track_modulation(traj, 0.0)
+    traj, records = manifold_run(grid, y0, 0.01, 30.0, 0.5, (-5.0, 5.0))
     vacuum = evolve(FieldState(0.0, grid, y0, np.zeros(grid.n_points)),
                     SINE_GORDON,
                     EvolveConfig(dt=0.01, t_end=30.0, snapshot_every=0.5))
@@ -167,11 +160,7 @@ class TestTracking:
         peaks = []
         etas = (0.02, 0.04, 0.08)
         for eta in etas:
-            st = manifold_state(grid, eta * shape)
-            traj = evolve(st, SINE_GORDON,
-                          EvolveConfig(dt=0.005, t_end=30.0, background=KinkFrame(),
-                                       snapshot_every=0.5))
-            records = track_modulation(traj, 0.0)
+            _, records = manifold_run(grid, eta * shape, 0.005, 30.0, 0.5, (-5.0, 5.0))
             peaks.append(max(abs(r.rho_rate) for r in records))
         slope = np.polyfit(np.log(etas), np.log(peaks), 1)[0]
         assert slope > 1.7
