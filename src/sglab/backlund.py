@@ -46,6 +46,7 @@ from .solutions import (
     KinkParams,
     SolutionSampler,
     WobblerParams,
+    _log_cosh,
     breather,
     kink_profile,
     wobbler,
@@ -566,7 +567,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     coeff_scale = 0.5 * (1.0 / mult + mult)
     nu0 = coeff_scale / gamma
     xi = gamma * (x - center)
-    lw = nu0 * (np.abs(xi) + np.log1p(np.exp(-2.0 * np.abs(xi))) - math.log(2.0))
+    lw = nu0 * _log_cosh(xi)
     m = _center_index(grid, center)
     hom = np.exp(-(lw - lw[m]))
     q_x = prof.q_x(x)
@@ -609,7 +610,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
 
 
 def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
-                                max_iter: int = 12, **solve_kwargs):
+                                max_iter: int = 12):
     """Kink-side data for (y0, 0) with exactly zero discrete momentum.
 
     The construction at offset delta = 0 has zero momentum in the continuum;
@@ -625,7 +626,7 @@ def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
     delta = 0.0
     rep = None
     for _ in range(max_iter):
-        rep = construct_manifold_data(grid, y0, zero, delta, **solve_kwargs)
+        rep = construct_manifold_data(grid, y0, zero, delta)
         p = momentum(FieldState(0.0, grid, q + rep.result.first, rep.result.second))
         if abs(p) <= tol:
             break

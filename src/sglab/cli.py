@@ -111,7 +111,7 @@ def _sampler_from(cfg):
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_verify_exact(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-exact")
     grid = _grid_from(cfg)
     t = cfg.get("t", 0.7)
@@ -148,7 +148,7 @@ def cmd_verify_exact(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def cmd_verify_bt(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-bt")
     grid = _grid_from(cfg)
     tol = cfg.get("tolerance", 5e-6) * tol_scale
@@ -163,7 +163,7 @@ def cmd_verify_bt(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def cmd_spectrum(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
     g = cfg.get("grid", {})
     grid = GridSpec(g.get("x_min", -30.0), g.get("x_max", 30.0), g.get("n_points", 4001))
@@ -205,7 +205,7 @@ def _input_pair(cfg, grid, seed):
                       beta=cfg.get("beta", 0.5), t=cfg.get("t", 0.0), seed=seed)
 
 
-def cmd_lift(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_lift(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("lift")
     grid = _grid_from(cfg)
     pair = _input_pair(cfg, grid, cfg.get("seed", 0))
@@ -265,7 +265,7 @@ def cmd_lift(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def cmd_descend(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_descend(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("descend")
     grid = _grid_from(cfg)
     cfg = dict(cfg)
@@ -304,7 +304,7 @@ def cmd_descend(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("evolve")
     grid = _grid_from(cfg)
     sampler, model = _sampler_from(cfg)
@@ -345,7 +345,7 @@ def cmd_evolve(cfg, tol_scale, rng) -> ReportBundle:
     return bundle
 
 
-def _stability_manifold(cfg, tol_scale, rng, bundle):
+def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
     etas = cfg.get("etas", [0.02, 0.04, 0.08])
     n_seeds = cfg.get("seeds", 2)
@@ -401,14 +401,14 @@ def _stability_manifold(cfg, tol_scale, rng, bundle):
                  expected=-4 * beta_c / math.sqrt(1 - beta_c ** 2))
 
 
-def _stability_wobbler(cfg, tol_scale, rng, bundle):
+def _stability_wobbler(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
     x = grid.x
     beta = cfg.get("beta", 0.3)
     eta = cfg.get("eta", 1e-3)
     t_end = cfg.get("t_end", 40.0)
     w = wobbler(WobblerParams(beta))
-    noise = smooth_random(grid, "odd", eta, rng)
+    noise = smooth_random(grid, "odd", eta, np.random.default_rng(cfg["seed"]))
     st = FieldState(0.0, grid,
                     np.asarray(w.value(0.0, x)) + noise,
                     np.asarray(w.dvalue_dt(0.0, x)))
@@ -428,13 +428,13 @@ def _stability_wobbler(cfg, tol_scale, rng, bundle):
                  cfg.get("constant_bound", 20.0), "sup distance / noise size")
 
 
-def cmd_stability(cfg, tol_scale, rng) -> ReportBundle:
+def cmd_stability(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("stability")
     experiment = cfg.get("experiment", "kink-manifold")
     if experiment == "kink-manifold":
-        _stability_manifold(cfg, tol_scale, rng, bundle)
+        _stability_manifold(cfg, tol_scale, bundle)
     elif experiment == "wobbler":
-        _stability_wobbler(cfg, tol_scale, rng, bundle)
+        _stability_wobbler(cfg, tol_scale, bundle)
     else:
         raise ParameterError(f"unknown stability experiment {experiment!r}")
     return bundle
@@ -474,7 +474,7 @@ def _sweep_cell(payload):
                                                             if k != "kind"}}
 
 
-def cmd_sweep(cfg, tol_scale, rng, workers=1) -> ReportBundle:
+def cmd_sweep(cfg, tol_scale, workers=1) -> ReportBundle:
     bundle = ReportBundle("sweep")
     kind = cfg.get("kind", "final-speed")
     if kind == "final-speed":
@@ -569,13 +569,13 @@ def main(argv=None) -> int:
         return 2
 
     tol_scale = 0.1 if args.strict else 1.0
-    rng = np.random.default_rng(args.seed)
+    # every random draw seeds from cfg["seed"]: a config's "seed" key wins over --seed
     cfg.setdefault("seed", args.seed)
     try:
         if args.command == "sweep":
-            bundle = cmd_sweep(cfg, tol_scale, rng, workers=args.workers)
+            bundle = cmd_sweep(cfg, tol_scale, workers=args.workers)
         else:
-            bundle = _COMMANDS[args.command](cfg, tol_scale, rng)
+            bundle = _COMMANDS[args.command](cfg, tol_scale)
     except (ParameterError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

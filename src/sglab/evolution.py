@@ -21,6 +21,7 @@ from .grids import (
     GridSpec,
     Model,
     ParameterError,
+    SINE_GORDON,
     PerturbationPair,
     derivative,
     local_energy_norm,
@@ -29,7 +30,7 @@ from .grids import (
     WeightSpec,
 )
 from .modulation import track_modulation
-from .solutions import KinkParams, kink_profile
+from .solutions import KinkParams, KinkProfile, kink_profile
 
 __all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve", "evolve_probe"]
 
@@ -43,6 +44,10 @@ class KinkFrame:
 
     def center(self, t: float) -> float:
         return self.x0 + self.beta * t
+
+    def profile(self, t: float) -> KinkProfile:
+        """The frame's sine-Gordon kink at time t."""
+        return kink_profile(KinkParams(self.beta, self.center(t)))
 
 
 @dataclass(frozen=True)
@@ -77,25 +82,31 @@ class Trajectory:
     v_snaps: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     momenta: list = field(default_factory=list)
+    _fixed_fields: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def background_field(self, t: float) -> np.ndarray:
-        if self.background is None:
-            return np.zeros(self.grid.n_points)
-        prof = kink_profile(KinkParams(self.background.beta, self.background.center(t)))
-        return prof.q(self.grid.x)
-
-    def background_field_t(self, t: float) -> np.ndarray:
-        if self.background is None:
-            return np.zeros(self.grid.n_points)
-        prof = kink_profile(KinkParams(self.background.beta, self.background.center(t)))
-        return prof.q_t(self.grid.x)
+    def background_fields(self, t: float) -> tuple:
+        """Read-only (Q, Q_t) of the background on the grid at time t: zeros
+        without a frame.  A static frame and a plain run evaluate them once
+        per trajectory; a moving frame evaluates them on every call."""
+        if self._fixed_fields is not None:
+            return self._fixed_fields
+        frame, x = self.background, self.grid.x
+        if frame is None:
+            fields = np.zeros_like(x), np.zeros_like(x)
+        else:
+            prof = frame.profile(t)
+            fields = prof.q(x), prof.q_t(x)
+        for arr in fields:
+            arr.setflags(write=False)
+        if frame is None or frame.beta == 0:
+            self._fixed_fields = fields
+        return fields
 
     def state(self, i: int) -> FieldState:
         """Full field at snapshot i (background added back when present)."""
         t = self.times[i]
-        return FieldState(t, self.grid,
-                          self.u_snaps[i] + self.background_field(t),
-                          self.v_snaps[i] + self.background_field_t(t))
+        q, q_t = self.background_fields(t)
+        return FieldState(t, self.grid, self.u_snaps[i] + q, self.v_snaps[i] + q_t)
 
     def perturbation(self, i: int) -> PerturbationPair:
         return PerturbationPair(self.grid, self.u_snaps[i], self.v_snaps[i])
@@ -116,27 +127,29 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
 
     ``initial`` is always the full field; with a background the perturbation
     u = field - kink is evolved with the exact background force and zero
-    Dirichlet ends, and snapshots record the perturbation.  A static frame's
-    background force terms are computed once; a translating frame's are
-    evaluated each step from the kink's closed-form sin Q and cos Q.
+    Dirichlet ends, and snapshots record the perturbation.  A frame carries
+    the sine-Gordon kink, so other models refuse one.  A static frame's force
+    terms are computed once; a translating frame's are evaluated each step
+    from the kink's closed-form sin Q and cos Q.
     """
     grid = initial.grid
     h = grid.h
     if cfg.dt > 0.9 * h + 1e-15:
         raise ParameterError(f"CFL violation: dt = {cfg.dt} > 0.9 h = {0.9 * h:.6g}")
+    frame = cfg.background
+    if frame is not None and model != SINE_GORDON:
+        raise ParameterError(f"a kink frame carries the sine-Gordon kink; "
+                             f"it cannot be the background of a {model.kind} run")
     n_steps = max(1, int(round(cfg.t_end / cfg.dt))) if cfg.t_end > 0 else 0
     dt = cfg.t_end / n_steps if n_steps else cfg.dt
     snap_stride = max(1, int(round(cfg.snapshot_every / dt))) if n_steps else 1
 
     t0 = initial.t
-    frame = cfg.background
-    if frame is not None:
-        prof0 = kink_profile(KinkParams(frame.beta, frame.center(t0)))
-        u = initial.u - prof0.q(grid.x)
-        v = initial.v - prof0.q_t(grid.x)
-    else:
-        u = initial.u.copy()
-        v = initial.v.copy()
+    traj = Trajectory(grid, model, frame)
+    # subtracting the plain run's zero background (+0.0) copies u and v bitwise
+    q0, q0_t = traj.background_fields(t0)
+    u = initial.u - q0
+    v = initial.v - q0_t
     inv_h2 = 1.0 / h ** 2
     half_dt = 0.5 * dt
     # interior views: the end values of u stay fixed and those of a are zero
@@ -146,15 +159,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
     if frame is not None and frame.beta == 0:
-        static_terms = model.background_terms(prof0.q(x_in))
-
-    def background_terms(t):
-        if frame.beta == 0:
-            return static_terms
-        prof = kink_profile(KinkParams(frame.beta, frame.center(t)))
-        if model.kind == "sine-gordon":
-            return prof.sin_cos_q(x_in)
-        return model.background_terms(prof.q(x_in))
+        static_terms = model.background_terms(q0[1:-1])
 
     def accel(t):
         # a = u_xx - force, built in place with the operations of
@@ -166,20 +171,16 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         if frame is None:
             np.subtract(a_in, model.nonlinearity(u_in), out=a_in)
         else:
-            np.subtract(a_in, model.force_from_terms(background_terms(t), u_in, force, work),
-                        out=a_in)
-
-    traj = Trajectory(grid, model, frame)
+            terms = static_terms if frame.beta == 0 else frame.profile(t).sin_cos_q(x_in)
+            np.subtract(a_in, model.force_from_terms(terms, u_in, force, work), out=a_in)
 
     def record(t):
         traj.times.append(t)
         traj.u_snaps.append(u.copy())
         traj.v_snaps.append(v.copy())
-        if frame is None:
-            full_u, full_v = u, v
-        else:
-            full_u = u + traj.background_field(t)
-            full_v = v + traj.background_field_t(t)
+        # a plain run's u + 0.0 would turn -0.0 entries into +0.0
+        q, q_t = traj.background_fields(t)
+        full_u, full_v = (u, v) if frame is None else (u + q, v + q_t)
         e, p = _full_energy_momentum(grid, model, full_u, full_v)
         traj.energies.append(e)
         traj.momenta.append(p)

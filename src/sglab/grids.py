@@ -80,9 +80,9 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return self._x
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the grid is mirror-symmetric about 0 with a node at 0."""
-        return abs(self.x_min + self.x_max) <= tol and self.n_points % 2 == 1
+    def is_symmetric(self) -> bool:
+        """True when the grid is mirror-symmetric about 0 (to 1e-12) with a node at 0."""
+        return abs(self.x_min + self.x_max) <= 1e-12 and self.n_points % 2 == 1
 
     def require_symmetric(self):
         if not self.is_symmetric():

@@ -132,9 +132,9 @@ def decompose(state: FieldState, beta: float, rho: float) -> PerturbationPair:
     return PerturbationPair(state.grid, state.u - prof.q(x), state.v - prof.q_t(x))
 
 
-def track_modulation(traj, beta: float, rho0: float = 0.0,
-                     intervals=((-5.0, 5.0),), tube_radius: float = 0.5) -> list:
-    """Track the shift along a trajectory, warm-starting each solve.
+def track_modulation(traj, beta: float, intervals=((-5.0, 5.0),),
+                     tube_radius: float = 0.5) -> list:
+    """Track the shift along a trajectory from rho = 0, warm-starting each solve.
 
     Returns one ModulationRecord per snapshot with rho, the orthogonality
     residual, local remainder norms on the given intervals, and centered
@@ -143,7 +143,7 @@ def track_modulation(traj, beta: float, rho0: float = 0.0,
     ``sglab.modulation`` logger with the snapshot time and the reason.
     """
     records = []
-    rho = rho0
+    rho = 0.0
     for i in range(len(traj)):
         state = traj.state(i)
         try:
@@ -224,15 +224,14 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> di
     return out
 
 
-def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair,
-                       rho: float = 0.0) -> dict:
+def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair) -> dict:
     """Verify the transform identity expressing the remainder's second
     component from the vacuum side, and measure the pointwise bound
     |s| <= C (|y_x| + |y|).
 
-    Both pairs must come from the same snapshot of a static-kink-frame run,
-    linked by the transform at parameter 1; a large identity residual signals
-    that the two sides are out of sync.
+    Both pairs must come from the same snapshot of a static-kink-frame run
+    (kink centered at 0), linked by the transform at parameter 1; a large
+    identity residual signals that the two sides are out of sync.
     """
     if pair.grid != y_v.grid:
         raise ParameterError("pairs must share a grid")
@@ -240,7 +239,7 @@ def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair,
     x = grid.x
     u, s = pair.first, pair.second
     y, v = y_v.first, y_v.second
-    prof = kink_profile(KinkParams(0.0, rho))
+    prof = kink_profile(KinkParams())
     y_x = derivative(y, grid)
     predicted = y_x - 2.0 * (prof.cos_half_tilde(x) * np.sin(0.5 * u)
                              + prof.sin_half_tilde(x) * np.cos(0.5 * u)) * np.sin(0.5 * y)
@@ -251,11 +250,11 @@ def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair,
     return {"identity_residual": identity_residual, "bound_constant": constant}
 
 
-def convergence_classifier(records, tv_threshold: float = 1e-3) -> dict:
+def convergence_classifier(records) -> dict:
     """Classify the tracked shift: settled to a limit, or still excursive.
 
     ``bounded-converging`` is declared when the total variation of rho over the
-    last quarter of the run is below the threshold; otherwise the record times
+    last quarter of the run is below 1e-3; otherwise the record times
     where |rho| reached a new maximum are reported.  The local-norm series ride
     along for decay inspection either way.
     """
@@ -270,7 +269,7 @@ def convergence_classifier(records, tv_threshold: float = 1e-3) -> dict:
     for iv in records[0].local_norms:
         local_series[iv] = np.array([r.local_norms[iv] for r in records])
     out = {"total_variation_tail": tv, "local_norms": local_series, "times": times}
-    if tv < tv_threshold:
+    if tv < 1e-3:
         out["kind"] = "bounded-converging"
         out["rho_bar"] = float(np.mean(tail))
     else:

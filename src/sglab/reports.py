@@ -147,9 +147,9 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def svg_line_plot(series, title="", xlabel="", ylabel="",
-                  width=640, height=400) -> str:
-    """Self-contained SVG line plot of {label: (xs, ys)} series."""
+def svg_line_plot(series, title="", xlabel="", ylabel="") -> str:
+    """Self-contained 640 x 400 SVG line plot of {label: (xs, ys)} series."""
+    width, height = 640, 400
     ml, mr, mt, mb = 60, 15, 30, 45
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [float(v) for _, (xs, _) in series.items() for v in xs]

@@ -156,24 +156,20 @@ class KinkParams:
 
 
 def kink(p: KinkParams) -> SolutionSampler:
-    """Moving kink 4 arctan(e^{gamma (x - beta t + x0)}), an exact solution."""
-    g, b, x0 = p.gamma, p.beta, p.x0
+    """Moving kink 4 arctan(e^{gamma (x - x0 - beta t)}), an exact solution: the
+    ``kink_profile`` centered at x0 + beta t, so x0 is the center at t = 0."""
+    def at(t):
+        return kink_profile(KinkParams(p.beta, p.x0 + p.beta * t))
 
-    def value(t, x):
-        return 4.0 * _arctan_exp(g * (np.asarray(x, dtype=float) - b * t + x0))
-
-    def d_dt(t, x):
-        return -2.0 * b * g * _sech(g * (np.asarray(x, dtype=float) - b * t + x0))
-
-    def d_dx(t, x):
-        return 2.0 * g * _sech(g * (np.asarray(x, dtype=float) - b * t + x0))
-
-    return SolutionSampler(f"kink(beta={b}, x0={x0})", value, d_dt, d_dx)
+    return SolutionSampler(f"kink(beta={p.beta}, x0={p.x0})",
+                           lambda t, x: at(t).q(x), lambda t, x: at(t).q_t(x),
+                           lambda t, x: at(t).q_x(x))
 
 
 @dataclass(frozen=True)
 class KinkProfile:
-    """Static-in-time kink profile family centered at x0, with speed tag beta.
+    """Static-in-time kink profile family centered at x0, with speed tag beta;
+    the one place the sine-Gordon kink's closed forms are written.
 
     Q(x) = 4 arctan(e^{gamma (x - x0)}),  Q_x = 2 gamma sech(gamma (x - x0)),
     Q_t = -2 beta gamma sech(gamma (x - x0)).  The shifted profile
@@ -327,7 +323,7 @@ def wobbler(p: WobblerParams) -> SolutionSampler:
 
     def d_dx(t, x):
         g, h, _, _, g_x, h_x = _wobbler_gh(beta, t, x)
-        return 2.0 * _sech(np.asarray(x, dtype=float)) + 4.0 * (g_x * h - g * h_x) / (g * g + h * h)
+        return base.dvalue_dx(t, x) + 4.0 * (g_x * h - g * h_x) / (g * g + h * h)
 
     return SolutionSampler(f"wobbler(beta={beta})", value, d_dt, d_dx)
 
@@ -364,7 +360,7 @@ def wobbler_arg_form_gap(beta: float, t, x) -> float:
     V = scale_pos * (1.0 - beta * tbx) - beta * scale_zero * c * sbx
     direct = 4.0 * np.arctan2(V, U)
     g, h, *_ = _wobbler_gh(beta, t, x)
-    pert = 4.0 * _arctan_exp(x) + 4.0 * np.arctan2(g, h)
+    pert = kink_profile(KinkParams()).q(x) + 4.0 * np.arctan2(g, h)
     diff = pert - direct
     k = np.round(diff / (2.0 * np.pi))
     return float(np.max(np.abs(diff - 2.0 * np.pi * k)))

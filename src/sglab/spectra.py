@@ -55,29 +55,29 @@ class SchrodingerOperator:
 
     potential: Callable
     continuum_threshold: float
-    label: str = ""
 
-    def check_threshold(self, grid: GridSpec, tol: float = 1e-6):
-        """The potential must have reached its asymptotic value at the grid ends."""
+    def check_threshold(self, grid: GridSpec):
+        """The potential must have reached its asymptotic value, within 1e-6,
+        at the grid ends."""
         for end in (grid.x_min, grid.x_max):
             v = float(self.potential(np.array([end]))[0])
-            if abs(v - self.continuum_threshold) > tol:
+            if abs(v - self.continuum_threshold) > 1e-6:
                 raise ContractError(
-                    f"potential({end:g}) = {v:.8g} is not within {tol:g} of the "
+                    f"potential({end:g}) = {v:.8g} is not within 1e-06 of the "
                     f"continuum threshold {self.continuum_threshold:g}"
                 )
 
 
 def kink_sg_operator() -> SchrodingerOperator:
-    return SchrodingerOperator(lambda x: 1.0 - 2.0 * _sech(x) ** 2, 1.0, "sg-kink")
+    return SchrodingerOperator(lambda x: 1.0 - 2.0 * _sech(x) ** 2, 1.0)
 
 
 def kink_phi4_operator() -> SchrodingerOperator:
-    return SchrodingerOperator(lambda x: 2.0 - 3.0 * _sech(np.asarray(x) / _SQRT2) ** 2, 2.0, "phi4-kink")
+    return SchrodingerOperator(lambda x: 2.0 - 3.0 * _sech(np.asarray(x) / _SQRT2) ** 2, 2.0)
 
 
 def kink_phi4_dual_operator() -> SchrodingerOperator:
-    return SchrodingerOperator(lambda x: 2.0 - _sech(np.asarray(x) / _SQRT2) ** 2, 2.0, "phi4-kink-dual")
+    return SchrodingerOperator(lambda x: 2.0 - _sech(np.asarray(x) / _SQRT2) ** 2, 2.0)
 
 
 def apply_operator(op: SchrodingerOperator, f, grid: GridSpec) -> np.ndarray:
@@ -86,8 +86,8 @@ def apply_operator(op: SchrodingerOperator, f, grid: GridSpec) -> np.ndarray:
     return -dirichlet_second_derivative(f, grid) + op.potential(grid.x) * f
 
 
-def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec, margin: float = 0.05):
-    """Eigenvalues below threshold - margin of the tridiagonal discretization.
+def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec):
+    """Eigenvalues below threshold - 0.05 of the tridiagonal discretization.
 
     Returns a list of (eigenvalue, eigenvector) sorted ascending, eigenvectors
     normalized to unit L^2 norm in the grid quadrature with a positive
@@ -102,7 +102,7 @@ def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec, margin: float = 0
     diag = 2.0 / h ** 2 + np.asarray(op.potential(grid.x), dtype=float)
     off = np.full(grid.n_points - 1, -1.0 / h ** 2)
     lo = float(diag.min() - 2.0 / h ** 2) - 1.0
-    hi = op.continuum_threshold - margin
+    hi = op.continuum_threshold - 0.05
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic

@@ -308,9 +308,9 @@ def test_criterion_08_wobbler_periodicity_and_orbital_stability():
                   EvolveConfig(dt=0.004, t_end=period, background=KinkFrame(),
                                snapshot_every=period))
     t_end = traj.times[-1]
-    du = traj.u_snaps[-1] - (np.asarray(w.value(t_end, gp.x)) - traj.background_field(t_end))
-    dv = traj.v_snaps[-1] - (np.asarray(w.dvalue_dt(t_end, gp.x))
-                             - traj.background_field_t(t_end))
+    q, q_t = traj.background_fields(t_end)
+    du = traj.u_snaps[-1] - (np.asarray(w.value(t_end, gp.x)) - q)
+    dv = traj.v_snaps[-1] - (np.asarray(w.dvalue_dt(t_end, gp.x)) - q_t)
     period_err = local_energy_norm(PerturbationPair(gp, du, dv))
 
     beta = 0.3

@@ -154,6 +154,21 @@ class TestCliCommands:
         assert (tmp_path / "o" / "wobbler_distance.csv").exists()
         assert (tmp_path / "o" / "wobbler_distance.svg").exists()
 
+    def test_config_seed_wins_over_flag(self, tmp_path):
+        # the wobbler noise seeds from the config's "seed" like every other draw
+        base = {"version": 1, "experiment": "wobbler", "t_end": 2.0, "dt": 0.02,
+                "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
+                "snapshot_every": 1.0}
+        plain = write_config(tmp_path, "plain.json", base)
+        seeded = write_config(tmp_path, "seeded.json", {**base, "seed": 5})
+        runs = {"config": (seeded, "0"), "flag": (plain, "5"), "other": (plain, "0")}
+        csv = {}
+        for name, (cfg, seed) in runs.items():
+            assert main(["stability", "--config", cfg, "--seed", seed,
+                         "--out", str(tmp_path / name)]) == 0
+            csv[name] = (tmp_path / name / "wobbler_distance.csv").read_bytes()
+        assert csv["config"] == csv["flag"] != csv["other"]
+
     def test_stability_manifold_reports_untracked_snapshots(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "version": 1, "experiment": "kink-manifold", "t_end": 2.0, "dt": 0.02,
@@ -165,6 +180,15 @@ class TestCliCommands:
         assert [c["name"] for c in untracked] == [
             "untracked snapshots (seed 0, eta 0.02)", "untracked snapshots (seed 0, eta 0.04)"]
         assert all(c["measured"] == 0 and c["tolerance"] == 0 and c["passed"] for c in untracked)
+
+    def test_evolve_phi4_in_a_kink_frame_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "solution": "phi4-kink", "background": "static-kink",
+            "t_end": 1.0, "dt": 0.01,
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "sine-Gordon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("speed,untracked", [(0.05, 0), (0.2, 9)])
     def test_evolve_reports_untracked_snapshots(self, tmp_path, speed, untracked):

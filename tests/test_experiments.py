@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sglab
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import (
     EXACT_FAMILIES,
@@ -81,3 +86,14 @@ def test_vacuum_rate_check_fills_bounds_and_rejects_misaligned_records(small_man
     # more records than the twin has snapshots
     with pytest.raises(ParameterError, match="not aligned"):
         vacuum_rate_check(grid, y0, records, 0.005, 1.0, 0.5, 0.1)
+
+
+def test_package_import_does_not_load_experiments():
+    # the cells pull in the evolver, tracker and transform solvers; a bare
+    # ``import sglab`` stays without them
+    src = str(Path(sglab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, sglab; print('sglab.experiments' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -54,6 +54,18 @@ class TestKink:
         with pytest.raises(ParameterError):
             KinkParams(1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_is_the_profile_at_the_moving_center(self, grid40, beta, x0):
+        # x0 is the center at t = 0 for kink() as for kink_profile() and KinkFrame
+        s = kink(KinkParams(beta, x0))
+        for t in (0.0, 0.7, -1.3, 5.0):
+            prof = kink_profile(KinkParams(beta, x0 + beta * t))
+            assert np.array_equal(s.value(t, grid40.x), prof.q(grid40.x))
+            assert np.array_equal(s.dvalue_dt(t, grid40.x), prof.q_t(grid40.x))
+            assert np.array_equal(s.dvalue_dx(t, grid40.x), prof.q_x(grid40.x))
+            assert s.value(t, x0 + beta * t) == pytest.approx(np.pi, abs=1e-15)
+
     def test_derivative_channels(self, grid40):
         s = kink(KinkParams(0.6, 0.3))
         assert np.max(np.abs(fd_time_derivative(s, 0.8, grid40.x) - s.dvalue_dt(0.8, grid40.x))) < 1e-9
