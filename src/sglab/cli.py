@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +491,8 @@ def cmd_sweep(cfg, tol_scale, workers=1) -> ReportBundle:
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:

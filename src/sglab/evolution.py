@@ -130,7 +130,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     Dirichlet ends, and snapshots record the perturbation.  A frame carries
     the sine-Gordon kink, so other models refuse one.  A static frame's force
     terms are computed once; a translating frame's are evaluated each step
-    from the kink's closed-form sin Q and cos Q.
+    from the kink's closed-form sin Q and cos Q.  The step loop allocates no
+    array.
     """
     grid = initial.grid
     h = grid.h
@@ -152,27 +153,34 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     v = initial.v - q0_t
     inv_h2 = 1.0 / h ** 2
     half_dt = 0.5 * dt
-    # interior views: the end values of u stay fixed and those of a are zero
-    a = np.zeros_like(u)
-    u_in, v_in, a_in = u[1:-1], v[1:-1], a[1:-1]
+    # interior views: the end values of u stay fixed and those of v are zeroed
+    u_in, v_in = u[1:-1], v[1:-1]
     x_in = grid.x[1:-1]
+    # every buffer of the step is allocated here, so the loop allocates no
+    # array: the C heap may hand a freed temporary back to the kernel, and
+    # the next step would page-fault it in again
+    kick = np.empty_like(u_in)
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
-    if frame is not None and frame.beta == 0:
-        static_terms = model.background_terms(q0[1:-1])
+    if frame is not None:
+        terms = (model.background_terms(q0[1:-1]) if frame.beta == 0
+                 else (np.empty_like(u_in), np.empty_like(u_in)))
 
-    def accel(t):
-        # a = u_xx - force, built in place with the operations of
-        # (u[2:] - 2 u + u[:-2]) / h^2 - force in the same order
-        np.multiply(u_in, 2.0, out=a_in)
-        np.subtract(u[2:], a_in, out=a_in)
-        np.add(a_in, u[:-2], out=a_in)
-        np.multiply(a_in, inv_h2, out=a_in)
+    def half_kick(t):
+        # kick = a dt/2 with a = u_xx - force, built in place with the
+        # operations of (u[2:] - 2 u + u[:-2]) / h^2 - force in the same order
+        np.multiply(u_in, 2.0, out=kick)
+        np.subtract(u[2:], kick, out=kick)
+        np.add(kick, u[:-2], out=kick)
+        np.multiply(kick, inv_h2, out=kick)
         if frame is None:
-            np.subtract(a_in, model.nonlinearity(u_in), out=a_in)
+            model.nonlinearity(u_in, out=force)
         else:
-            terms = static_terms if frame.beta == 0 else frame.profile(t).sin_cos_q(x_in)
-            np.subtract(a_in, model.force_from_terms(terms, u_in, force, work), out=a_in)
+            if frame.beta != 0:
+                frame.profile(t).sin_cos_q(x_in, terms, work)
+            model.force_from_terms(terms, u_in, force, work)
+        np.subtract(kick, force, out=kick)
+        np.multiply(kick, half_dt, out=kick)
 
     def record(t):
         traj.times.append(t)
@@ -186,20 +194,19 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         traj.momenta.append(p)
 
     record(t0)
-    accel(t0)
+    half_kick(t0)
     t = t0
+    # a step's closing kick and the next step's opening kick share one a
     for step in range(1, n_steps + 1):
-        np.multiply(a_in, half_dt, out=work)
-        v_in += work
+        v_in += kick
         np.multiply(v_in, dt, out=work)
         u_in += work
         t = t0 + step * dt
-        accel(t)
-        np.multiply(a_in, half_dt, out=work)
-        v_in += work
+        half_kick(t)
+        v_in += kick
         v[0] = 0.0
         v[-1] = 0.0
-        if not np.isfinite(u[grid.n_points // 2]):
+        if not math.isfinite(u[grid.n_points // 2]):
             raise ContractError(f"evolution became non-finite at t = {t:.6g}")
         if step % snap_stride == 0 or step == n_steps:
             if not np.all(np.isfinite(u)):

@@ -168,11 +168,15 @@ class Model:
         if self.kind not in ("sine-gordon", "phi4"):
             raise ParameterError(f"unknown model {self.kind!r}")
 
-    def nonlinearity(self, u):
-        """N(u): sin(u) for sine-Gordon, -u + u^3 for phi^4."""
+    def nonlinearity(self, u, out=None):
+        """N(u): sin(u) for sine-Gordon, -u + u^3 for phi^4, written into
+        ``out`` (allocated when None) with the operations of u * u * u - u."""
         if self.kind == "sine-gordon":
-            return np.sin(u)
-        return u * u * u - u
+            return np.sin(u, out=out)
+        out = np.multiply(u, u, out=out)
+        out *= u
+        out -= u
+        return out
 
     def potential(self, u):
         """Potential density V with V' = N and V = 0 at the vacua."""

@@ -20,6 +20,7 @@ from .grids import (
     FieldState,
     ParameterError,
     PerturbationPair,
+    SINE_GORDON,
     SolverError,
     derivative,
     local_energy_norm,
@@ -140,8 +141,13 @@ def track_modulation(traj, beta: float, intervals=((-5.0, 5.0),),
     residual, local remainder norms on the given intervals, and centered
     rho-rate estimates filled in afterwards.  Tracking stops early (with the
     records so far) if the state exits the tube, and logs a warning on the
-    ``sglab.modulation`` logger with the snapshot time and the reason.
+    ``sglab.modulation`` logger with the snapshot time and the reason.  The
+    fitted family is the sine-Gordon kink, so a run of another model raises
+    ``ParameterError``.
     """
+    if traj.model != SINE_GORDON:
+        raise ParameterError(f"the tracker fits the sine-Gordon kink; "
+                             f"it cannot track a {traj.model.kind} run")
     records = []
     rho = 0.0
     for i in range(len(traj)):

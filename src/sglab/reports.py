@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 
@@ -38,6 +37,8 @@ def runtime_info() -> dict:
     the full-field force sin.  The targets read ``"unavailable"`` on numpy < 2,
     which has no ``numpy.lib.introspect``.
     """
+    import scipy  # deferred like the spectrum solve's: only its version is read
+
     names = ("sin", "cos", "tan")
     try:
         from numpy.lib.introspect import opt_func_info

@@ -208,11 +208,31 @@ class KinkProfile:
         a = self._arg(x)
         return 2.0 * self.beta * self.gamma ** 3 * _sech(a) * (1.0 - 2.0 * np.tanh(a) ** 2)
 
-    def sin_cos_q(self, x):
-        """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan."""
-        a = self._arg(x)
-        s = _sech(a)
-        return -2.0 * s * np.tanh(a), 1.0 - 2.0 * s * s
+    def sin_cos_q(self, x, out=None, work=None):
+        """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan.
+
+        The pair is written into ``out`` (allocated when None) and ``work`` is a
+        scratch array of x's shape, so a caller that passes both allocates
+        nothing; either way the operations and their order are the same.
+        """
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x), np.empty_like(x)
+        if work is None:
+            work = np.empty_like(x)
+        sin_q, cos_q = out
+        np.subtract(x, self.x0, out=work)
+        work *= self.gamma  # a
+        np.tanh(work, out=sin_q)
+        with np.errstate(over="ignore"):  # as in _sech
+            np.cosh(work, out=cos_q)
+        np.divide(1.0, cos_q, out=work)  # s = sech a
+        np.multiply(work, -2.0, out=cos_q)
+        sin_q *= cos_q
+        np.multiply(work, 2.0, out=cos_q)
+        cos_q *= work
+        np.subtract(1.0, cos_q, out=cos_q)
+        return out
 
     def sin_half_tilde(self, x):
         return np.tanh(self._arg(x))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grids import (
     ContractError,
@@ -94,6 +93,10 @@ def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec):
     max-magnitude entry.  The margin excludes the spurious near-threshold modes
     that Dirichlet truncation creates out of the continuum.
     """
+    # scipy is imported here, by the only solve that needs it, so that
+    # importing sglab costs little more than importing numpy
+    from scipy.linalg import eigh_tridiagonal
+
     grid.require_symmetric()
     if grid.n_points < 2001:
         raise ContractError(f"spectrum needs n_points >= 2001, got {grid.n_points}")

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sglab
 from sglab.cli import PROBE_HEADER, main
 from sglab.reports import ReportBundle, svg_line_plot, write_csv
 
@@ -190,6 +194,15 @@ class TestCliCommands:
         assert "sine-Gordon" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_evolve_tracking_a_phi4_run_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "solution": "phi4-kink", "model": "phi4",
+            "track_modulation": True, "t_end": 1.0, "dt": 0.01,
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "sine-Gordon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("speed,untracked", [(0.05, 0), (0.2, 9)])
     def test_evolve_reports_untracked_snapshots(self, tmp_path, speed, untracked):
         # a kink moving at 0.2 in the static frame carries a remainder norm of
@@ -208,3 +221,12 @@ class TestCliCommands:
         assert [c["name"] for c in checks if not c["passed"]] == (
             [] if untracked == 0 else ["untracked snapshots"])
 
+
+
+def test_module_entry_point():
+    # python -m sglab runs the CLI from a checkout with src/ on the path
+    env = {**os.environ, "PYTHONPATH": str(Path(sglab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "sglab", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: sglab")

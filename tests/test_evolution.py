@@ -307,6 +307,21 @@ def test_closed_form_sin_cos_of_kink():
         assert np.max(np.abs(cos_q - np.cos(q))) <= 1e-15
 
 
+@pytest.mark.parametrize("beta,x0", [(0.0, 0.0), (0.3, -0.5), (-0.6, 1.7)])
+def test_sin_cos_q_into_buffers_is_bitwise(beta, x0):
+    # the evolver's moving frame passes preallocated buffers; the result is the
+    # closed form -2 sech(a) tanh(a), 1 - 2 sech(a)^2 in its written order
+    x = np.linspace(-40.0, 40.0, 8001)
+    prof = kink_profile(KinkParams(beta, x0))
+    a = prof.gamma * (x - x0)
+    s = 1.0 / np.cosh(a)
+    ref = -2.0 * s * np.tanh(a), 1.0 - 2.0 * s * s
+    pair = np.empty_like(x), np.empty_like(x)
+    assert prof.sin_cos_q(x, pair, np.empty_like(x)) is pair
+    for got in (pair, prof.sin_cos_q(x)):
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
 def test_kink_on_its_frame_starts_with_zero_perturbation():
     # kink(KinkParams(beta, x0)) and KinkFrame(beta, x0) center the kink at the
     # same x0 + beta t

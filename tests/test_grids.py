@@ -226,6 +226,14 @@ class TestModel:
         assert np.allclose(SINE_GORDON.nonlinearity(u), np.sin(u))
         assert np.allclose(PHI4.nonlinearity(u), u ** 3 - u)
 
+    def test_nonlinearity_writes_into_out(self, rng):
+        u = rng.standard_normal(1001)
+        for model, ref in ((SINE_GORDON, np.sin(u)), (PHI4, u * u * u - u)):
+            buf = np.empty_like(u)
+            assert model.nonlinearity(u, out=buf) is buf
+            assert np.array_equal(buf, ref)
+            assert np.array_equal(model.nonlinearity(u), ref)
+
     def test_potentials_vanish_at_vacua(self):
         assert SINE_GORDON.potential(np.array([0.0, 2 * np.pi]))[0] == 0.0
         assert np.allclose(PHI4.potential(np.array([1.0, -1.0])), 0.0)

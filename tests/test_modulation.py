@@ -9,6 +9,7 @@ from sglab.grids import (
     GridSpec,
     ParameterError,
     PerturbationPair,
+    PHI4,
     SINE_GORDON,
     quadrature,
 )
@@ -29,6 +30,7 @@ from sglab.solutions import (
     WobblerParams,
     kink,
     kink_profile,
+    phi4_kink,
     three_soliton,
     wobbler,
 )
@@ -184,6 +186,15 @@ class TestTracking:
         assert warning.levelname == "WARNING"
         assert "t = 1.5" in warning.getMessage()
         assert "tube radius" in warning.getMessage()
+
+
+def test_tracker_refuses_other_models():
+    # the fitted family is the sine-Gordon kink; a phi^4 kink run used to
+    # end as a tube exit at t = 0 with no records
+    grid = GridSpec(-20.0, 20.0, 801)
+    traj = evolve(phi4_kink().sample(grid, 0.0), PHI4, EvolveConfig(dt=0.02, t_end=1.0))
+    with pytest.raises(ParameterError, match="sine-Gordon"):
+        track_modulation(traj, 0.0)
 
 
 def test_rate_check_zero_run(grid40):

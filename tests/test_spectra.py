@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sglab
 
 from sglab.grids import ContractError, GridSpec, quadrature
 from sglab.solutions import SolutionSampler, linear_mode, zero_sampler
@@ -232,3 +239,23 @@ class TestWaveResidual:
             floor = 1e-4 * max(1.0, abs(a) + abs(b) + abs(c))
             assert np.max(np.abs(w1[5:-5])) < floor
             assert np.max(np.abs(w2[5:-5])) < floor
+
+
+def test_package_import_defers_scipy_to_the_first_spectrum():
+    # import sglab costs a numpy import plus little more: scipy loads with the
+    # first spectrum solve and the process pool with the first parallel sweep
+    src = str(Path(sglab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = (
+        "import json, sys, sglab, sglab.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m == 'concurrent.futures.process')\n"
+        "spec = sglab.discrete_spectrum(sglab.kink_sg_operator(),"
+        " sglab.GridSpec(-30.0, 30.0, 4001))\n"
+        "print(json.dumps({'loaded': loaded, 'eigenvalues': [float(v) for v, _ in spec]}))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    assert result["loaded"] == []
+    (kernel,) = result["eigenvalues"]
+    assert abs(kernel) < 2e-3
