@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .grids import (
     ContractError,
-    DEFAULT_GRID,
     FieldState,
     GridSpec,
     Model,

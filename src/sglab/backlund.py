@@ -93,10 +93,6 @@ class BtParameter:
             raise ParameterError(f"|beta| < 1 required, got {beta}")
         return cls(math.sqrt((1.0 + beta) / (1.0 - beta)))
 
-    @classmethod
-    def from_delta(cls, delta: float) -> "BtParameter":
-        return cls(1.0 + delta)
-
     @property
     def beta(self) -> float:
         return (self.a ** 2 - 1.0) / (self.a ** 2 + 1.0)
@@ -266,6 +262,14 @@ def _log_factor(c, grid, m):
     return lw
 
 
+def _sweep(f, e, h):
+    """e^{-e} times the running trapezoid integral of e^{e} f from index 0;
+    callers shift the exponent e to at most 0 so every factor stays bounded."""
+    g = f * np.exp(e)
+    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
+    return np.exp(-e) * k
+
+
 def _solve_outward(c, f, grid, m):
     """Solve w' + c w = f with w(x_m) = 0, integrating outward from m.
 
@@ -276,17 +280,11 @@ def _solve_outward(c, f, grid, m):
     lw = _log_factor(c, grid, m)
     w = np.empty_like(f)
     # right half (center .. right boundary)
-    lwr, fr = lw[m:], f[m:]
-    mr = lwr.max()
-    g = fr * np.exp(lwr - mr)
-    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    w[m:] = np.exp(-(lwr - mr)) * k
+    lwr = lw[m:]
+    w[m:] = _sweep(f[m:], lwr - lwr.max(), h)
     # left half, reversed so index 0 is the center
-    lwl, fl = lw[:m + 1][::-1], f[:m + 1][::-1]
-    ml = lwl.max()
-    g = fl * np.exp(lwl - ml)
-    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    w[:m + 1] = (-np.exp(-(lwl - ml)) * k)[::-1]
+    lwl = lw[:m + 1][::-1]
+    w[:m + 1] = (-_sweep(f[:m + 1][::-1], lwl - lwl.max(), h))[::-1]
     _fix_boundary_rows(w, f, c, h)
     return w
 
@@ -310,15 +308,9 @@ def _solve_inward(c, f, grid, m, compat_tol):
         )
     w = np.empty_like(f)
     # left half: accumulate from the left boundary
-    lwl, fl = lw[:m + 1], f[:m + 1]
-    g = fl * np.exp(-(lwl - base))
-    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    w[:m + 1] = np.exp(lwl - base) * k
+    w[:m + 1] = _sweep(f[:m + 1], -(lw[:m + 1] - base), h)
     # right half: accumulate from the right boundary, reversed
-    lwr, fr = lw[m:][::-1], f[m:][::-1]
-    g = fr * np.exp(-(lwr - base))
-    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    w[m:] = (-np.exp(lwr - base) * k)[::-1]
+    w[m:] = (-_sweep(f[m:][::-1], -(lw[m:][::-1] - base), h))[::-1]
     _fix_boundary_rows(w, f, -c, h)
     return w
 

@@ -29,7 +29,7 @@ from .backlund import (
     lift_with_orthogonality,
     lift_zero_to_kink,
 )
-from .conserved import manifold_momentum, momentum
+from .conserved import kink_profile_momentum, manifold_momentum, momentum
 from .evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
 from .experiments import (
     EXACT_FAMILIES,
@@ -84,9 +84,9 @@ _PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
                "phi4 dual": "dual resonance pair"}
 
 
-def _grid_from(cfg) -> GridSpec:
+def _grid_from(cfg, n_points=4001) -> GridSpec:
     g = cfg.get("grid", {})
-    return GridSpec(g.get("x_min", -40.0), g.get("x_max", 40.0), g.get("n_points", 4001))
+    return GridSpec(g.get("x_min", -40.0), g.get("x_max", 40.0), g.get("n_points", n_points))
 
 
 def _sampler_from(cfg):
@@ -112,18 +112,16 @@ def _sampler_from(cfg):
 
 def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-exact")
-    grid = _grid_from(cfg)
+    grid = _grid_from(cfg, n_points=8001)
     t = cfg.get("t", 0.7)
     dt = cfg.get("dt", grid.h)
     levels = cfg.get("levels", 3)
-    order_min = cfg.get("order_min", 1.9)
-    res_max = cfg.get("max_residual", 1e-5) * tol_scale
     table = []
     for name, sampler, model in EXACT_FAMILIES:
         residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
-        bundle.check(f"{name} refinement order", min(orders), order_min,
+        bundle.check(f"{name} refinement order", min(orders), 1.9,
                      "closed-form solution under (h, dt) halving", larger_ok=True)
-        bundle.check(f"{name} finest residual", residuals[-1], res_max,
+        bundle.check(f"{name} finest residual", residuals[-1], 1e-5 * tol_scale,
                      "closed-form solution residual")
         table.append((name, *[r for r in residuals], *[o for o in orders]))
     header = ["family"] + [f"residual_level{i}" for i in range(levels)] \
@@ -141,7 +139,7 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     window = np.linspace(-20.0, 20.0, 801)
     for name, sampler, _ in EXACT_FAMILIES:
         series = {f"t={ts:g}": (window, np.asarray(sampler.value(ts, window)))
-                  for ts in cfg.get("snapshot_times", [0.0, 2.0, 6.0])}
+                  for ts in (0.0, 2.0, 6.0)}
         bundle.plots[f"{name}_snapshots"] = svg_line_plot(
             series, title=name, xlabel="x", ylabel="value")
     return bundle
@@ -150,13 +148,12 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
 def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-bt")
     grid = _grid_from(cfg)
-    tol = cfg.get("tolerance", 5e-6) * tol_scale
+    tol = 5e-6 * tol_scale
     betas = cfg.get("betas", [0.1, 0.3, 0.5, 0.7])
     times = cfg.get("times", [0.0, 1.3, 5.0])
 
     cases = (transform_identity_cases(grid, betas, times)
-             + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points),
-                                      cfg.get("mode_time", 0.9)))
+             + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points), 0.9))
     for label, worst in cases:
         bundle.check(label, worst, tol, _PROVENANCE[" ".join(label.split()[:2])])
     return bundle
@@ -166,64 +163,70 @@ def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
     g = cfg.get("grid", {})
     grid = GridSpec(g.get("x_min", -30.0), g.get("x_max", 30.0), g.get("n_points", 4001))
-    ev_tol = cfg.get("eigenvalue_tolerance", 2e-3) * tol_scale
     cases = [("sg-kink", kink_sg_operator(), [0.0]),
              ("phi4-kink", kink_phi4_operator(), [0.0, 1.5]),
              ("phi4-kink-dual", kink_phi4_dual_operator(), [1.5])]
+    coarse = GridSpec(grid.x_min, grid.x_max, (grid.n_points - 1) // 2 + 1)
     table = []
     for name, op, expected in cases:
-        pairs = discrete_spectrum(op, grid)
-        values = [v for v, _ in pairs]
+        values = [v for v, _ in discrete_spectrum(op, grid)]
         bundle.check(f"{name} eigenvalue count", len(values), 0.5,
                      "discrete spectrum size", expected=len(expected))
         for v_exp, v_num in zip(expected, values):
-            bundle.check(f"{name} eigenvalue near {v_exp}", v_num, ev_tol,
+            bundle.check(f"{name} eigenvalue near {v_exp}", v_num, 2e-3 * tol_scale,
                          "operator spectrum", expected=v_exp)
-        # convergence order of the topmost eigenvalue against the exact value
-        orders = []
-        if expected:
-            errs = []
-            for gg in (GridSpec(grid.x_min, grid.x_max, (grid.n_points - 1) // 2 + 1),
-                       grid,
-                       grid.refined(2)):
-                vals = [v for v, _ in discrete_spectrum(op, gg)]
-                errs.append(abs(vals[-1] - expected[-1]) if vals else float("nan"))
-            orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        table.append((name, " ".join(repr(v) for v in values),
-                      *(orders if orders else (float("nan"),) * 2)))
+        # convergence order of the topmost eigenvalue against the exact value,
+        # over the coarse, working and refined grids
+        tops = (discrete_spectrum(op, coarse)[-1][0], values[-1],
+                discrete_spectrum(op, grid.refined(2))[-1][0])
+        errs = [abs(v - expected[-1]) for v in tops]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        table.append((name, " ".join(repr(v) for v in values), *orders))
     bundle.tables["spectra"] = (["operator", "eigenvalues", "order_coarse", "order_fine"],
                                 table)
     return bundle
 
 
-def _input_pair(cfg, grid, seed):
+def _input_pair(cfg, grid, default_input):
     if "input_file" in cfg:
         return load_pair(cfg["input_file"])
-    return named_pair(cfg.get("input", "even-bump"), grid,
-                      amplitude=cfg.get("amplitude", 0.05),
-                      beta=cfg.get("beta", 0.5), t=cfg.get("t", 0.0), seed=seed)
+    return named_pair(cfg.get("input", default_input), grid,
+                      amplitude=cfg.get("amplitude", 0.05), beta=cfg.get("beta", 0.5),
+                      t=cfg.get("t", 0.0), seed=cfg.get("seed", 0))
+
+
+def _transform_rows(bundle, name, kind, rep, tol_scale):
+    """The final-residual row, one row per component whose parity the result's
+    tag declares, and the `<name>_result` table."""
+    out = rep.result
+    bundle.check("final residual", rep.final_residual, 1e-9 * tol_scale,
+                 f"{kind} transform residual")
+    if out.parity_tag != "none":
+        for which, parity, values in zip(("first", "second"), out.parity_tag.split("-"),
+                                         (out.first, out.second)):
+            bundle.check(f"output parity ({which})", parity_check(values, out.grid, parity),
+                         1e-9 * tol_scale, f"{parity} component")
+    bundle.tables[f"{name}_result"] = (
+        ["x", "first", "second"],
+        list(zip(out.grid.x.tolist(), out.first.tolist(), out.second.tolist())),
+    )
 
 
 def cmd_lift(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("lift")
-    grid = _grid_from(cfg)
-    pair = _input_pair(cfg, grid, cfg.get("seed", 0))
-    if pair.grid != grid:
-        grid = pair.grid
+    pair = _input_pair(cfg, _grid_from(cfg), "even-bump")
+    grid = pair.grid
     kind = cfg.get("map", "zero-to-kink")
     beta = cfg.get("beta", 0.5)
     t = cfg.get("t", 0.0)
     max_iter = cfg.get("max_iter", 50)
     if kind == "zero-to-kink":
         rep = lift_zero_to_kink(grid, pair.first, pair.second, max_iter=max_iter)
-        out_parity = ("odd", "odd")
     elif kind == "breather-to-wobbler":
         rep = lift_breather_to_wobbler(grid, pair.first, pair.second, beta, t,
                                        max_iter=max_iter)
-        out_parity = ("odd", "odd")
     elif kind == "manifold":
         rep = construct_manifold_data(grid, pair.first, pair.second, cfg.get("delta", 0.0))
-        out_parity = ("odd", "even")
         st = FieldState(0.0, grid,
                         kink_profile(KinkParams(0.0, 0.0)).q(grid.x) + rep.result.first,
                         rep.result.second)
@@ -235,28 +238,15 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
         rep = lift_with_orthogonality(grid, pair.first, pair.second,
                                       cfg.get("delta", 0.0), beta,
                                       cfg.get("rho", 0.0), t)
-        out_parity = None
         bundle.check("orthogonality residual", abs(rep.ortho_residual),
                      1e-10 * tol_scale, "constrained lift")
     else:
         raise ParameterError(f"unknown lift map {kind!r}")
-    bundle.check("final residual", rep.final_residual, cfg.get("residual_tol", 1e-9) * tol_scale,
-                 f"{kind} transform residual")
-    if out_parity is not None:
-        bundle.check("output parity (first)",
-                     parity_check(rep.result.first, grid, out_parity[0]),
-                     1e-9 * tol_scale, f"{out_parity[0]} component")
-        bundle.check("output parity (second)",
-                     parity_check(rep.result.second, grid, out_parity[1]),
-                     1e-9 * tol_scale, f"{out_parity[1]} component")
+    _transform_rows(bundle, "lift", kind, rep, tol_scale)
     bundle.tables["lift_report"] = (
         ["iterations", "final_residual", "nu0", "ortho_residual"],
         [(rep.iterations, rep.final_residual, rep.nu0,
           rep.ortho_residual if rep.ortho_residual is not None else float("nan"))],
-    )
-    bundle.tables["lift_result"] = (
-        ["x", "first", "second"],
-        list(zip(grid.x.tolist(), rep.result.first.tolist(), rep.result.second.tolist())),
     )
     bundle.plots["lift_result"] = svg_line_plot(
         {"first": (grid.x, rep.result.first), "second": (grid.x, rep.result.second)},
@@ -266,12 +256,8 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
 
 def cmd_descend(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("descend")
-    grid = _grid_from(cfg)
-    cfg = dict(cfg)
-    cfg.setdefault("input", "odd-bump")
-    pair = _input_pair(cfg, grid, cfg.get("seed", 0))
-    if pair.grid != grid:
-        grid = pair.grid
+    pair = _input_pair(cfg, _grid_from(cfg), "odd-bump")
+    grid = pair.grid
     kind = cfg.get("map", "kink-to-zero")
     beta = cfg.get("beta", 0.5)
     t = cfg.get("t", 0.0)
@@ -283,22 +269,13 @@ def cmd_descend(cfg, tol_scale) -> ReportBundle:
         back = lift_breather_to_wobbler(grid, rep.result.first, rep.result.second, beta, t)
     else:
         raise ParameterError(f"unknown descend map {kind!r}")
-    bundle.check("final residual", rep.final_residual,
-                 cfg.get("residual_tol", 1e-9) * tol_scale, f"{kind} transform residual")
-    bundle.check("output parity (first)", parity_check(rep.result.first, grid, "even"),
-                 1e-9 * tol_scale, "even component")
-    bundle.check("output parity (second)", parity_check(rep.result.second, grid, "even"),
-                 1e-9 * tol_scale, "even component")
+    _transform_rows(bundle, "descend", kind, rep, tol_scale)
     round_trip = max(float(np.max(np.abs(back.result.first - pair.first))),
                      float(np.max(np.abs(back.result.second - pair.second))))
     bundle.check("round trip", round_trip, 1e-7 * tol_scale, "descend then lift")
     bundle.tables["descend_report"] = (
         ["iterations", "final_residual", "nu0"],
         [(rep.iterations, rep.final_residual, rep.nu0)],
-    )
-    bundle.tables["descend_result"] = (
-        ["x", "first", "second"],
-        list(zip(grid.x.tolist(), rep.result.first.tolist(), rep.result.second.tolist())),
     )
     return bundle
 
@@ -325,7 +302,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     tracked = cfg.get("track_modulation", False)
     if tracked:
         probes.append(("modulation", background.beta if background else 0.0))
-    out, traj = evolve_probe(sampler.sample(grid, cfg.get("t0", 0.0)), model, ecfg, probes)
+    out, traj = evolve_probe(sampler.sample(grid, 0.0), model, ecfg, probes)
     if tracked:
         bundle.check("untracked snapshots", int(np.count_nonzero(np.isnan(out["rho"]))), 0,
                      "tracker stays in the tube")
@@ -337,7 +314,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     bundle.tables["run"] = (list(PROBE_HEADER), list(zip(*columns)))
     energies = out["energy"]
     drift = float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
-    bundle.check("relative energy drift", drift, cfg.get("drift_tol", 1e-5) * tol_scale,
+    bundle.check("relative energy drift", drift, 1e-5 * tol_scale,
                  "conservation along the run")
     bundle.plots["energy"] = svg_line_plot(
         {"energy": (traj.times, traj.energies)}, title="energy", xlabel="t", ylabel="E")
@@ -345,14 +322,13 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 
 
 def _stability_manifold(cfg, tol_scale, bundle):
-    grid = _grid_from(cfg)
+    grid = _grid_from(cfg, n_points=8001)
     etas = cfg.get("etas", [0.02, 0.04, 0.08])
     n_seeds = cfg.get("seeds", 2)
     t_end = cfg.get("t_end", 60.0)
-    dt = cfg.get("dt", 0.015)
+    dt = cfg.get("dt", 0.009)
     snapshot_every = cfg.get("snapshot_every", 0.5)
     interval = tuple(cfg.get("interval", (-5.0, 5.0)))
-    eps = cfg.get("eps", 0.1)
     rate_peaks = {}
     rate_rows = []
     for seed in range(n_seeds):
@@ -366,7 +342,7 @@ def _stability_manifold(cfg, tol_scale, bundle):
             bundle.check(f"momentum stays zero (seed {seed}, eta {eta})",
                          float(np.max(np.abs(traj.momenta))), 1e-5 * tol_scale,
                          "zero-momentum manifold data")
-            check = vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, eps)
+            check = vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, 0.1)
             peak = max((abs(r.rho_rate) for r in records), default=0.0)
             rate_peaks.setdefault(eta, []).append(peak)
             cls = convergence_classifier(records)
@@ -390,14 +366,13 @@ def _stability_manifold(cfg, tol_scale, bundle):
         # the quadratic bound is an upper bound; manifold data saturates it only
         # from below (the measured exponent is >= 2), so the recipe checks
         # super-linear smallness
-        bundle.check("rho-rate scaling slope", slope, cfg.get("slope_min", 1.7),
+        bundle.check("rho-rate scaling slope", slope, 1.7,
                      "shift rate scales at least quadratically", larger_ok=True)
     # control: a moving kink has nonzero momentum and sits outside the manifold
-    beta_c = cfg.get("control_beta", 0.2)
-    stc = kink(KinkParams(beta_c, 0.0)).sample(grid, 0.0)
+    stc = kink(KinkParams(0.2, 0.0)).sample(grid, 0.0)
     bundle.check("moving-kink control momentum", momentum(stc), 1e-3,
                  "excluded from the zero-momentum manifold",
-                 expected=-4 * beta_c / math.sqrt(1 - beta_c ** 2))
+                 expected=kink_profile_momentum(0.2))
 
 
 def _stability_wobbler(cfg, tol_scale, bundle):
@@ -423,8 +398,8 @@ def _stability_wobbler(cfg, tol_scale, bundle):
         {"distance": (traj.times, distances)},
         title=f"distance to time-shifted wobbler family, beta={beta}",
         xlabel="t", ylabel="distance")
-    bundle.check("orbital-stability constant", measured_c,
-                 cfg.get("constant_bound", 20.0), "sup distance / noise size")
+    bundle.check("orbital-stability constant", measured_c, 20.0,
+                 "sup distance / noise size")
 
 
 def cmd_stability(cfg, tol_scale) -> ReportBundle:
@@ -557,8 +532,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default="out",
                        help="output directory for reports")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep cells")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1,
+                           help="concurrent sweep cells")
         p.add_argument("--strict", action="store_true",
                        help="tighten all tolerances tenfold")
     args = parser.parse_args(argv)

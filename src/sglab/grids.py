@@ -22,7 +22,6 @@ __all__ = [
     "SINE_GORDON",
     "PHI4",
     "WeightSpec",
-    "DEFAULT_GRID",
     "quadrature",
     "cumulative_quadrature",
     "derivative",
@@ -96,10 +95,6 @@ class GridSpec:
         return GridSpec(self.x_min, self.x_max, factor * (self.n_points - 1) + 1)
 
 
-#: Default working grid: h = 0.02 on [-40, 40], symmetric with a node at 0.
-DEFAULT_GRID = GridSpec(-40.0, 40.0, 4001)
-
-
 def _as_field(values, grid: GridSpec, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (grid.n_points,):
@@ -121,9 +116,6 @@ class FieldState:
         self.v = _as_field(self.v, self.grid, "v")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ContractError("FieldState entries must be finite")
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.grid, self.u.copy(), self.v.copy())
 
 
 @dataclass

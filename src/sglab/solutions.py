@@ -25,9 +25,7 @@ __all__ = [
     "kink",
     "kink_profile",
     "breather",
-    "breather_half_angle",
     "wobbler",
-    "wobbler_half_angle",
     "wobbler_arg_form_gap",
     "two_kink",
     "three_soliton",
@@ -275,16 +273,6 @@ def breather(beta: float) -> SolutionSampler:
     return SolutionSampler(f"breather(beta={beta})", value, d_dt, d_dx)
 
 
-def breather_half_angle(beta: float, t, x):
-    """(sin(B/2), cos(B/2)) for the breather, from its closed form."""
-    _check_breather_beta(beta)
-    alpha = math.sqrt(1.0 - beta ** 2)
-    s = _sech(beta * np.asarray(x, dtype=float))
-    p = beta * np.sin(alpha * t) * s
-    den = alpha ** 2 + p * p
-    return 2.0 * alpha * p / den, (alpha ** 2 - p * p) / den
-
-
 # --- wobbling kink ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -296,10 +284,6 @@ class WobblerParams:
     def __post_init__(self):
         if not abs(self.beta) < 1:
             raise ParameterError(f"wobbler parameter needs |beta| < 1, got {self.beta}")
-
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(1.0 - self.beta ** 2)
 
 
 def _wobbler_gh(beta: float, t, x):
@@ -346,17 +330,6 @@ def wobbler(p: WobblerParams) -> SolutionSampler:
         return base.dvalue_dx(t, x) + 4.0 * (g_x * h - g * h_x) / (g * g + h * h)
 
     return SolutionSampler(f"wobbler(beta={beta})", value, d_dt, d_dx)
-
-
-def wobbler_half_angle(beta: float, t, x):
-    """(sin(W_tilde/2), cos(W_tilde/2)) for W_tilde = wobbler - pi."""
-    x = np.asarray(x, dtype=float)
-    g, h, *_ = _wobbler_gh(beta, t, x)
-    den = g * g + h * h
-    tx, sx = np.tanh(x), _sech(x)
-    sin_half = ((h * h - g * g) * tx + 2.0 * g * h * sx) / den
-    cos_half = ((h * h - g * g) * sx - 2.0 * g * h * tx) / den
-    return sin_half, cos_half
 
 
 def wobbler_arg_form_gap(beta: float, t, x) -> float:

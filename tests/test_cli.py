@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -68,11 +69,12 @@ class TestCliCommands:
                                                 "times": [0.0, 1.3]})
         assert main(["verify-bt", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_verify_bt_default_passes(self, tmp_path):
+        assert main(["verify-bt", "--out", str(tmp_path / "o")]) == 0
+
     def test_verify_exact_small(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
-            "levels": 2, "wobbler_betas": [0.5], "max_residual": 5e-3})
-        assert main(["verify-exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # the default grid (n = 8001) passes every row at the fixed bars
+        assert main(["verify-exact", "--out", str(tmp_path / "o")]) == 0
         table = (tmp_path / "o" / "residual_refinement.csv").read_text()
         assert table.splitlines()[0].startswith("family,residual_level0")
 
@@ -110,12 +112,23 @@ class TestCliCommands:
         p.write_text("{not json")
         assert main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    _FAILING_BREATHER = {
+        "version": 1, "solution": "breather", "params": {"beta": 0.5},
+        "t_end": 2.0, "dt": 0.015,
+        "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001}}
+
     def test_criterion_failure_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "solution": "breather", "params": {"beta": 0.5},
-            "t_end": 2.0, "dt": 0.015, "drift_tol": 1e-12,
-            "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001}})
+        # relative energy drift 4.0e-5 against the fixed bar 1e-5
+        cfg = write_config(tmp_path, "c.json", self._FAILING_BREATHER)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_cannot_move_a_pass_bar(self, tmp_path):
+        # "drift_tol" once set the drift bar; now it is an unknown key, ignored
+        cfg = write_config(tmp_path, "c.json", {**self._FAILING_BREATHER, "drift_tol": 1.0})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+        (row,) = [c for c in checks if c["name"] == "relative energy drift"]
+        assert row["tolerance"] == 1e-5 and not row["passed"]
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -140,14 +153,20 @@ class TestCliCommands:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--workers", "2"]) == 0
 
+    def test_workers_is_a_sweep_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--workers", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_strict_tightens(self, tmp_path):
-        # a residual that passes the stock bound fails the tenfold-tightened one
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
-            "levels": 2, "wobbler_betas": [0.5], "max_residual": 4e-3})
-        assert main(["verify-exact", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-        assert main(["verify-exact", "--config", cfg, "--out", str(tmp_path / "b"),
-                     "--strict"]) == 1
+        # five of the six finest residuals lie in (1e-6, 1e-5]: they pass the
+        # stock bar and fail the tenfold-tightened one
+        assert main(["verify-exact", "--out", str(tmp_path / "a")]) == 0
+        assert main(["verify-exact", "--out", str(tmp_path / "b"), "--strict"]) == 1
+        rows = json.loads((tmp_path / "b" / "summary.json").read_text())["checks"]
+        failed = [c["name"] for c in rows if not c["passed"]]
+        assert len(failed) == 5 and all(n.endswith("finest residual") for n in failed)
 
     def test_stability_wobbler_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -221,6 +240,32 @@ class TestCliCommands:
         assert [c["name"] for c in checks if not c["passed"]] == (
             [] if untracked == 0 else ["untracked snapshots"])
 
+
+def _config_keys_read_by_cli():
+    """Every literal key the CLI reads from a config, with nested objects
+    written as ``grid.n_points``, ``params.beta`` and ``background.x0``."""
+    source = Path(sglab.__file__).with_name("cli.py").read_text()
+    prefix = {"cfg": "", "g": "grid.", "params": "params.", "bg": "background."}
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in prefix and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            keys.add(prefix[node.func.value.id] + node.args[0].value)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+              and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_readme_documents_every_config_key():
+    # the README's key table and the keys cli.py reads are the same set
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == _config_keys_read_by_cli()
 
 
 def test_module_entry_point():

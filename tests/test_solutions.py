@@ -9,7 +9,6 @@ from sglab.solutions import (
     WobblerParams,
     boost,
     breather,
-    breather_half_angle,
     kink,
     kink_profile,
     linear_mode,
@@ -18,7 +17,6 @@ from sglab.solutions import (
     two_kink,
     wobbler,
     wobbler_arg_form_gap,
-    wobbler_half_angle,
 )
 
 BETA_GAMMA_CASES = [(0.0, 1.0), (0.6, 1.25), (-0.8, 5.0 / 3.0)]
@@ -132,13 +130,6 @@ class TestBreather:
         with pytest.raises(ParameterError):
             breather(1.0)
 
-    def test_half_angles(self, grid40):
-        b = breather(0.5)
-        sh, ch = breather_half_angle(0.5, 1.3, grid40.x)
-        val = np.asarray(b.value(1.3, grid40.x))
-        assert np.max(np.abs(np.sin(val / 2) - sh)) < 1e-13
-        assert np.max(np.abs(np.cos(val / 2) - ch)) < 1e-13
-
     def test_derivative_channels(self, grid40):
         s = breather(0.5)
         assert np.max(np.abs(fd_time_derivative(s, 0.8, grid40.x) - s.dvalue_dt(0.8, grid40.x))) < 1e-9
@@ -165,13 +156,6 @@ class TestWobbler:
         r1 = np.max(np.abs(pde_residual(w, SINE_GORDON, 0.7, grid40, 0.02)))
         r2 = np.max(np.abs(pde_residual(w, SINE_GORDON, 0.7, grid40.refined(2), 0.01)))
         assert r1 / r2 == pytest.approx(4.0, rel=0.15)
-
-    def test_half_angles(self, grid40):
-        w = wobbler(WobblerParams(0.5))
-        sh, ch = wobbler_half_angle(0.5, 1.3, grid40.x)
-        tilde = np.asarray(w.value(1.3, grid40.x)) - np.pi
-        assert np.max(np.abs(np.sin(tilde / 2) - sh)) < 1e-13
-        assert np.max(np.abs(np.cos(tilde / 2) - ch)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.0, 1.3])
     def test_complex_argument_form_agrees_mod_2pi(self, grid40, t):
