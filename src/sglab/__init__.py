@@ -21,7 +21,6 @@ from .grids import (
     WeightSpec,
     derivative,
     local_energy_norm,
-    pair_norm,
     parity_check,
     pde_residual,
     quadrature,
@@ -73,7 +72,7 @@ from .spectra import (
     lbt_residual_sg,
     wave_residual,
 )
-from .evolution import EvolveConfig, KinkFrame, Trajectory, evolve, evolve_probe
+from .evolution import EvolveConfig, KinkFrame, Trajectory, evolve
 from .modulation import (
     ModulationRecord,
     TubeExitError,

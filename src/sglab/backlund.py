@@ -38,7 +38,7 @@ from .grids import (
     SolverError,
     cumulative_quadrature,
     derivative,
-    pair_norm,
+    local_energy_norm,
     parity_check,
     quadrature,
 )
@@ -71,6 +71,8 @@ __all__ = [
 ]
 
 _MAX_LOG_SPAN = 600.0  # integrating factors stay inside double range below this
+_TOL = 1e-11  # Newton residual every map converges to
+_PARITY_TOL = 1e-9  # input parity defect the maps accept
 
 
 @dataclass(frozen=True)
@@ -417,8 +419,8 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
     return LiftReport(pair, iters, rmax, nu0, history, status=status)
 
 
-def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, tol, max_iter,
-                       stall_tol, compat_tol=1e-10) -> LiftReport:
+def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter, stall_tol,
+                       compat_tol=1e-10) -> LiftReport:
     """Solve F2 = 0 for the vacuum-side y given (u, s), then read off
     v = F1(u, u_x, y, 0); the result must be (even, even).
 
@@ -433,7 +435,7 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, tol, max_iter,
     def step(y, r):
         return _solve_inward(bg.coeff(u, y), r, grid, m, compat_tol)
 
-    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, tol,
+    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, _TOL,
                                               max_iter, stall_tol)
     v = bg.f1(u, derivative(u, grid), y, 0.0)
     pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
@@ -442,9 +444,7 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, tol, max_iter,
 
 # --- the kink-side maps -------------------------------------------------------
 
-def construct_manifold_data(grid: GridSpec, y0, v0, delta: float, *,
-                            tol: float = 1e-11, max_iter: int = 50,
-                            parity_tol: float = 1e-9) -> LiftReport:
+def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
     """Map (y0 odd, v0 even, delta) near the vacuum to the unique (odd, even)
     kink-side data solving the transform with multiplier 1 + delta.
 
@@ -452,30 +452,30 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float, *,
     nu0 = (1/(1+delta) + (1+delta))/2, integrated outward from the center.
     """
     grid.require_symmetric()
-    y0 = _require_parity(y0, grid, "odd", parity_tol, "y0")
-    v0 = _require_parity(v0, grid, "even", parity_tol, "v0")
-    guard = pair_norm(PerturbationPair(grid, y0, v0))
+    y0 = _require_parity(y0, grid, "odd", _PARITY_TOL, "y0")
+    v0 = _require_parity(v0, grid, "even", _PARITY_TOL, "v0")
+    guard = local_energy_norm(PerturbationPair(grid, y0, v0))
     if guard >= 0.5:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
     mult = _offset_multiplier(delta)
     return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
-                            "odd-even", 0.5 * (1.0 / mult + mult), tol=tol,
-                            max_iter=max_iter, stall_tol=1e-10)
+                            "odd-even", 0.5 * (1.0 / mult + mult), tol=_TOL,
+                            max_iter=50, stall_tol=1e-10)
 
 
-def lift_zero_to_kink(grid: GridSpec, y, v, *, tol: float = 1e-11,
-                      max_iter: int = 50, parity_tol: float = 1e-9) -> LiftReport:
+def lift_zero_to_kink(grid: GridSpec, y, v, *, tol: float = _TOL,
+                      max_iter: int = 50) -> LiftReport:
     """Map a small (even, even) vacuum perturbation to the unique (odd, odd)
     perturbation of the static kink (transform parameter fixed at 1)."""
     grid.require_symmetric()
-    y = _require_parity(y, grid, "even", parity_tol, "y")
-    v = _require_parity(v, grid, "even", parity_tol, "v")
+    y = _require_parity(y, grid, "even", _PARITY_TOL, "y")
+    v = _require_parity(v, grid, "even", _PARITY_TOL, "v")
     return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
                             "odd-odd", 1.0, tol=tol, max_iter=max_iter, stall_tol=1e-10)
 
 
-def descend_kink_to_zero(grid: GridSpec, u, s, *, tol: float = 1e-11,
-                         max_iter: int = 50, parity_tol: float = 1e-9) -> LiftReport:
+def descend_kink_to_zero(grid: GridSpec, u, s, *,
+                         parity_tol: float = _PARITY_TOL) -> LiftReport:
     """Map a small (odd, odd) perturbation of the static kink to the unique
     (even, even) vacuum perturbation (transform parameter 1).
 
@@ -486,15 +486,14 @@ def descend_kink_to_zero(grid: GridSpec, u, s, *, tol: float = 1e-11,
     grid.require_symmetric()
     u = _require_parity(u, grid, "odd", parity_tol, "u")
     s = _require_parity(s, grid, "odd", parity_tol, "s")
-    return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, tol=tol,
-                              max_iter=max_iter, stall_tol=1e-10)
+    return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, max_iter=50,
+                              stall_tol=1e-10)
 
 
 # --- the wobbler-side maps ----------------------------------------------------
 
 def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
-                             tol: float = 1e-11, max_iter: int = 60,
-                             parity_tol: float = 1e-9) -> LiftReport:
+                             max_iter: int = 60) -> LiftReport:
     """Map a small (even, even) breather perturbation to the unique (odd, odd)
     wobbler perturbation at time t.
 
@@ -504,16 +503,15 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
     grid.require_symmetric()
     if beta == 0 or not abs(beta) < 1:
         raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    y = _require_parity(y, grid, "even", parity_tol, "y")
-    v = _require_parity(v, grid, "even", parity_tol, "v")
+    y = _require_parity(y, grid, "even", _PARITY_TOL, "y")
+    v = _require_parity(v, grid, "even", _PARITY_TOL, "v")
     return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
-                            y, v, "odd-odd", 1.0, tol=tol, max_iter=max_iter,
+                            y, v, "odd-odd", 1.0, tol=_TOL, max_iter=max_iter,
                             stall_tol=1e-9)
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float, *,
-                                tol: float = 1e-11, max_iter: int = 60,
-                                parity_tol: float = 1e-9,
+                                parity_tol: float = _PARITY_TOL,
                                 compat_tol: float = 1e-10) -> LiftReport:
     """Map a small (odd, odd) wobbler perturbation to the unique (even, even)
     breather perturbation at time t.
@@ -527,16 +525,14 @@ def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float, *,
         raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
     u = _require_parity(u, grid, "odd", parity_tol, "u")
     s = _require_parity(s, grid, "odd", parity_tol, "s")
-    return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, tol=tol,
-                              max_iter=max_iter, stall_tol=1e-9, compat_tol=compat_tol)
+    return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, max_iter=60,
+                              stall_tol=1e-9, compat_tol=compat_tol)
 
 
 # --- lifting with an orthogonality constraint ----------------------------------
 
 def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
-                            rho: float, t: float, *, tol: float = 1e-11,
-                            max_iter: int = 50,
-                            ortho_tol: float = 1e-10) -> LiftReport:
+                            rho: float, t: float) -> LiftReport:
     """Solve the kink-centered transform around the moving kink at center
     beta*t + rho, fixing the free integration constant by orthogonality.
 
@@ -571,7 +567,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
 
     def solve_at(a0, start):
         guess = a0 * hom if start is None else start + (a0 - start[m]) * hom
-        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, tol=tol, max_iter=max_iter,
+        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, tol=_TOL, max_iter=50,
                                stall_tol=1e-9, start=guess)
         return rep, quadrature(rep.result.first * q_x + rep.result.second * q_tx, grid)
 
@@ -580,6 +576,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     a_prev = 0.0
     rep, g_prev = solve_at(a_prev, None)
     total_iters = rep.iterations
+    ortho_tol = 1e-10
     if abs(g_prev) > ortho_tol:
         slope = quadrature(hom * q_x, grid)
         if abs(slope) < 1e-10:
@@ -601,8 +598,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     return replace(rep, iterations=total_iters, ortho_residual=float(g_prev))
 
 
-def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
-                                max_iter: int = 12):
+def zero_momentum_manifold_data(grid: GridSpec, y0):
     """Kink-side data for (y0, 0) with exactly zero discrete momentum.
 
     The construction at offset delta = 0 has zero momentum in the continuum;
@@ -617,10 +613,10 @@ def zero_momentum_manifold_data(grid: GridSpec, y0, *, tol: float = 1e-12,
     zero = np.zeros_like(y0)
     delta = 0.0
     rep = None
-    for _ in range(max_iter):
+    for _ in range(12):
         rep = construct_manifold_data(grid, y0, zero, delta)
         p = momentum(FieldState(0.0, grid, q + rep.result.first, rep.result.second))
-        if abs(p) <= tol:
+        if abs(p) <= 1e-12:
             break
         delta += p / 4.0
     return rep, delta

@@ -30,7 +30,7 @@ from .backlund import (
     lift_zero_to_kink,
 )
 from .conserved import kink_profile_momentum, manifold_momentum, momentum
-from .evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
+from .evolution import EvolveConfig, KinkFrame, evolve
 from .experiments import (
     EXACT_FAMILIES,
     linear_transform_cases,
@@ -48,11 +48,14 @@ from .grids import (
     SINE_GORDON,
     PHI4,
     SolverError,
+    WeightSpec,
+    local_energy_norm,
     parity_check,
     pde_residual,
+    weighted_norm_sq,
 )
 from .inputs import load_pair, named_pair, smooth_random
-from .modulation import convergence_classifier
+from .modulation import convergence_classifier, track_modulation
 from .reports import ReportBundle, svg_line_plot
 from .solutions import (
     KinkParams,
@@ -84,14 +87,19 @@ _PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
                "phi4 dual": "dual resonance pair"}
 
 
-def _grid_from(cfg, n_points=4001) -> GridSpec:
+def _grid_from(cfg, n_points=4001, half_width=40.0) -> GridSpec:
     g = cfg.get("grid", {})
-    return GridSpec(g.get("x_min", -40.0), g.get("x_max", 40.0), g.get("n_points", n_points))
+    if not isinstance(g, dict):
+        raise ParameterError(f"grid must be an object, got {g!r}")
+    return GridSpec(g.get("x_min", -half_width), g.get("x_max", half_width),
+                    g.get("n_points", n_points))
 
 
 def _sampler_from(cfg):
     name = cfg.get("solution", "kink")
     params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ParameterError(f"params must be an object, got {params!r}")
     if name == "kink":
         return kink(KinkParams(params.get("beta", 0.0), params.get("x0", 0.0))), SINE_GORDON
     if name == "breather":
@@ -161,8 +169,7 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
 
 def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
-    g = cfg.get("grid", {})
-    grid = GridSpec(g.get("x_min", -30.0), g.get("x_max", 30.0), g.get("n_points", 4001))
+    grid = _grid_from(cfg, half_width=30.0)
     cases = [("sg-kink", kink_sg_operator(), [0.0]),
              ("phi4-kink", kink_phi4_operator(), [0.0, 1.5]),
              ("phi4-kink-dual", kink_phi4_dual_operator(), [1.5])]
@@ -214,9 +221,13 @@ def _transform_rows(bundle, name, kind, rep, tol_scale):
 
 def cmd_lift(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("lift")
-    pair = _input_pair(cfg, _grid_from(cfg), "even-bump")
-    grid = pair.grid
     kind = cfg.get("map", "zero-to-kink")
+    if kind == "manifold":
+        # the map takes odd data, and its momentum row holds on criterion 5's grid
+        pair = _input_pair(cfg, _grid_from(cfg, n_points=48001), "odd-bump")
+    else:
+        pair = _input_pair(cfg, _grid_from(cfg), "even-bump")
+    grid = pair.grid
     beta = cfg.get("beta", 0.5)
     t = cfg.get("t", 0.0)
     max_iter = cfg.get("max_iter", 50)
@@ -292,27 +303,29 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
         background = KinkFrame()
     elif isinstance(bg, dict):
         background = KinkFrame(bg.get("beta", 0.0), bg.get("x0", 0.0))
+    elif bg is not None:
+        raise ParameterError(f'background must be "static-kink" or an object, got {bg!r}')
     ecfg = EvolveConfig(dt=cfg.get("dt", 0.005), t_end=cfg.get("t_end", 10.0),
                         background=background,
                         snapshot_every=cfg.get("snapshot_every", 0.5))
     interval = tuple(cfg.get("interval", (-5.0, 5.0)))
-    weight_rate = cfg.get("weight_rate", 0.5)
-    probes = [("energy",), ("momentum",), ("local_energy_norm", interval),
-              ("weighted_norm", weight_rate)]
-    tracked = cfg.get("track_modulation", False)
-    if tracked:
-        probes.append(("modulation", background.beta if background else 0.0))
-    out, traj = evolve_probe(sampler.sample(grid, 0.0), model, ecfg, probes)
-    if tracked:
-        bundle.check("untracked snapshots", int(np.count_nonzero(np.isnan(out["rho"]))), 0,
-                     "tracker stays in the tube")
-    no_shift = np.full(len(traj), np.nan)
-    columns = (out["t"], out.get("rho", no_shift), out.get("rho_rate", no_shift),
-               out["energy"], out["momentum"],
-               out[f"local_norm[{interval[0]:g},{interval[1]:g}]"],
-               out[f"weighted_norm[{weight_rate:g}]"])
+    weight = WeightSpec(cfg.get("weight_rate", 0.5))
+    traj = evolve(sampler.sample(grid, 0.0), model, ecfg)
+    pairs = [traj.perturbation(i) for i in range(len(traj))]
+    local_norms = [local_energy_norm(pair, interval) for pair in pairs]
+    weighted_norms = [weighted_norm_sq(pair, weight) for pair in pairs]
+    # rho and rho_rate read nan without tracking and after a tube exit
+    rho = rho_rate = [math.nan] * len(traj)
+    if cfg.get("track_modulation", False):
+        records = track_modulation(traj, background.beta if background else 0.0)
+        untracked = [math.nan] * (len(traj) - len(records))
+        rho = [r.rho for r in records] + untracked
+        rho_rate = [r.rho_rate for r in records] + untracked
+        bundle.check("untracked snapshots", len(untracked), 0, "tracker stays in the tube")
+    columns = (traj.times, rho, rho_rate, traj.energies, traj.momenta,
+               local_norms, weighted_norms)
     bundle.tables["run"] = (list(PROBE_HEADER), list(zip(*columns)))
-    energies = out["energy"]
+    energies = np.array(traj.energies)
     drift = float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
     bundle.check("relative energy drift", drift, 1e-5 * tol_scale,
                  "conservation along the run")
@@ -513,6 +526,8 @@ def _load_config(path):
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"a config must be a JSON object, got {type(cfg).__name__}")
     version = cfg.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ParameterError(f"unsupported config version {version}")

@@ -24,15 +24,11 @@ from .grids import (
     SINE_GORDON,
     PerturbationPair,
     derivative,
-    local_energy_norm,
     quadrature,
-    weighted_norm_sq,
-    WeightSpec,
 )
-from .modulation import track_modulation
 from .solutions import KinkParams, KinkProfile, kink_profile
 
-__all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve", "evolve_probe"]
+__all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -214,40 +210,3 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
             record(t)
     return traj
 
-
-def evolve_probe(initial: FieldState, model: Model, cfg: EvolveConfig, probes):
-    """Evolve and evaluate probes at every snapshot.
-
-    Probes are ("energy",), ("momentum",), ("local_energy_norm", (a, b)),
-    ("weighted_norm", rate) or ("modulation", beta); the result maps "t" and
-    "energy", "momentum", "local_norm[a,b]", "weighted_norm[rate]", or "rho",
-    "rho_rate" and "ortho_residual" to series aligned with the snapshots.  The
-    modulation probe is resolved through the modulation tracker; snapshots
-    after a tube exit read nan.
-    """
-    traj = evolve(initial, model, cfg)
-    out = {"t": np.array(traj.times)}
-    for probe in probes:
-        kind = probe[0]
-        if kind == "energy":
-            out["energy"] = np.array(traj.energies)
-        elif kind == "momentum":
-            out["momentum"] = np.array(traj.momenta)
-        elif kind == "local_energy_norm":
-            a, b = probe[1]
-            out[f"local_norm[{a:g},{b:g}]"] = np.array(
-                [local_energy_norm(traj.perturbation(i), (a, b)) for i in range(len(traj))])
-        elif kind == "weighted_norm":
-            rate = probe[1]
-            out[f"weighted_norm[{rate:g}]"] = np.array(
-                [weighted_norm_sq(traj.perturbation(i), WeightSpec(rate))
-                 for i in range(len(traj))])
-        elif kind == "modulation":
-            records = track_modulation(traj, probe[1])
-            untracked = [math.nan] * (len(traj) - len(records))
-            out["rho"] = np.array([r.rho for r in records] + untracked)
-            out["rho_rate"] = np.array([r.rho_rate for r in records] + untracked)
-            out["ortho_residual"] = np.array([r.ortho_residual for r in records] + untracked)
-        else:
-            raise ParameterError(f"unknown probe {probe!r}")
-    return out, traj

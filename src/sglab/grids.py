@@ -7,6 +7,7 @@ round-trip statements are clean.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "pde_residual",
     "weighted_norm_sq",
     "local_energy_norm",
-    "pair_norm",
     "parity_check",
 ]
 
@@ -65,6 +65,11 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) for v in (self.x_min, self.x_max)):
+            raise ParameterError(f"x_min and x_max must be real numbers, "
+                                 f"got {self.x_min!r} and {self.x_max!r}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ParameterError(f"n_points must be an integer, got {self.n_points!r}")
         if not self.x_min < self.x_max:
             raise ParameterError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
@@ -368,11 +373,6 @@ def local_energy_norm(pair: PerturbationPair, interval=None) -> float:
         sub = density[sl]
         total = grid.h * (sub.sum() - 0.5 * (sub[0] + sub[-1]))
     return float(np.sqrt(max(total, 0.0)))
-
-
-def pair_norm(pair: PerturbationPair) -> float:
-    """Full-line H^1 x L^2 norm of the pair."""
-    return local_energy_norm(pair, None)
 
 
 def parity_check(values, grid: GridSpec, kind: str) -> float:

@@ -84,16 +84,17 @@ def _mismatch(state: FieldState, beta: float, rho: float):
     return value, dvalue, du, dv
 
 
-def _fit_shift(state, beta, rho_guess, tube_radius, tol=1e-10, max_iter=50):
+def _fit_shift(state, beta, rho_guess, tube_radius):
     """``solve_shift``, also returning the converged orthogonality value and
-    the remainder pair, so a caller needs no further profile evaluation."""
+    the remainder pair, so a caller needs no further profile evaluation.
+    Newton stops at |value| <= 1e-10 and gives up after 50 iterations."""
     if not abs(beta) < 1:
         raise ParameterError(f"|beta| < 1 required, got {beta}")
     rho = float(rho_guess)
     span = state.grid.x_max - state.grid.x_min
-    for _ in range(max_iter):
+    for _ in range(50):
         value, dvalue, du, dv = _mismatch(state, beta, rho)
-        if abs(value) <= tol:
+        if abs(value) <= 1e-10:
             pair = PerturbationPair(state.grid, du, dv)
             dist = local_energy_norm(pair)
             if dist > tube_radius:
@@ -106,11 +107,10 @@ def _fit_shift(state, beta, rho_guess, tube_radius, tol=1e-10, max_iter=50):
         if abs(step) > 0.5 * span:
             raise TubeExitError(f"shift solve diverged (step {step:.3g})")
         rho -= step
-    raise TubeExitError(f"shift solve: no convergence after {max_iter} iterations")
+    raise TubeExitError("shift solve: no convergence after 50 iterations")
 
 
 def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
-                tol: float = 1e-10, max_iter: int = 50,
                 tube_radius: float = 0.5) -> float:
     """Newton-solve the shift rho that makes the remainder orthogonal to the
     kink's translation direction.
@@ -118,7 +118,7 @@ def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
     Divergence (or a remainder larger than `tube_radius` at the root) raises
     TubeExitError, mirroring the exit-time mechanism of orbital tracking.
     """
-    return _fit_shift(state, beta, rho_guess, tube_radius, tol, max_iter)[0]
+    return _fit_shift(state, beta, rho_guess, tube_radius)[0]
 
 
 def decompose(state: FieldState, beta: float, rho: float) -> PerturbationPair:

@@ -21,7 +21,7 @@ from sglab.backlund import (
     lift_zero_to_kink,
 )
 from sglab.conserved import energy, manifold_momentum, momentum
-from sglab.evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
+from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import (
     EXACT_FAMILIES,
     linear_transform_cases,
@@ -37,8 +37,10 @@ from sglab.grids import (
     PHI4,
     PerturbationPair,
     SINE_GORDON,
+    WeightSpec,
     local_energy_norm,
     parity_check,
+    weighted_norm_sq,
 )
 from sglab.inputs import smooth_random
 from sglab.solutions import (
@@ -392,10 +394,11 @@ def test_criterion_10_vacuum_odd_data_decay():
     rng = np.random.default_rng(42)
     y0 = smooth_random(grid, "odd", 0.08, rng)
     st = FieldState(0.0, grid, y0, np.zeros(grid.n_points))
-    out, _ = evolve_probe(st, SINE_GORDON,
-                          EvolveConfig(dt=0.012, t_end=200.0, snapshot_every=2.0),
-                          [("local_energy_norm", (-5.0, 5.0)), ("weighted_norm", 0.5)])
-    norms, weighted, times = out["local_norm[-5,5]"], out["weighted_norm[0.5]"], out["t"]
+    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.012, t_end=200.0, snapshot_every=2.0))
+    pairs = [traj.perturbation(i) for i in range(len(traj))]
+    norms = np.array([local_energy_norm(pair, (-5.0, 5.0)) for pair in pairs])
+    weighted = np.array([weighted_norm_sq(pair, WeightSpec(0.5)) for pair in pairs])
+    times = np.array(traj.times)
     decay_ok = norms[-1] <= 0.1 * norms[0]
     # trending down: quarter-averages decrease monotonically
     q = len(norms) // 4

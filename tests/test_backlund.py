@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from sglab.grids import (
     quadrature,
 )
 from sglab.inputs import smooth_random
+from sglab.modulation import solve_shift
 from sglab.solutions import (
     KinkParams,
     WobblerParams,
@@ -468,3 +470,23 @@ class TestFinalSpeeds:
         gap = abs(final_speed_from_delta(delta)
                   - final_speed_from_momentum(manifold_momentum(delta)))
         assert gap < 1e-12
+
+
+# every keyword option here is passed by a test or the CLI; a knob that no
+# caller sets is a literal inside the solver instead
+_SOLVER_OPTIONS = {
+    construct_manifold_data: set(),
+    lift_zero_to_kink: {"tol", "max_iter"},
+    descend_kink_to_zero: {"parity_tol"},
+    lift_breather_to_wobbler: {"max_iter"},
+    descend_wobbler_to_breather: {"parity_tol", "compat_tol"},
+    lift_with_orthogonality: set(),
+    zero_momentum_manifold_data: set(),
+    solve_shift: {"rho_guess", "tube_radius"},
+}
+
+
+@pytest.mark.parametrize("solver", list(_SOLVER_OPTIONS), ids=lambda f: f.__name__)
+def test_solver_options_are_the_ones_callers_set(solver):
+    params = inspect.signature(solver).parameters.values()
+    assert {p.name for p in params if p.default is not p.empty} == _SOLVER_OPTIONS[solver]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sglab.evolution import EvolveConfig, KinkFrame, evolve, evolve_probe
+from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.grids import (
     ContractError,
     FieldState,
@@ -185,40 +185,10 @@ def test_nonfinite_state_aborts_with_time_stamp():
 
 def test_probe_energy_constant_for_kink(grid40):
     st = kink(KinkParams(0.0)).sample(grid40, 0.0)
-    out, _ = evolve_probe(st, SINE_GORDON,
-                          EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
-                                       snapshot_every=1.0),
-                          [("energy",)])
-    assert np.max(np.abs(out["energy"] - out["energy"][0])) < 1e-10
-
-
-def test_probe_series(grid40):
-    st = breather(0.5).sample(grid40, 0.0)
-    out, traj = evolve_probe(st, SINE_GORDON,
-                             EvolveConfig(dt=0.01, t_end=2.0, snapshot_every=0.5),
-                             [("energy",), ("momentum",),
-                              ("local_energy_norm", (-5.0, 5.0)),
-                              ("weighted_norm", 0.5)])
-    n = len(out["t"])
-    assert n == len(traj)
-    assert len(out["energy"]) == n
-    assert len(out["momentum"]) == n
-    assert len(out["local_norm[-5,5]"]) == n
-    assert len(out["weighted_norm[0.5]"]) == n
-    with pytest.raises(ParameterError):
-        evolve_probe(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=1.0), [("bogus",)])
-
-
-def test_probe_modulation_is_padded_after_tube_exit():
-    # a kink moving at 0.2 in the static frame starts outside the tracker's
-    # tube, so no snapshot is tracked
-    st = kink(KinkParams(0.2)).sample(GridSpec(-20.0, 20.0, 2001), 0.0)
-    out, traj = evolve_probe(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=4.0,
-                                                           background=KinkFrame()),
-                             [("modulation", 0.0)])
-    assert len(traj) == len(out["t"]) == 9
-    for key in ("rho", "rho_rate", "ortho_residual"):
-        assert out[key].shape == (9,) and np.all(np.isnan(out[key]))
+    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
+                                                snapshot_every=1.0))
+    energies = np.array(traj.energies)
+    assert np.max(np.abs(energies - energies[0])) < 1e-10
 
 
 def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):

@@ -36,6 +36,10 @@ class TestGridSpec:
             GridSpec(1.0, -1.0, 11)
         with pytest.raises(ParameterError):
             GridSpec(-1.0, 1.0, 2)
+        # JSON configs and saved pairs can carry strings or non-integer counts
+        for bad in (("-1", 1.0, 11), (-1.0, 1.0, "11"), (-1.0, 1.0, 11.0)):
+            with pytest.raises(ParameterError):
+                GridSpec(*bad)
 
     def test_asymmetric_grid_rejected_for_parity(self):
         g = GridSpec(-1.0, 2.0, 7)

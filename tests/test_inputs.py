@@ -45,17 +45,17 @@ def test_save_load_round_trip(tmp_path, grid40, rng):
 
 def test_probe_modulation_channel(grid40):
     from sglab.backlund import zero_momentum_manifold_data
-    from sglab.evolution import EvolveConfig, KinkFrame, evolve_probe
+    from sglab.evolution import EvolveConfig, KinkFrame, evolve
     from sglab.grids import FieldState, SINE_GORDON
+    from sglab.modulation import track_modulation
     from sglab.solutions import KinkParams, kink_profile
 
     y0 = 0.04 * np.tanh(grid40.x) * np.exp(-((grid40.x / 2.5) ** 2))
     rep, _ = zero_momentum_manifold_data(grid40, y0)
     prof = kink_profile(KinkParams(0.0))
     st = FieldState(0.0, grid40, prof.q(grid40.x) + rep.result.first, rep.result.second)
-    out, traj = evolve_probe(st, SINE_GORDON,
-                             EvolveConfig(dt=0.01, t_end=3.0, background=KinkFrame(),
-                                          snapshot_every=1.0),
-                             [("modulation", 0.0), ("energy",)])
-    assert len(out["rho"]) == len(traj)
-    assert np.max(np.abs(out["ortho_residual"])) < 1e-8
+    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=3.0, background=KinkFrame(),
+                                                snapshot_every=1.0))
+    records = track_modulation(traj, 0.0)
+    assert len(records) == len(traj)
+    assert max(r.ortho_residual for r in records) < 1e-8
