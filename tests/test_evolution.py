@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sglab.cli import cmd_evolve
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.grids import (
     ContractError,
@@ -16,6 +17,7 @@ from sglab.grids import (
     quadrature,
 )
 from sglab.inputs import smooth_random
+from sglab.modulation import track_modulation
 from sglab.solutions import (
     KinkParams,
     ThreeSolitonParams,
@@ -189,6 +191,23 @@ def test_probe_energy_constant_for_kink(grid40):
                                                 snapshot_every=1.0))
     energies = np.array(traj.energies)
     assert np.max(np.abs(energies - energies[0])) < 1e-10
+
+
+def test_probe_modulation_is_padded_after_tube_exit():
+    # a kink moving at 0.2 in the static frame starts outside the tracker's
+    # tube, so no snapshot is tracked and every rho row is nan padding
+    grid = {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}
+    st = kink(KinkParams(0.2)).sample(GridSpec(-20.0, 20.0, 2001), 0.0)
+    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=4.0, background=KinkFrame()))
+    assert len(traj) == 9 and track_modulation(traj, 0.0) == []
+    bundle = cmd_evolve({"solution": "kink", "params": {"beta": 0.2}, "grid": grid,
+                         "background": "static-kink", "track_modulation": True,
+                         "t_end": 4.0, "dt": 0.01}, 1.0)
+    header, rows = bundle.tables["run"]
+    assert len(rows) == 9
+    for key in ("rho", "rho_rate"):
+        column = np.array([row[header.index(key)] for row in rows])
+        assert np.all(np.isnan(column))
 
 
 def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
