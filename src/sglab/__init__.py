@@ -32,7 +32,6 @@ from .solutions import (
     SolutionSampler,
     ThreeSolitonParams,
     WobblerParams,
-    boost,
     breather,
     kink,
     kink_profile,
@@ -43,12 +42,11 @@ from .solutions import (
     wobbler,
     zero_sampler,
 )
-from .conserved import TopologicalState, energy, manifold_momentum, momentum
+from .conserved import energy, manifold_momentum, momentum
 from .backlund import (
     BtParameter,
     LiftReport,
     bt_pair_residual,
-    bt_residual,
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
@@ -58,7 +56,6 @@ from .backlund import (
     lift_with_orthogonality,
     lift_zero_to_kink,
     tilde_residual,
-    wobbler_pair_residual,
 )
 from .spectra import (
     SchrodingerOperator,
@@ -77,7 +74,6 @@ from .modulation import (
     ModulationRecord,
     TubeExitError,
     convergence_classifier,
-    decompose,
     rho_rate_check,
     solve_shift,
     stilde_bound_check,

@@ -55,10 +55,8 @@ from .solutions import (
 __all__ = [
     "BtParameter",
     "LiftReport",
-    "bt_residual",
     "bt_pair_residual",
     "tilde_residual",
-    "wobbler_pair_residual",
     "construct_manifold_data",
     "lift_zero_to_kink",
     "descend_kink_to_zero",
@@ -199,45 +197,19 @@ def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
     return _pair_residual(_Background.kink(utilde_stilde.grid, mult, kinkp), utilde_stilde, y_v)
 
 
-def wobbler_pair_residual(u_s: PerturbationPair, y_v: PerturbationPair,
-                          beta: float, t: float) -> tuple:
-    """Residuals of the transform linking breather-side (y, v) to
-    wobbler-side (u, s) perturbations at time t."""
-    if u_s.grid != y_v.grid:
-        raise ContractError("wobbler_pair_residual needs matching grids")
-    return _pair_residual(_Background.wobbler(u_s.grid, beta, t), u_s, y_v)
+def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
+                     grid: GridSpec) -> tuple:
+    """Transform residuals (F1, F2) for two samplers, using analytic derivatives.
 
-
-def _identity_residual(psi_u, psi_x, psi_t, phi_u, phi_x, phi_t, a) -> tuple:
-    """(F1, F2) of two full solutions: the background's residuals at zero
-    perturbation."""
-    bg = _Background(psi_u - np.pi, psi_x, psi_t, phi_u, phi_x, phi_t, _a_value(a))
-    return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
-
-
-def bt_residual(phi: FieldState, psi: FieldState, a) -> tuple:
-    """Transform residuals (F1, F2) for sampled states, derivatives by finite
-    differences.
-
-    phi is the vacuum-side state, psi the kink-side state:
+    phi is the vacuum-side solution, psi the kink-side solution:
 
         F1 = psi_u_x - phi_v - (1/a) sin((psi_u + phi_u)/2) - a sin((psi_u - phi_u)/2)
         F2 = psi_v - phi_u_x - (1/a) sin((psi_u + phi_u)/2) + a sin((psi_u - phi_u)/2)
 
-    evaluated as ``_Background``'s cosine form with Psi - pi in place of psi_u.
-    """
-    if phi.grid != psi.grid:
-        raise ContractError("bt_residual needs matching grids")
-    return _identity_residual(psi.u, derivative(psi.u, psi.grid), psi.v,
-                              phi.u, derivative(phi.u, phi.grid), phi.v, a)
-
-
-def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
-                     grid: GridSpec) -> tuple:
-    """Transform residuals for two samplers, using analytic derivatives.
-
-    This is the exact-identity evaluation: for a genuine transform pair the
-    residuals are at round-off level independent of the grid spacing.
+    evaluated as ``_Background``'s cosine form with Psi - pi in place of psi_u,
+    at zero perturbation.  This is the exact-identity evaluation: for a genuine
+    transform pair the residuals are at round-off level independent of the
+    grid spacing.
     """
     x = grid.x
 
@@ -247,7 +219,9 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
                else np.asarray(s.dvalue_dx(t, x), dtype=float))
         return u, u_x, np.asarray(s.dvalue_dt(t, x), dtype=float)
 
-    return _identity_residual(*fields(psi), *fields(phi), a)
+    (psi_u, psi_x, psi_t), phi_fields = fields(psi), fields(phi)
+    bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi_fields, _a_value(a))
+    return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
 
 
 # --- integrating-factor linear solves ----------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -93,6 +94,15 @@ def _grid_from(cfg, n_points=4001, half_width=40.0) -> GridSpec:
         raise ParameterError(f"grid must be an object, got {g!r}")
     return GridSpec(g.get("x_min", -half_width), g.get("x_max", half_width),
                     g.get("n_points", n_points))
+
+
+def _reals(value, key, count=None):
+    """A config value that must be a list of real numbers (of `count` of them)."""
+    if (not isinstance(value, (list, tuple)) or count not in (None, len(value))
+            or not all(isinstance(v, numbers.Real) for v in value)):
+        raise ParameterError(f"{key} must be a list of {count or 'any number of'} "
+                             f"real numbers, got {value!r}")
+    return tuple(value)
 
 
 def _sampler_from(cfg):
@@ -308,7 +318,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     ecfg = EvolveConfig(dt=cfg.get("dt", 0.005), t_end=cfg.get("t_end", 10.0),
                         background=background,
                         snapshot_every=cfg.get("snapshot_every", 0.5))
-    interval = tuple(cfg.get("interval", (-5.0, 5.0)))
+    interval = _reals(cfg.get("interval", (-5.0, 5.0)), "interval", 2)
     weight = WeightSpec(cfg.get("weight_rate", 0.5))
     traj = evolve(sampler.sample(grid, 0.0), model, ecfg)
     pairs = [traj.perturbation(i) for i in range(len(traj))]
@@ -336,12 +346,12 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 
 def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
-    etas = cfg.get("etas", [0.02, 0.04, 0.08])
+    etas = _reals(cfg.get("etas", [0.02, 0.04, 0.08]), "etas")
     n_seeds = cfg.get("seeds", 2)
     t_end = cfg.get("t_end", 60.0)
     dt = cfg.get("dt", 0.009)
     snapshot_every = cfg.get("snapshot_every", 0.5)
-    interval = tuple(cfg.get("interval", (-5.0, 5.0)))
+    interval = _reals(cfg.get("interval", (-5.0, 5.0)), "interval", 2)
     rate_peaks = {}
     rate_rows = []
     for seed in range(n_seeds):
@@ -359,7 +369,7 @@ def _stability_manifold(cfg, tol_scale, bundle):
             peak = max((abs(r.rho_rate) for r in records), default=0.0)
             rate_peaks.setdefault(eta, []).append(peak)
             cls = convergence_classifier(records)
-            series = cls["local_norms"][interval]
+            series = cls["local_norms"]
             rate_rows.append((seed, eta, peak, check["max_rate_ratio"], cls["kind"],
                               series[0], series[-1]))
             if seed == 0:

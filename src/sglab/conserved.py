@@ -4,46 +4,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .grids import (
-    ContractError,
-    FieldState,
-    Model,
-    ParameterError,
-    derivative,
-    quadrature,
-)
+from .grids import FieldState, Model, ParameterError, derivative, quadrature
 
-__all__ = [
-    "TopologicalState",
-    "energy",
-    "momentum",
-    "manifold_momentum",
-    "kink_profile_momentum",
-]
-
-
-@dataclass
-class TopologicalState:
-    """A field state together with its declared asymptotic values.
-
-    The boundary node values must sit within 1e-6 of the declared limits, so the
-    truncated-domain energy and momentum integrals are meaningful.
-    """
-
-    state: FieldState
-    left_limit: float
-    right_limit: float
-
-    def __post_init__(self):
-        for value, limit, side in ((self.state.u[0], self.left_limit, "left"),
-                                   (self.state.u[-1], self.right_limit, "right")):
-            if abs(value - limit) > 1e-6:
-                raise ContractError(
-                    f"{side} boundary value {value:.8g} is not within 1e-6 "
-                    f"of the declared limit {limit:.8g}"
-                )
+__all__ = ["energy", "momentum", "manifold_momentum", "kink_profile_momentum"]
 
 
 def energy(state: FieldState, model: Model) -> float:

@@ -10,6 +10,7 @@ order, and time-reversible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,9 +57,13 @@ class EvolveConfig:
     snapshot_every: float = 0.5
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "snapshot_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ParameterError("t_end must be nonnegative")
 
 

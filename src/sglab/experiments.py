@@ -119,13 +119,13 @@ def wobbler_family_distances(traj, wobbler_sampler, period):
 def manifold_run(grid, y0, dt, t_end, snapshot_every, interval):
     """Evolve the static kink plus the zero-momentum manifold data built from
     odd vacuum data y0 in the kink frame.  Returns the trajectory and its
-    tracker records (local norms on `interval`), which stop at a tube exit."""
+    tracker records (local norm on `interval`), which stop at a tube exit."""
     rep, _delta = zero_momentum_manifold_data(grid, y0)
     state = FieldState(0.0, grid, kink_profile(KinkParams(0.0, 0.0)).q(grid.x)
                        + rep.result.first, rep.result.second)
     traj = evolve(state, SINE_GORDON, EvolveConfig(
         dt=dt, t_end=t_end, background=KinkFrame(), snapshot_every=snapshot_every))
-    return traj, track_modulation(traj, 0.0, intervals=(interval,))
+    return traj, track_modulation(traj, 0.0, interval)
 
 
 def vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, eps):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "TubeExitError",
     "ModulationRecord",
     "solve_shift",
-    "decompose",
     "track_modulation",
     "rho_rate_check",
     "stilde_bound_check",
@@ -54,9 +53,8 @@ class ModulationRecord:
     rho: float
     rho_rate: Optional[float] = None
     ortho_residual: float = 0.0
-    lhs_rate: Optional[float] = None
     rhs_bound: Optional[float] = None
-    local_norms: dict = field(default_factory=dict)
+    local_norm: float = math.nan
 
 
 def _mismatch(state: FieldState, beta: float, rho: float):
@@ -121,24 +119,12 @@ def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
     return _fit_shift(state, beta, rho_guess, tube_radius)[0]
 
 
-def decompose(state: FieldState, beta: float, rho: float) -> PerturbationPair:
-    """Remainder (u, s) = field minus the kink profile at shift rho.
-
-    With rho from solve_shift the remainder is orthogonal to the translation
-    direction to solver tolerance; reconstruction Q + u reproduces the field
-    bitwise on the nodes.
-    """
-    x = state.grid.x
-    prof = kink_profile(KinkParams(beta, beta * state.t + rho))
-    return PerturbationPair(state.grid, state.u - prof.q(x), state.v - prof.q_t(x))
-
-
-def track_modulation(traj, beta: float, intervals=((-5.0, 5.0),),
+def track_modulation(traj, beta: float, interval=(-5.0, 5.0),
                      tube_radius: float = 0.5) -> list:
     """Track the shift along a trajectory from rho = 0, warm-starting each solve.
 
     Returns one ModulationRecord per snapshot with rho, the orthogonality
-    residual, local remainder norms on the given intervals, and centered
+    residual, the local remainder norm on `interval`, and centered
     rho-rate estimates filled in afterwards.  Tracking stops early (with the
     records so far) if the state exits the tube, and logs a warning on the
     ``sglab.modulation`` logger with the snapshot time and the reason.  The
@@ -158,10 +144,8 @@ def track_modulation(traj, beta: float, intervals=((-5.0, 5.0),),
             log.warning("tracking stopped at t = %.6g after %d of %d snapshots: %s",
                         state.t, len(records), len(traj), exc)
             break
-        norms = {iv: local_energy_norm(pair, iv) for iv in intervals}
-        records.append(ModulationRecord(t=state.t, rho=rho,
-                                        ortho_residual=abs(value),
-                                        local_norms=norms))
+        records.append(ModulationRecord(t=state.t, rho=rho, ortho_residual=abs(value),
+                                        local_norm=local_energy_norm(pair, interval)))
     for k in range(len(records)):
         lo = max(0, k - 1)
         hi = min(len(records) - 1, k + 1)
@@ -170,7 +154,6 @@ def track_modulation(traj, beta: float, intervals=((-5.0, 5.0),),
                                    / (records[hi].t - records[lo].t))
         else:
             records[k].rho_rate = 0.0
-        records[k].lhs_rate = abs(records[k].rho_rate)
     return records
 
 
@@ -180,8 +163,8 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> di
     ``zero_pairs[k]`` is the vacuum-side (y, v) snapshot matching
     ``records[k]``; when ``kink_pairs`` (the kink-side remainders) are supplied
     the intermediate bounds involving the remainder itself are measured too.
-    Fills lhs_rate/rhs_bound on the records and returns the max ratios; a pure
-    diagnostic, nothing is asserted.
+    Fills rhs_bound on the records and returns the max ratios of |rho_rate|
+    over the bounds; a pure diagnostic, nothing is asserted.
     """
     if len(zero_pairs) != len(records):
         raise ParameterError("zero_pairs must align with records")
@@ -196,7 +179,7 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1, kink_pairs=None) -> di
         w_minus = np.exp(-(1.0 - eps) * dist)
         rhs = float(quadrature(w_minus * (v ** 2 + y ** 2 + y_x ** 2), grid))
         rec.rhs_bound = rhs
-        lhs = rec.lhs_rate if rec.lhs_rate is not None else 0.0
+        lhs = abs(rec.rho_rate) if rec.rho_rate is not None else 0.0
         if rhs > 0:
             ratios_main.append(lhs / rhs)
         if kink_pairs is not None:
@@ -260,27 +243,20 @@ def convergence_classifier(records) -> dict:
     """Classify the tracked shift: settled to a limit, or still excursive.
 
     ``bounded-converging`` is declared when the total variation of rho over the
-    last quarter of the run is below 1e-3; otherwise the record times
-    where |rho| reached a new maximum are reported.  The local-norm series ride
-    along for decay inspection either way.
+    last quarter of the run is below 1e-3, and ``excursion`` otherwise.  The
+    local-norm series rides along for decay inspection either way.
     """
     if not records:
         raise ParameterError("no records to classify")
     rhos = np.array([r.rho for r in records])
-    times = np.array([r.t for r in records])
     q = max(2, len(records) // 4)
     tail = rhos[-q:]
     tv = float(np.sum(np.abs(np.diff(tail))))
-    local_series = {}
-    for iv in records[0].local_norms:
-        local_series[iv] = np.array([r.local_norms[iv] for r in records])
-    out = {"total_variation_tail": tv, "local_norms": local_series, "times": times}
+    out = {"total_variation_tail": tv, "times": np.array([r.t for r in records]),
+           "local_norms": np.array([r.local_norm for r in records])}
     if tv < 1e-3:
         out["kind"] = "bounded-converging"
         out["rho_bar"] = float(np.mean(tail))
     else:
         out["kind"] = "excursion"
-        running = np.maximum.accumulate(np.abs(rhos))
-        new_max = np.abs(rhos) >= running - 1e-15
-        out["excursion_times"] = times[new_max]
     return out

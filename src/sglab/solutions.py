@@ -26,13 +26,11 @@ __all__ = [
     "kink_profile",
     "breather",
     "wobbler",
-    "wobbler_arg_form_gap",
     "two_kink",
     "three_soliton",
     "phi4_kink",
     "linear_mode",
     "LINEAR_MODE_NAMES",
-    "boost",
     "zero_sampler",
 ]
 
@@ -332,33 +330,6 @@ def wobbler(p: WobblerParams) -> SolutionSampler:
     return SolutionSampler(f"wobbler(beta={beta})", value, d_dt, d_dx)
 
 
-def wobbler_arg_form_gap(beta: float, t, x) -> float:
-    """Max distance (mod 2pi) between the two printed wobbler forms.
-
-    Compares the perturbation form Q + 4 angle(h, g) against the direct
-    4 Arg(U + iV) complex-argument form (principal branch) at the given sample
-    points; the two agree up to multiples of 2pi, and this diagnostic records
-    the defect from the nearest multiple.
-    """
-    x = np.asarray(x, dtype=float)
-    alpha = math.sqrt(1.0 - beta ** 2)
-    c = np.cos(alpha * t)
-    # U = cosh(bx) + b sinh(bx) - b e^x cos(at)
-    # V = e^x cosh(bx) - b e^x sinh(bx) - b cos(at)
-    # both scaled by e^{-|x|} sech(bx), which keeps them finite and preserves the angle
-    scale_pos = np.exp(x - np.abs(x))
-    scale_zero = np.exp(-np.abs(x))
-    sbx, tbx = _sech(beta * x), np.tanh(beta * x)
-    U = scale_zero * (1.0 + beta * tbx) - beta * scale_pos * c * sbx
-    V = scale_pos * (1.0 - beta * tbx) - beta * scale_zero * c * sbx
-    direct = 4.0 * np.arctan2(V, U)
-    g, h, *_ = _wobbler_gh(beta, t, x)
-    pert = kink_profile(KinkParams()).q(x) + 4.0 * np.arctan2(g, h)
-    diff = pert - direct
-    k = np.round(diff / (2.0 * np.pi))
-    return float(np.max(np.abs(diff - 2.0 * np.pi * k)))
-
-
 # --- two-kink ---------------------------------------------------------------
 
 def two_kink(beta: float) -> SolutionSampler:
@@ -575,36 +546,3 @@ def linear_mode(name: str):
         raise ParameterError(f"unknown linear mode {name!r}; known: {LINEAR_MODE_NAMES}")
     modes = tuple(_table_mode(*row) for row in _LINEAR_MODES[name])
     return modes[0] if len(modes) == 1 else modes
-
-
-# --- Lorentz boost ----------------------------------------------------------
-
-def boost(sampler: SolutionSampler, beta: float) -> SolutionSampler:
-    """Lorentz boost (t, x) -> (gamma (t - beta x), gamma (x - beta t)).
-
-    Needs the sampler's analytic space derivative for the boosted time
-    derivative.
-    """
-    if not abs(beta) < 1:
-        raise ParameterError(f"boost speed needs |beta| < 1, got {beta}")
-    if sampler.dvalue_dx is None:
-        raise ParameterError(f"boost of {sampler.label!r} needs an analytic space derivative")
-    gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
-
-    def new_coords(t, x):
-        x = np.asarray(x, dtype=float)
-        return gamma * (t - beta * x), gamma * (x - beta * t)
-
-    def value(t, x):
-        tp, xp = new_coords(t, x)
-        return sampler.value(tp, xp)
-
-    def d_dt(t, x):
-        tp, xp = new_coords(t, x)
-        return gamma * (sampler.dvalue_dt(tp, xp) - beta * sampler.dvalue_dx(tp, xp))
-
-    def d_dx(t, x):
-        tp, xp = new_coords(t, x)
-        return gamma * (sampler.dvalue_dx(tp, xp) - beta * sampler.dvalue_dt(tp, xp))
-
-    return SolutionSampler(f"boost({sampler.label}, beta={beta})", value, d_dt, d_dx)

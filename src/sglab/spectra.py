@@ -168,27 +168,17 @@ def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSp
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
     lam_im = math.sqrt(1.5)  # lam = i * lam_im
-    x = grid.x
-    H = np.tanh(x / _SQRT2)
-    phi_re, phi_im = phi_pair
-    psi_re, psi_im = psi_pair
+    coeff = np.tanh(grid.x / _SQRT2) / _SQRT2
+    (phi_re, phi_im), (psi_re, psi_im) = phi_pair, psi_pair
+    e1_re, e2_re = _first_order_residuals(phi_re, psi_re, t, grid, coeff)
+    e1_im, e2_im = _first_order_residuals(phi_im, psi_im, t, grid, coeff)
 
     def val(s):
-        return np.asarray(s.value(t, x), dtype=float)
-
-    def vdt(s):
-        return np.asarray(s.dvalue_dt(t, x), dtype=float)
+        return np.asarray(s.value(t, grid.x), dtype=float)
 
     # lam * (a + i b) = i lam_im (a + i b) = -lam_im b + i lam_im a
-    e1_re = (_space_derivative(phi_re, t, grid) - vdt(psi_re)
-             + H / _SQRT2 * val(phi_re) + sign * (-lam_im * val(psi_im)))
-    e1_im = (_space_derivative(phi_im, t, grid) - vdt(psi_im)
-             + H / _SQRT2 * val(phi_im) + sign * (lam_im * val(psi_re)))
-    e2_re = (vdt(phi_re) - _space_derivative(psi_re, t, grid)
-             + H / _SQRT2 * val(psi_re) + sign * (-lam_im * val(phi_im)))
-    e2_im = (vdt(phi_im) - _space_derivative(psi_im, t, grid)
-             + H / _SQRT2 * val(psi_im) + sign * (lam_im * val(phi_re)))
-    return (e1_re, e1_im), (e2_re, e2_im)
+    return ((e1_re + sign * (-lam_im * val(psi_im)), e1_im + sign * (lam_im * val(psi_re))),
+            (e2_re + sign * (-lam_im * val(phi_im)), e2_im + sign * (lam_im * val(phi_re))))
 
 
 def wave_residual(phi: SolutionSampler, op: Union[SchrodingerOperator, float],

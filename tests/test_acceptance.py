@@ -357,7 +357,7 @@ def test_criterion_09_manifold_asymptotic_stability():
             # above the late-time measurement floor; the denominator is
             # floored at 1e-3 of its peak over the run
             rhs_peak = max(r.rhs_bound for r in records)
-            ratios = [r.lhs_rate / max(r.rhs_bound, 1e-3 * rhs_peak)
+            ratios = [abs(r.rho_rate) / max(r.rhs_bound, 1e-3 * rhs_peak)
                       for r in records]
             max_ratio = max(max_ratio, max(ratios))
         slopes.append(float(np.polyfit(np.log(etas), np.log(peaks), 1)[0]))
@@ -371,9 +371,7 @@ def test_criterion_09_manifold_asymptotic_stability():
         for eta in (0.08,):
             traj, records = manifold_run(gwide, eta * shape, 0.009, 200.0, 2.0, (-5.0, 5.0))
             mom_worst = max(mom_worst, float(np.max(np.abs(traj.momenta))))
-            first = records[0].local_norms[(-5.0, 5.0)]
-            last = records[-1].local_norms[(-5.0, 5.0)]
-            decay_worst = max(decay_worst, last / first)
+            decay_worst = max(decay_worst, records[-1].local_norm / records[0].local_norm)
 
     momentum_ok = mom_worst <= 1e-5
     slope_ok = all(abs(s - 2.0) <= 0.3 for s in slopes)

@@ -133,16 +133,24 @@ class TestCliCommands:
         assert [r[header.index("weighted_norm")] for r in rows] == [
             weighted_norm_sq(p, WeightSpec(0.7)) for p in pairs]
 
-    @pytest.mark.parametrize("payload", [
-        [1, 2],
-        {"version": 1, "grid": [1, 2]},
-        {"version": 1, "params": 3},
-        {"version": 1, "grid": {"n_points": "4001"}},
-        {"version": 1, "background": "static_kink"},
-    ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo"])
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("command,payload", [
+        ("evolve", [1, 2]),
+        ("evolve", {"version": 1, "grid": [1, 2]}),
+        ("evolve", {"version": 1, "params": 3}),
+        ("evolve", {"version": 1, "grid": {"n_points": "4001"}}),
+        ("evolve", {"version": 1, "background": "static_kink"}),
+        ("evolve", {"version": 1, "interval": 3}),
+        ("evolve", {"version": 1, "t_end": "1"}),
+        ("evolve", {"version": 1, "t_end": float("nan")}),
+        ("evolve", {"version": 1, "dt": "0.005"}),
+        ("evolve", {"version": 1, "snapshot_every": "x"}),
+        ("stability", {"version": 1, "experiment": "kink-manifold", "etas": 0.02}),
+    ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
+            "interval-number", "string-t-end", "nan-t-end", "string-dt",
+            "string-snapshot-every", "etas-number"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)
-        code = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not (tmp_path / "o").exists()

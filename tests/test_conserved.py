@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sglab.conserved import (
-    TopologicalState,
     energy,
     kink_profile_momentum,
     manifold_momentum,
     momentum,
 )
-from sglab.grids import ContractError, FieldState, GridSpec, ParameterError, PHI4, SINE_GORDON
+from sglab.grids import FieldState, GridSpec, ParameterError, PHI4, SINE_GORDON
 from sglab.solutions import KinkParams, breather, kink, phi4_kink
 
 
@@ -72,13 +71,6 @@ class TestManifoldMomentum:
         a = 1.0 + delta
         assert manifold_momentum(1.0 / a - 1.0) == pytest.approx(
             -manifold_momentum(delta), rel=1e-12, abs=1e-12)
-
-
-def test_topological_state_enforces_limits(grid40):
-    st = kink(KinkParams(0.0)).sample(grid40, 0.0)
-    TopologicalState(st, 0.0, 2 * np.pi)
-    with pytest.raises(ContractError):
-        TopologicalState(st, 0.0, 0.0)
 
 
 def test_energy_warns_on_nondecaying_boundary(grid40):

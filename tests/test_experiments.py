@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from sglab.experiments import (
     vacuum_rate_check,
     wobbler_family_distances,
 )
-from sglab.grids import GridSpec, ParameterError, SINE_GORDON
+from sglab.grids import (GridSpec, ParameterError, PerturbationPair, SINE_GORDON,
+                         local_energy_norm)
 from sglab.inputs import smooth_random
-from sglab.solutions import WobblerParams, wobbler
+from sglab.solutions import KinkParams, WobblerParams, kink_profile, wobbler
 
 
 def test_residual_study_kink_orders_are_two():
@@ -63,15 +65,19 @@ def test_unperturbed_wobbler_stays_at_scheme_floor():
 def small_manifold_run():
     grid = GridSpec(-20.0, 20.0, 4001)
     y0 = 0.04 * smooth_random(grid, "odd", 1.0, np.random.default_rng(1))
-    traj, records = manifold_run(grid, y0, 0.005, 2.0, 0.5, (-5.0, 5.0))
+    traj, records = manifold_run(grid, y0, 0.005, 2.0, 0.5, (-3.0, 4.0))
     return grid, y0, traj, records
 
 
 def test_manifold_run_tracks_every_snapshot(small_manifold_run):
-    _, _, traj, records = small_manifold_run
+    grid, _, traj, records = small_manifold_run
     assert len(traj) == len(records) == 5
     assert [r.t for r in records] == traj.times
-    assert all(set(r.local_norms) == {(-5.0, 5.0)} for r in records)
+    # each record's norm is the tracked remainder's, on the run's interval
+    for i, r in enumerate(records):
+        st, prof = traj.state(i), kink_profile(KinkParams(0.0, r.rho))
+        remainder = PerturbationPair(grid, st.u - prof.q(grid.x), st.v - prof.q_t(grid.x))
+        assert r.local_norm == local_energy_norm(remainder, (-3.0, 4.0))
     assert float(np.max(np.abs(traj.momenta))) <= 1e-5
 
 
@@ -97,3 +103,23 @@ def test_package_import_does_not_load_experiments():
                           "import sys, sglab; print('sglab.experiments' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_exactly_the_pinned_names():
+    # a name joins the namespace only with a caller outside the tests
+    public = {n for n, v in vars(sglab).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == set("""
+        BtParameter ContractError EvolveConfig FieldState GridSpec KinkFrame KinkParams
+        LiftReport Model ModulationRecord PHI4 ParameterError PerturbationPair SINE_GORDON
+        SchrodingerOperator SolutionSampler SolverError ThreeSolitonParams Trajectory
+        TubeExitError WeightSpec WobblerParams apply_operator breather bt_pair_residual
+        construct_manifold_data convergence_classifier derivative descend_kink_to_zero
+        descend_wobbler_to_breather discrete_spectrum energy evolve final_speed_from_delta
+        final_speed_from_momentum kink kink_phi4_dual_operator kink_phi4_operator
+        kink_profile kink_sg_operator lbt_residual_phi4 lbt_residual_phi4_dual
+        lbt_residual_sg lift_breather_to_wobbler lift_with_orthogonality lift_zero_to_kink
+        linear_mode local_energy_norm manifold_momentum momentum parity_check pde_residual
+        phi4_kink quadrature rho_rate_check second_derivative solve_shift
+        stilde_bound_check three_soliton tilde_residual track_modulation two_kink
+        wave_residual weighted_norm_sq wobbler zero_sampler""".split())

@@ -16,9 +16,9 @@ from sglab.grids import (
 from sglab.inputs import smooth_random
 from sglab.modulation import (
     TubeExitError,
+    _fit_shift,
     _mismatch,
     convergence_classifier,
-    decompose,
     rho_rate_check,
     solve_shift,
     stilde_bound_check,
@@ -87,10 +87,12 @@ class TestSolveShift:
 
 
 class TestDecompose:
+    # the remainder is the pair the tracker records: ``_fit_shift``'s, at its root
     def test_exact_kink_gives_zero_pair(self, grid40):
         prof = kink_profile(KinkParams(0.0, 0.2))
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
-        pair = decompose(st, 0.0, 0.2)
+        rho, _, pair = _fit_shift(st, 0.0, 0.2, 0.5)
+        assert rho == 0.2
         assert np.max(np.abs(pair.first)) == 0.0
         assert np.max(np.abs(pair.second)) == 0.0
 
@@ -98,9 +100,8 @@ class TestDecompose:
         beta = 0.1
         w = wobbler(WobblerParams(beta))
         st = w.sample(grid40, 0.0)
-        rho = solve_shift(st, 0.0, tube_radius=3.0)
+        rho, _, pair = _fit_shift(st, 0.0, 0.0, 3.0)
         assert abs(rho) < 1e-9
-        pair = decompose(st, 0.0, rho)
         k0 = kink(KinkParams(0.0))
         assert np.max(np.abs(pair.first
                              - (np.asarray(w.value(0.0, grid40.x))
@@ -111,8 +112,7 @@ class TestDecompose:
         rep, _ = zero_momentum_manifold_data(grid40, smooth_random(grid40, "odd", 0.05, rng))
         st = FieldState(0.0, grid40, kink_profile(KinkParams(0.0)).q(grid40.x)
                         + rep.result.first, rep.result.second)
-        rho = solve_shift(st, 0.0)
-        pair = decompose(st, 0.0, rho)
+        rho, _, pair = _fit_shift(st, 0.0, 0.0, 0.5)
         prof = kink_profile(KinkParams(0.0, rho))
         assert np.all(prof.q(grid40.x) + pair.first == st.u)
 
@@ -201,7 +201,7 @@ def test_rate_check_zero_run(grid40):
     # an unperturbed run has both sides of every rate bound identically zero
     from sglab.modulation import ModulationRecord
 
-    records = [ModulationRecord(t=float(k), rho=0.0, rho_rate=0.0, lhs_rate=0.0)
+    records = [ModulationRecord(t=float(k), rho=0.0, rho_rate=0.0)
                for k in range(5)]
     zero = PerturbationPair(grid40, np.zeros(grid40.n_points), np.zeros(grid40.n_points))
     out = rho_rate_check(records, [zero] * 5, 0.1)
