@@ -34,12 +34,15 @@ from .conserved import kink_profile_momentum, manifold_momentum, momentum
 from .evolution import EvolveConfig, KinkFrame, evolve
 from .experiments import (
     EXACT_FAMILIES,
+    SPECTRA,
     linear_transform_cases,
     manifold_run,
+    relative_drift,
     residual_study,
+    spectrum_ladder,
     transform_identity_cases,
     vacuum_rate_check,
-    wobbler_family_distances,
+    wobbler_orbit,
 )
 from .grids import (
     ContractError,
@@ -70,12 +73,6 @@ from .solutions import (
     two_kink,
     wobbler,
 )
-from .spectra import (
-    discrete_spectrum,
-    kink_phi4_dual_operator,
-    kink_phi4_operator,
-    kink_sg_operator,
-)
 
 PROBE_HEADER = ("t", "rho", "rho_rate", "energy", "momentum",
                 "local_norm_I", "weighted_norm")
@@ -84,6 +81,7 @@ PROBE_HEADER = ("t", "rho", "rho_rate", "energy", "momentum",
 _PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
                "wobbler-breather identity": "wobbler and breather linked at parameter 1",
                "sg linear": "kink-side resonance pair",
+               "zero-mode transform": "kink slope (zero mode) over the zero mode",
                "phi4 linear": "phi4 internal-mode/resonance pair",
                "phi4 dual": "dual resonance pair"}
 
@@ -105,22 +103,32 @@ def _reals(value, key, count=None):
     return tuple(value)
 
 
+def _number(value, key, low=None):
+    """A config value that must be a real number, or given `low` an integer >= low."""
+    if low is None and not isinstance(value, numbers.Real):
+        raise ParameterError(f"{key} must be a real number, got {value!r}")
+    if low is not None and not (isinstance(value, numbers.Integral) and value >= low):
+        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _sampler_from(cfg):
     name = cfg.get("solution", "kink")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ParameterError(f"params must be an object, got {params!r}")
+    beta = _number(params.get("beta", 0.0 if name == "kink" else 0.5), "params.beta")
     if name == "kink":
-        return kink(KinkParams(params.get("beta", 0.0), params.get("x0", 0.0))), SINE_GORDON
+        return kink(KinkParams(beta, _number(params.get("x0", 0.0), "params.x0"))), SINE_GORDON
     if name == "breather":
-        return breather(params.get("beta", 0.5)), SINE_GORDON
+        return breather(beta), SINE_GORDON
     if name == "wobbler":
-        return wobbler(WobblerParams(params.get("beta", 0.5))), SINE_GORDON
+        return wobbler(WobblerParams(beta)), SINE_GORDON
     if name == "two-kink":
-        return two_kink(params.get("beta", 0.5)), SINE_GORDON
+        return two_kink(beta), SINE_GORDON
     if name == "three-soliton":
-        return three_soliton(ThreeSolitonParams(params.get("beta", 0.5),
-                                                params.get("v", 0.4))), SINE_GORDON
+        v = _number(params.get("v", 0.4), "params.v")
+        return three_soliton(ThreeSolitonParams(beta, v)), SINE_GORDON
     if name == "phi4-kink":
         return phi4_kink(), PHI4
     raise ParameterError(f"unknown solution {name!r}")
@@ -133,7 +141,8 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     grid = _grid_from(cfg, n_points=8001)
     t = cfg.get("t", 0.7)
     dt = cfg.get("dt", grid.h)
-    levels = cfg.get("levels", 3)
+    levels = _number(cfg.get("levels", 3), "levels", 2)
+    betas = _reals(cfg.get("wobbler_betas", [0.1, 0.3, 0.5, 0.7, 0.9]), "wobbler_betas")
     table = []
     for name, sampler, model in EXACT_FAMILIES:
         residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
@@ -147,7 +156,7 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     bundle.tables["residual_refinement"] = (header, table)
 
     beta_rows = []
-    for beta in cfg.get("wobbler_betas", [0.1, 0.3, 0.5, 0.7, 0.9]):
+    for beta in betas:
         r = float(np.max(np.abs(pde_residual(wobbler(WobblerParams(beta)),
                                              SINE_GORDON, t, grid, dt))))
         beta_rows.append((beta, r))
@@ -167,8 +176,8 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-bt")
     grid = _grid_from(cfg)
     tol = 5e-6 * tol_scale
-    betas = cfg.get("betas", [0.1, 0.3, 0.5, 0.7])
-    times = cfg.get("times", [0.0, 1.3, 5.0])
+    betas = _reals(cfg.get("betas", [0.1, 0.3, 0.5, 0.7]), "betas")
+    times = _reals(cfg.get("times", [0.0, 1.3, 5.0]), "times")
 
     cases = (transform_identity_cases(grid, betas, times)
              + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points), 0.9))
@@ -180,24 +189,14 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
 def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
     grid = _grid_from(cfg, half_width=30.0)
-    cases = [("sg-kink", kink_sg_operator(), [0.0]),
-             ("phi4-kink", kink_phi4_operator(), [0.0, 1.5]),
-             ("phi4-kink-dual", kink_phi4_dual_operator(), [1.5])]
-    coarse = GridSpec(grid.x_min, grid.x_max, (grid.n_points - 1) // 2 + 1)
     table = []
-    for name, op, expected in cases:
-        values = [v for v, _ in discrete_spectrum(op, grid)]
+    for name, op, expected in SPECTRA:
+        values, orders = spectrum_ladder(op, grid, expected)
         bundle.check(f"{name} eigenvalue count", len(values), 0.5,
                      "discrete spectrum size", expected=len(expected))
         for v_exp, v_num in zip(expected, values):
             bundle.check(f"{name} eigenvalue near {v_exp}", v_num, 2e-3 * tol_scale,
                          "operator spectrum", expected=v_exp)
-        # convergence order of the topmost eigenvalue against the exact value,
-        # over the coarse, working and refined grids
-        tops = (discrete_spectrum(op, coarse)[-1][0], values[-1],
-                discrete_spectrum(op, grid.refined(2))[-1][0])
-        errs = [abs(v - expected[-1]) for v in tops]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         table.append((name, " ".join(repr(v) for v in values), *orders))
     bundle.tables["spectra"] = (["operator", "eigenvalues", "order_coarse", "order_fine"],
                                 table)
@@ -208,8 +207,8 @@ def _input_pair(cfg, grid, default_input):
     if "input_file" in cfg:
         return load_pair(cfg["input_file"])
     return named_pair(cfg.get("input", default_input), grid,
-                      amplitude=cfg.get("amplitude", 0.05), beta=cfg.get("beta", 0.5),
-                      t=cfg.get("t", 0.0), seed=cfg.get("seed", 0))
+                      amplitude=_number(cfg.get("amplitude", 0.05), "amplitude"),
+                      beta=cfg.get("beta", 0.5), t=cfg.get("t", 0.0), seed=cfg.get("seed", 0))
 
 
 def _transform_rows(bundle, name, kind, rep, tol_scale):
@@ -240,7 +239,7 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
     grid = pair.grid
     beta = cfg.get("beta", 0.5)
     t = cfg.get("t", 0.0)
-    max_iter = cfg.get("max_iter", 50)
+    max_iter = _number(cfg.get("max_iter", 50), "max_iter", 1)
     if kind == "zero-to-kink":
         rep = lift_zero_to_kink(grid, pair.first, pair.second, max_iter=max_iter)
     elif kind == "breather-to-wobbler":
@@ -319,7 +318,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
                         background=background,
                         snapshot_every=cfg.get("snapshot_every", 0.5))
     interval = _reals(cfg.get("interval", (-5.0, 5.0)), "interval", 2)
-    weight = WeightSpec(cfg.get("weight_rate", 0.5))
+    weight = WeightSpec(_number(cfg.get("weight_rate", 0.5), "weight_rate"))
     traj = evolve(sampler.sample(grid, 0.0), model, ecfg)
     pairs = [traj.perturbation(i) for i in range(len(traj))]
     local_norms = [local_energy_norm(pair, interval) for pair in pairs]
@@ -335,9 +334,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     columns = (traj.times, rho, rho_rate, traj.energies, traj.momenta,
                local_norms, weighted_norms)
     bundle.tables["run"] = (list(PROBE_HEADER), list(zip(*columns)))
-    energies = np.array(traj.energies)
-    drift = float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
-    bundle.check("relative energy drift", drift, 1e-5 * tol_scale,
+    bundle.check("relative energy drift", relative_drift(traj.energies), 1e-5 * tol_scale,
                  "conservation along the run")
     bundle.plots["energy"] = svg_line_plot(
         {"energy": (traj.times, traj.energies)}, title="energy", xlabel="t", ylabel="E")
@@ -347,7 +344,7 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
     etas = _reals(cfg.get("etas", [0.02, 0.04, 0.08]), "etas")
-    n_seeds = cfg.get("seeds", 2)
+    n_seeds = _number(cfg.get("seeds", 2), "seeds", 1)
     t_end = cfg.get("t_end", 60.0)
     dt = cfg.get("dt", 0.009)
     snapshot_every = cfg.get("snapshot_every", 0.5)
@@ -400,23 +397,13 @@ def _stability_manifold(cfg, tol_scale, bundle):
 
 def _stability_wobbler(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
-    x = grid.x
     beta = cfg.get("beta", 0.3)
-    eta = cfg.get("eta", 1e-3)
-    t_end = cfg.get("t_end", 40.0)
-    w = wobbler(WobblerParams(beta))
-    noise = smooth_random(grid, "odd", eta, np.random.default_rng(cfg["seed"]))
-    st = FieldState(0.0, grid,
-                    np.asarray(w.value(0.0, x)) + noise,
-                    np.asarray(w.dvalue_dt(0.0, x)))
-    traj = evolve(st, SINE_GORDON, EvolveConfig(
-        dt=cfg.get("dt", 0.01), t_end=t_end, background=KinkFrame(),
-        snapshot_every=cfg.get("snapshot_every", 1.0)))
-    period = 2.0 * math.pi / math.sqrt(1.0 - beta ** 2)
-    distances = wobbler_family_distances(traj, w, period)
+    eta = _number(cfg.get("eta", 1e-3), "eta")
+    traj, distances = wobbler_orbit(grid, beta, eta, np.random.default_rng(cfg["seed"]),
+                                    cfg.get("dt", 0.01), cfg.get("t_end", 40.0),
+                                    cfg.get("snapshot_every", 1.0))
     measured_c = max(distances) / eta
-    bundle.tables["wobbler_distance"] = (["t", "distance"],
-                                         list(zip(traj.times, distances)))
+    bundle.tables["wobbler_distance"] = (["t", "distance"], list(zip(traj.times, distances)))
     bundle.plots["wobbler_distance"] = svg_line_plot(
         {"distance": (traj.times, distances)},
         title=f"distance to time-shifted wobbler family, beta={beta}",
@@ -454,9 +441,7 @@ def _sweep_cell(payload):
             st = breather(0.5).sample(grid, 0.0)
             traj = evolve(st, SINE_GORDON,
                           EvolveConfig(dt=payload["dt"], t_end=payload["t_end"]))
-            e = np.array(traj.energies)
-            return {"n_points": n, "dt": payload["dt"],
-                    "drift": float(np.max(np.abs(e - e[0])) / e[0])}
+            return {"n_points": n, "dt": payload["dt"], "drift": relative_drift(traj.energies)}
         if kind == "three-soliton-limit":
             v = payload["v"]
             grid = GridSpec(-40.0, 40.0, payload.get("n_points", 4001))
@@ -475,17 +460,18 @@ def cmd_sweep(cfg, tol_scale, workers=1) -> ReportBundle:
     bundle = ReportBundle("sweep")
     kind = cfg.get("kind", "final-speed")
     if kind == "final-speed":
-        payloads = [{"kind": kind, "delta": d}
-                    for d in cfg.get("deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0])]
+        deltas = _reals(cfg.get("deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0]), "deltas")
+        payloads = [{"kind": kind, "delta": d} for d in deltas]
     elif kind == "energy-drift":
-        payloads = [{"kind": kind, "n_points": n, "dt": dt,
-                     "t_end": cfg.get("t_end", 10.0)}
-                    for n, dt in cfg.get("resolutions",
-                                         [(2001, 0.02), (4001, 0.01), (8001, 0.005)])]
+        res = cfg.get("resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])
+        # (n_points, dt) pairs; a bare value fails as one malformed pair
+        pairs = [_reals(r, "a resolution", 2) for r in (res if isinstance(res, list) else [res])]
+        payloads = [{"kind": kind, "n_points": _number(n, "n_points", 3), "dt": dt,
+                     "t_end": cfg.get("t_end", 10.0)} for n, dt in pairs]
     elif kind == "three-soliton-limit":
         payloads = [{"kind": kind, "v": v, "beta": cfg.get("beta", 0.5),
                      "t": cfg.get("t", 0.7), "n_points": cfg.get("n_points", 4001)}
-                    for v in cfg.get("speeds", [0.1, 0.01, 0.001])]
+                    for v in _reals(cfg.get("speeds", [0.1, 0.01, 0.001]), "speeds")]
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
     if workers > 1:

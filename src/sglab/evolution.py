@@ -65,6 +65,8 @@ class EvolveConfig:
             raise ParameterError("dt must be positive")
         if not self.t_end >= 0:
             raise ParameterError("t_end must be nonnegative")
+        if not self.snapshot_every > 0:
+            raise ParameterError("snapshot_every must be positive")
 
 
 @dataclass

@@ -13,17 +13,20 @@ import numpy as np
 
 from .backlund import BtParameter, bt_pair_residual, zero_momentum_manifold_data
 from .evolution import EvolveConfig, KinkFrame, evolve
-from .grids import (PHI4, SINE_GORDON, FieldState, ParameterError, PerturbationPair,
-                    local_energy_norm, pde_residual)
+from .grids import (PHI4, SINE_GORDON, FieldState, GridSpec, ParameterError,
+                    PerturbationPair, local_energy_norm, pde_residual)
+from .inputs import smooth_random
 from .modulation import rho_rate_check, track_modulation
 from .solutions import (KinkParams, ThreeSolitonParams, WobblerParams, breather, kink,
                         kink_profile, linear_mode, phi4_kink, three_soliton, two_kink,
                         wobbler, zero_sampler)
-from .spectra import lbt_residual_phi4, lbt_residual_phi4_dual, lbt_residual_sg
+from .spectra import (discrete_spectrum, kink_phi4_dual_operator, kink_phi4_operator,
+                      kink_sg_operator, lbt_residual_phi4, lbt_residual_phi4_dual,
+                      lbt_residual_sg)
 
-__all__ = ["EXACT_FAMILIES", "residual_study", "transform_identity_cases",
-           "linear_transform_cases", "wobbler_family_distances", "manifold_run",
-           "vacuum_rate_check"]
+__all__ = ["EXACT_FAMILIES", "SPECTRA", "residual_study", "transform_identity_cases",
+           "linear_transform_cases", "spectrum_ladder", "relative_drift", "wobbler_orbit",
+           "manifold_run", "vacuum_rate_check"]
 
 #: (name, sampler, model) of the six closed-form families
 EXACT_FAMILIES = (
@@ -33,6 +36,13 @@ EXACT_FAMILIES = (
     ("two-kink", two_kink(0.5), SINE_GORDON),
     ("three-soliton", three_soliton(ThreeSolitonParams(0.5, 0.4)), SINE_GORDON),
     ("phi4-kink", phi4_kink(), PHI4),
+)
+
+#: (name, operator, exact discrete eigenvalues) of the three kink operators
+SPECTRA = (
+    ("sg-kink", kink_sg_operator(), (0.0,)),
+    ("phi4-kink", kink_phi4_operator(), (0.0, 1.5)),
+    ("phi4-kink-dual", kink_phi4_dual_operator(), (1.5,)),
 )
 
 
@@ -67,13 +77,16 @@ def transform_identity_cases(grid, betas, times):
 
 def linear_transform_cases(grid, t):
     """(label, max residual) of the closed-form linear-mode pairs in their
-    first-order systems at time t: around the sine-Gordon kink, around the
-    phi^4 kink, and the phi^4 dual pairs."""
-    m = linear_mode
+    first-order systems at time t: around the sine-Gordon kink, the kink
+    slopes over the zero mode, around the phi^4 kink, and the dual pairs."""
+    m, zero = linear_mode, zero_sampler()
     cases = [
         ("sg linear transform (L,M)", lbt_residual_sg(m("L"), m("M"), t, grid)),
         ("sg linear transform (L-alt,M-alt)", lbt_residual_sg(m("L-alt"), m("M-alt"), t, grid)),
+        ("zero-mode transform (Q-slope,0)", lbt_residual_sg(m("Q-slope"), zero, t, grid)),
+        ("zero-mode transform (H-slope,0)", lbt_residual_phi4(m("H-slope"), zero, t, grid)),
         ("phi4 linear transform (Y1,Y0)", lbt_residual_phi4(*m("Y1-sin-pair"), t, grid)),
+        ("phi4 linear transform (Y1-cos,Y0-sin)", lbt_residual_phi4(*m("Y1-cos-pair"), t, grid)),
         ("phi4 linear transform (L4,M4)", lbt_residual_phi4(m("L4"), m("M4"), t, grid)),
         ("phi4 linear transform (L4-alt,M4-alt)",
          lbt_residual_phi4(m("L4-alt"), m("M4-alt"), t, grid)),
@@ -85,14 +98,34 @@ def linear_transform_cases(grid, t):
             for label, residuals in cases]
 
 
-def wobbler_family_distances(traj, wobbler_sampler, period):
-    """Local energy distance of each snapshot's full field to the nearest
-    time-shifted member of the wobbler family.
+def spectrum_ladder(op, grid, exact):
+    """Eigenvalues of `op` on `grid`, and the two orders of its top eigenvalue
+    against exact[-1] over `grid` halved, `grid` and `grid` doubled."""
+    values = [v for v, _ in discrete_spectrum(op, grid)]
+    coarse = GridSpec(grid.x_min, grid.x_max, (grid.n_points - 1) // 2 + 1)
+    tops = (discrete_spectrum(op, coarse)[-1][0], values[-1],
+            discrete_spectrum(op, grid.refined(2))[-1][0])
+    errs = [abs(v - exact[-1]) for v in tops]
+    return values, [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
-    The shift tau runs over one period: a 41-point scan brackets the minimum,
-    40 ternary steps refine it.
-    """
-    grid, x, w = traj.grid, traj.grid.x, wobbler_sampler
+
+def relative_drift(energies):
+    """max |E - E0| / |E0| over an energy log, with |E0| floored at 1e-300."""
+    e = np.asarray(energies)
+    return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-300))
+
+
+def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
+    """Evolve the wobbler plus odd noise of size eta (drawn from rng) in the
+    static kink frame.  Returns the trajectory and each snapshot's local energy
+    distance to the nearest time-shifted wobbler: over one period, a 41-point
+    scan brackets the shift and 40 ternary steps refine it."""
+    x, w = grid.x, wobbler(WobblerParams(beta))
+    u0 = np.asarray(w.value(0.0, x)) + smooth_random(grid, "odd", eta, rng)
+    traj = evolve(FieldState(0.0, grid, u0, np.asarray(w.dvalue_dt(0.0, x))), SINE_GORDON,
+                  EvolveConfig(dt=dt, t_end=t_end, background=KinkFrame(),
+                               snapshot_every=snapshot_every))
+    period = 2.0 * math.pi / math.sqrt(1.0 - beta ** 2)
     distances = []
     for i in range(len(traj)):
         state = traj.state(i)
@@ -113,7 +146,7 @@ def wobbler_family_distances(traj, wobbler_sampler, period):
             else:
                 lo = m1
         distances.append(dist(0.5 * (lo + hi)))
-    return distances
+    return traj, distances
 
 
 def manifold_run(grid, y0, dt, t_end, snapshot_every, interval):

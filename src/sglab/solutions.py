@@ -496,6 +496,9 @@ _MODE_PROFILES = {
            lambda x: (1.0 / _SQRT3 / _SQRT2) * _sech_s(x) * _tanh_s(x)),
     "Y1": (lambda x: _sech_s(x) * _tanh_s(x),
            lambda x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2)),
+    # the kink slopes 2 sech x and H' = sech^2(x/sqrt 2)/sqrt 2: the zero modes
+    "Q-slope": (lambda x: 2.0 * _sech(x), lambda x: -2.0 * np.tanh(x) * _sech(x)),
+    "H-slope": (lambda x: _sech_s(x) ** 2 / _SQRT2, lambda x: -_tanh_s(x) * _sech_s(x) ** 2),
     "resonance": (lambda x: 1.0 - 1.5 * _sech_s(x) ** 2,
                   lambda x: (3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x)),
     "tanh_s": (_tanh_s, lambda x: (1.0 / _SQRT2) * _sech_s(x) ** 2),
@@ -512,8 +515,12 @@ _LINEAR_MODES = {
     "M-alt": (("M-alt", "one", 1.0, 0),),
     "Y0": (("Y0", "Y0", 0.0, 0),),
     "Y1": (("Y1", "Y1", 0.0, 0),),
+    "Q-slope": (("Q-slope", "Q-slope", 0.0, 0),),
+    "H-slope": (("H-slope", "H-slope", 0.0, 0),),
     "Y1-sin-pair": (("Y1-sin", "Y1", _OMEGA_INTERNAL, 1),
                     ("Y0-cos", "Y0", _OMEGA_INTERNAL, 0)),
+    "Y1-cos-pair": (("Y1-cos", "Y1", _OMEGA_INTERNAL, 0),
+                    ("Y0-sin", "Y0", _OMEGA_INTERNAL, 3)),
     "L4": (("L4", "resonance", _SQRT2, 3),),
     "M4": (("M4", "tanh_s", _SQRT2, 0),),
     "L4-alt": (("L4-alt", "resonance", _SQRT2, 2),),
@@ -538,7 +545,8 @@ def _table_mode(label, profile, omega, k):
 def linear_mode(name: str):
     """Closed-form linear modes around the kinks and the vacua.
 
-    Real modes return one sampler.  ``Y1-sin-pair`` returns the oscillating
+    Real modes return one sampler.  ``Y1-sin-pair`` (Y1 sin wt with Y0 cos wt)
+    and ``Y1-cos-pair`` (Y1 cos wt with -Y0 sin wt) return the oscillating
     internal-mode pair (two samplers).  Complex modes return a (real part,
     imaginary part) tuple of samplers.
     """

@@ -24,12 +24,15 @@ from sglab.conserved import energy, manifold_momentum, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import (
     EXACT_FAMILIES,
+    SPECTRA,
     linear_transform_cases,
     manifold_run,
+    relative_drift,
     residual_study,
+    spectrum_ladder,
     transform_identity_cases,
     vacuum_rate_check,
-    wobbler_family_distances,
+    wobbler_orbit,
 )
 from sglab.grids import (
     FieldState,
@@ -45,7 +48,6 @@ from sglab.grids import (
 from sglab.inputs import smooth_random
 from sglab.solutions import (
     KinkParams,
-    SolutionSampler,
     ThreeSolitonParams,
     WobblerParams,
     breather,
@@ -56,15 +58,11 @@ from sglab.solutions import (
     three_soliton,
     two_kink,
     wobbler,
-    zero_sampler,
 )
 from sglab.spectra import (
-    discrete_spectrum,
     kink_phi4_dual_operator,
     kink_phi4_operator,
     kink_sg_operator,
-    lbt_residual_phi4,
-    lbt_residual_sg,
     wave_residual,
 )
 
@@ -97,47 +95,11 @@ def test_criterion_02_transform_identity_suite(grid40):
 
 
 def test_criterion_03_linear_transform_suite():
-    """All nine closed-form mode pairs satisfy their first-order systems to
+    """The ten closed-form mode pairs of ``linear_transform_cases`` (kink-side,
+    zero-mode, internal-mode and dual) satisfy their first-order systems to
     5e-6, and the implied second-order wave equations hold at the same level."""
-    g = GridSpec(-30.0, 30.0, 4001)
     t = 0.9
-    omega = math.sqrt(1.5)
-    y1, y0 = linear_mode("Y1"), linear_mode("Y0")
-
-    def scale_mode(base, factor, d_factor):
-        return SolutionSampler(
-            base.label + "-scaled",
-            lambda tt, x: np.asarray(base.value(0.0, x)) * factor(tt),
-            lambda tt, x: np.asarray(base.value(0.0, x)) * d_factor(tt),
-            lambda tt, x: np.asarray(base.dvalue_dx(0.0, x)) * factor(tt),
-        )
-
-    q_slope = SolutionSampler(
-        "Q-slope",
-        lambda tt, x: 2.0 / np.cosh(np.asarray(x, dtype=float)),
-        lambda tt, x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda tt, x: -2.0 * np.tanh(np.asarray(x, dtype=float))
-        / np.cosh(np.asarray(x, dtype=float)),
-    )
-    h_slope = SolutionSampler(
-        "H-slope",
-        lambda tt, x: (1.0 / np.cosh(np.asarray(x, dtype=float) / math.sqrt(2))) ** 2
-        / math.sqrt(2),
-        lambda tt, x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda tt, x: -np.tanh(np.asarray(x, dtype=float) / math.sqrt(2))
-        * (1.0 / np.cosh(np.asarray(x, dtype=float) / math.sqrt(2))) ** 2,
-    )
-    pair57_alt = (scale_mode(y1, lambda tt: np.cos(omega * tt),
-                             lambda tt: -omega * np.sin(omega * tt)),
-                  scale_mode(y0, lambda tt: -np.sin(omega * tt),
-                             lambda tt: -omega * np.cos(omega * tt)))
-    # the seven pairs that verify-bt checks, plus the kink slopes (with the
-    # zero mode on the vacuum side) and the cos-phase internal-mode pair
-    worst = max(value for _, value in linear_transform_cases(g, t))
-    for residual, phi, psi in ((lbt_residual_sg, q_slope, zero_sampler()),
-                               (lbt_residual_phi4, h_slope, zero_sampler()),
-                               (lbt_residual_phi4, *pair57_alt)):
-        worst = max(worst, *(float(np.max(np.abs(e))) for e in residual(phi, psi, t, g)))
+    worst = max(value for _, value in linear_transform_cases(GridSpec(-30.0, 30.0, 4001), t))
 
     # second-order companions on a finer grid where the h^2 floor is below tol
     gf = GridSpec(-30.0, 30.0, 30001)
@@ -163,24 +125,16 @@ def test_criterion_04_spectral_suite():
     g = GridSpec(-30.0, 30.0, 4001)
     ok = True
     details = []
-    cases = [("sg-kink", kink_sg_operator(), [0.0]),
-             ("phi4-kink", kink_phi4_operator(), [0.0, 1.5]),
-             ("phi4-dual", kink_phi4_dual_operator(), [1.5])]
-    for name, op, expected in cases:
-        values = [v for v, _ in discrete_spectrum(op, g)]
-        ok &= len(values) == len(expected)
-        errs = [abs(v - e) for v, e in zip(values, expected)]
-        ok &= all(e <= 2e-3 for e in errs)
-        details.append(f"{name} {['%.5f' % v for v in values]}")
-    dual_low = [v for v, _ in discrete_spectrum(kink_phi4_dual_operator(), g)
-                if -0.1 <= v <= 1.3]
-    ok &= dual_low == []
-    conv = []
-    for n in (2001, 4001, 8001):
-        vals = [v for v, _ in discrete_spectrum(kink_phi4_operator(),
-                                                GridSpec(-30.0, 30.0, n))]
-        conv.append(abs(vals[-1] - 1.5))
-    orders = [math.log2(conv[i] / conv[i + 1]) for i in range(2)]
+    ladders = {name: spectrum_ladder(op, g, exact) for name, op, exact in SPECTRA}
+    for name, _, exact in SPECTRA:
+        values = ladders[name][0]
+        ok &= len(values) == len(exact)
+        ok &= all(abs(v - e) <= 2e-3 for v, e in zip(values, exact))
+        details.append(f"{name.replace('-kink-dual', '-dual')} "
+                       f"{['%.5f' % v for v in values]}")
+    ok &= [v for v in ladders["phi4-kink-dual"][0] if -0.1 <= v <= 1.3] == []
+    # the internal mode's eigenvalue over n = 2001, 4001 and 8001
+    orders = ladders["phi4-kink"][1]
     ok &= min(orders) >= 1.9
     details.append(f"internal-mode convergence orders {orders[0]:.2f}/{orders[1]:.2f}")
     report(4, ok, "; ".join(details))
@@ -283,8 +237,7 @@ def test_criterion_07_conservation():
         traj = evolve(sampler.sample(g, 0.0), model,
                       EvolveConfig(dt=dt, t_end=50.0, background=frame,
                                    snapshot_every=2.0))
-        e = np.array(traj.energies)
-        worst_drift = max(worst_drift, float(np.max(np.abs(e - e[0])) / abs(e[0])))
+        worst_drift = max(worst_drift, relative_drift(traj.energies))
 
     grev = GridSpec(-60.0, 60.0, 6001)
     st = breather(0.5).sample(grev, 0.0)
@@ -315,19 +268,10 @@ def test_criterion_08_wobbler_periodicity_and_orbital_stability():
     dv = traj.v_snaps[-1] - (np.asarray(w.dvalue_dt(t_end, gp.x)) - q_t)
     period_err = local_energy_norm(PerturbationPair(gp, du, dv))
 
-    beta = 0.3
     eta = 1e-3
-    w = wobbler(WobblerParams(beta))
-    period = 2 * math.pi / math.sqrt(1 - beta ** 2)
-    g = GridSpec(-40.0, 40.0, 4001)
-    rng = np.random.default_rng(88)
-    noise = smooth_random(g, "odd", eta, rng)
-    st = FieldState(0.0, g, np.asarray(w.value(0.0, g.x)) + noise,
-                    np.asarray(w.dvalue_dt(0.0, g.x)))
-    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=100.0,
-                                                background=KinkFrame(),
-                                                snapshot_every=2.0))
-    measured_c = max(wobbler_family_distances(traj, w, period)) / eta
+    _, distances = wobbler_orbit(GridSpec(-40.0, 40.0, 4001), 0.3, eta,
+                                 np.random.default_rng(88), 0.01, 100.0, 2.0)
+    measured_c = max(distances) / eta
     # C measured once at this configuration (5.7; 5.4 at twice the
     # resolution) and pinned with regression margin
     ok = period_err <= 1e-4 and measured_c <= 8.0

@@ -12,6 +12,7 @@ import pytest
 import sglab
 from sglab.cli import PROBE_HEADER, main
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab.experiments import SPECTRA, linear_transform_cases, spectrum_ladder, wobbler_orbit
 from sglab.grids import SINE_GORDON, GridSpec, WeightSpec, local_energy_norm, weighted_norm_sq
 from sglab.reports import ReportBundle, svg_line_plot, write_csv
 from sglab.solutions import WobblerParams, wobbler
@@ -145,9 +146,24 @@ class TestCliCommands:
         ("evolve", {"version": 1, "dt": "0.005"}),
         ("evolve", {"version": 1, "snapshot_every": "x"}),
         ("stability", {"version": 1, "experiment": "kink-manifold", "etas": 0.02}),
+        ("stability", {"seeds": "2"}), ("stability", {"seeds": 0}),
+        ("verify-exact", {"levels": "3"}), ("verify-exact", {"levels": 1}),
+        ("verify-exact", {"wobbler_betas": 0.3}), ("verify-bt", {"betas": 0.3}),
+        ("verify-bt", {"times": "0"}), ("sweep", {"deltas": 0.5}),
+        ("sweep", {"kind": "energy-drift", "resolutions": [2001]}),
+        ("sweep", {"kind": "three-soliton-limit", "speeds": "0.1"}),
+        ("evolve", {"params": {"beta": "0.5"}}), ("evolve", {"weight_rate": "0.5"}),
+        ("lift", {"amplitude": "0.05"}), ("lift", {"max_iter": "5"}),
+        ("stability", {"experiment": "wobbler", "eta": "0.001"}),
+        ("evolve", {"snapshot_every": -1, "t_end": 1}),
+        ("evolve", {"snapshot_every": 0, "t_end": 1}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
-            "string-snapshot-every", "etas-number"])
+            "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
+            "string-levels", "one-level", "wobbler-betas-number", "betas-number", "string-times",
+            "deltas-number", "flat-resolutions", "string-speeds", "string-params-beta",
+            "string-weight-rate", "string-amplitude", "string-max-iter", "string-eta",
+            "negative-snapshot-every", "zero-snapshot-every"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
@@ -225,20 +241,35 @@ class TestCliCommands:
         failed = [c["name"] for c in rows if not c["passed"]]
         assert len(failed) == 5 and all(n.endswith("finest residual") for n in failed)
 
+    _SMALL_WOBBLER = {"version": 1, "experiment": "wobbler", "t_end": 6.0, "dt": 0.02,
+                      "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
+                      "snapshot_every": 2.0}
+
     def test_stability_wobbler_small(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "experiment": "wobbler", "t_end": 6.0, "dt": 0.02,
-            "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
-            "snapshot_every": 2.0})
+        cfg = write_config(tmp_path, "c.json", self._SMALL_WOBBLER)
         assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "wobbler_distance.csv").exists()
         assert (tmp_path / "o" / "wobbler_distance.svg").exists()
 
+    def test_recipes_render_their_cells(self, tmp_path):
+        # the CLI tables hold exactly what the shared experiment cells return
+        cfg = write_config(tmp_path, "c.json", self._SMALL_WOBBLER)
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+        rows = (tmp_path / "w" / "wobbler_distance.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == wobbler_orbit(
+            GridSpec(-40.0, 40.0, 2001), 0.3, 1e-3, np.random.default_rng(0), 0.02, 6.0, 2.0)[1]
+        assert main(["spectrum", "--out", str(tmp_path / "s")]) == 0
+        rows = (tmp_path / "s" / "spectra.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in r.split(",")[2:]] for r in rows] == [
+            spectrum_ladder(op, GridSpec(-30.0, 30.0, 4001), exact)[1] for _, op, exact in SPECTRA]
+        assert main(["verify-bt", "--out", str(tmp_path / "b")]) == 0
+        checks = json.loads((tmp_path / "b" / "summary.json").read_text())["checks"]
+        assert [c["name"] for c in checks if "identity" not in c["name"]] == [
+            label for label, _ in linear_transform_cases(GridSpec(-30.0, 30.0, 4001), 0.9)]
+
     def test_config_seed_wins_over_flag(self, tmp_path):
         # the wobbler noise seeds from the config's "seed" like every other draw
-        base = {"version": 1, "experiment": "wobbler", "t_end": 2.0, "dt": 0.02,
-                "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 2001},
-                "snapshot_every": 1.0}
+        base = {**self._SMALL_WOBBLER, "t_end": 2.0, "snapshot_every": 1.0}
         plain = write_config(tmp_path, "plain.json", base)
         seeded = write_config(tmp_path, "seeded.json", {**base, "seed": 5})
         runs = {"config": (seeded, "0"), "flag": (plain, "5"), "other": (plain, "0")}

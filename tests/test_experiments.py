@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import sglab
-from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab import experiments
 from sglab.experiments import (
     EXACT_FAMILIES,
     linear_transform_cases,
@@ -17,12 +16,11 @@ from sglab.experiments import (
     residual_study,
     transform_identity_cases,
     vacuum_rate_check,
-    wobbler_family_distances,
+    wobbler_orbit,
 )
-from sglab.grids import (GridSpec, ParameterError, PerturbationPair, SINE_GORDON,
-                         local_energy_norm)
+from sglab.grids import GridSpec, ParameterError, PerturbationPair, local_energy_norm
 from sglab.inputs import smooth_random
-from sglab.solutions import KinkParams, WobblerParams, kink_profile, wobbler
+from sglab.solutions import KinkParams, kink_profile
 
 
 def test_residual_study_kink_orders_are_two():
@@ -41,21 +39,18 @@ def test_transform_cases_are_at_round_off():
         "wobbler-breather identity beta=0.3 t=1.3"]
     linear = linear_transform_cases(GridSpec(-30.0, 30.0, 801), 0.9)
     assert [label.split(" (")[0] for label, _ in linear] == (
-        ["sg linear transform"] * 2 + ["phi4 linear transform"] * 3
+        ["sg linear transform"] * 2 + ["zero-mode transform"] * 2
+        + ["phi4 linear transform"] * 4
         + ["phi4 dual transform sign=+1", "phi4 dual transform sign=-1"])
     assert all(value <= 1e-13 for _, value in identity + linear)
 
 
 def test_unperturbed_wobbler_stays_at_scheme_floor():
     # measured: 7.5e-9 at t = 0 (the search's resolution in the shift), and
-    # at most 8.0e-4 over T = 8 at h = 0.04, dt = 0.02 (2.0e-4 at half of both)
-    beta = 0.3
-    w = wobbler(WobblerParams(beta))
-    grid = GridSpec(-40.0, 40.0, 2001)
-    traj = evolve(w.sample(grid, 0.0), SINE_GORDON,
-                  EvolveConfig(dt=0.02, t_end=8.0, background=KinkFrame(),
-                               snapshot_every=2.0))
-    distances = wobbler_family_distances(traj, w, 2.0 * math.pi / math.sqrt(1.0 - beta ** 2))
+    # at most 8.0e-4 over T = 8 at h = 0.04, dt = 0.02 (2.0e-4 at half of both);
+    # eta = 0 adds signed zeros, which leave the wobbler's samples unchanged
+    traj, distances = wobbler_orbit(GridSpec(-40.0, 40.0, 2001), 0.3, 0.0,
+                                    np.random.default_rng(0), 0.02, 8.0, 2.0)
     assert len(distances) == len(traj) == 5
     assert distances[0] <= 1e-7
     assert max(distances) <= 1.2e-3
@@ -123,3 +118,11 @@ def test_package_exports_exactly_the_pinned_names():
         phi4_kink quadrature rho_rate_check second_derivative solve_shift
         stilde_bound_check three_soliton tilde_residual track_modulation two_kink
         wave_residual weighted_norm_sq wobbler zero_sampler""".split())
+
+
+def test_experiments_exports_exactly_the_pinned_cells():
+    # a cell joins only with a recipe and a criterion that call it
+    assert set(experiments.__all__) == {
+        "EXACT_FAMILIES", "SPECTRA", "residual_study", "transform_identity_cases",
+        "linear_transform_cases", "spectrum_ladder", "relative_drift", "wobbler_orbit",
+        "manifold_run", "vacuum_rate_check"}
