@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .grids import (
     ContractError,
     FieldState,
     GridSpec,
+    Model,
     ParameterError,
     SINE_GORDON,
     PHI4,
@@ -86,40 +88,53 @@ _PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
                "phi4 dual": "dual resonance pair"}
 
 
-def _grid_from(cfg, n_points=4001, half_width=40.0) -> GridSpec:
-    g = cfg.get("grid", {})
-    if not isinstance(g, dict):
-        raise ParameterError(f"grid must be an object, got {g!r}")
-    return GridSpec(g.get("x_min", -half_width), g.get("x_max", half_width),
-                    g.get("n_points", n_points))
+_KINDS = {bool: "a boolean", numbers.Integral: "an integer", numbers.Real: "a real number",
+          str: "a string", dict: "a JSON object"}
 
 
-def _reals(value, key, count=None):
-    """A config value that must be a list of real numbers (of `count` of them)."""
-    if (not isinstance(value, (list, tuple)) or count not in (None, len(value))
-            or not all(isinstance(v, numbers.Real) for v in value)):
-        raise ParameterError(f"{key} must be a list of {count or 'any number of'} "
-                             f"real numbers, got {value!r}")
-    return tuple(value)
+def _like(value, template) -> bool:
+    """Whether `value` has the kind of `template`: a list of items like its first
+    item, a sequence like a tuple position by position, or a scalar of its kind
+    (never a bool in place of a number)."""
+    if isinstance(template, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(template)
+                and all(map(_like, value, template)))
+    if isinstance(template, list):
+        return isinstance(value, list) and all(_like(v, template[0]) for v in value)
+    kind = next(k for k in _KINDS if isinstance(template, k))
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _number(value, key, low=None):
-    """A config value that must be a real number, or given `low` an integer >= low."""
-    if low is None and not isinstance(value, numbers.Real):
-        raise ParameterError(f"{key} must be a real number, got {value!r}")
-    if low is not None and not (isinstance(value, numbers.Integral) and value >= low):
-        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+def _describe(template) -> str:
+    if isinstance(template, tuple):
+        return "[" + ", ".join(map(_describe, template)) + "]"
+    if isinstance(template, list):
+        return f"a list, each item {_describe(template[0])}"
+    return next(name for k, name in _KINDS.items() if isinstance(template, k))
+
+
+def _get(cfg, key, default, low=None):
+    """The config value at `key` (``grid.x_min`` names a key of the ``grid``
+    object), or `default` when it is absent. The value must have the kind of
+    `default`, and be at least `low` when given."""
+    parent, _, name = key.rpartition(".")
+    value = (_get(cfg, parent, {}) if parent else cfg).get(name, default)
+    if not _like(value, default) or (low is not None and value < low):
+        raise ParameterError(f"{key} must be {_describe(default)}"
+                             f"{'' if low is None else f' >= {low}'}, got {value!r}")
     return value
 
 
+def _grid_from(cfg, n_points=4001, half_width=40.0) -> GridSpec:
+    return GridSpec(_get(cfg, "grid.x_min", -half_width), _get(cfg, "grid.x_max", half_width),
+                    _get(cfg, "grid.n_points", n_points))
+
+
 def _sampler_from(cfg):
-    name = cfg.get("solution", "kink")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ParameterError(f"params must be an object, got {params!r}")
-    beta = _number(params.get("beta", 0.0 if name == "kink" else 0.5), "params.beta")
+    name = _get(cfg, "solution", "kink")
+    beta = _get(cfg, "params.beta", 0.0 if name == "kink" else 0.5)
     if name == "kink":
-        return kink(KinkParams(beta, _number(params.get("x0", 0.0), "params.x0"))), SINE_GORDON
+        return kink(KinkParams(beta, _get(cfg, "params.x0", 0.0))), SINE_GORDON
     if name == "breather":
         return breather(beta), SINE_GORDON
     if name == "wobbler":
@@ -127,8 +142,7 @@ def _sampler_from(cfg):
     if name == "two-kink":
         return two_kink(beta), SINE_GORDON
     if name == "three-soliton":
-        v = _number(params.get("v", 0.4), "params.v")
-        return three_soliton(ThreeSolitonParams(beta, v)), SINE_GORDON
+        return three_soliton(ThreeSolitonParams(beta, _get(cfg, "params.v", 0.4))), SINE_GORDON
     if name == "phi4-kink":
         return phi4_kink(), PHI4
     raise ParameterError(f"unknown solution {name!r}")
@@ -139,10 +153,10 @@ def _sampler_from(cfg):
 def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-exact")
     grid = _grid_from(cfg, n_points=8001)
-    t = cfg.get("t", 0.7)
-    dt = cfg.get("dt", grid.h)
-    levels = _number(cfg.get("levels", 3), "levels", 2)
-    betas = _reals(cfg.get("wobbler_betas", [0.1, 0.3, 0.5, 0.7, 0.9]), "wobbler_betas")
+    t = _get(cfg, "t", 0.7)
+    dt = _get(cfg, "dt", grid.h)
+    levels = _get(cfg, "levels", 3, 2)
+    betas = _get(cfg, "wobbler_betas", [0.1, 0.3, 0.5, 0.7, 0.9])
     table = []
     for name, sampler, model in EXACT_FAMILIES:
         residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
@@ -176,8 +190,8 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("verify-bt")
     grid = _grid_from(cfg)
     tol = 5e-6 * tol_scale
-    betas = _reals(cfg.get("betas", [0.1, 0.3, 0.5, 0.7]), "betas")
-    times = _reals(cfg.get("times", [0.0, 1.3, 5.0]), "times")
+    betas = _get(cfg, "betas", [0.1, 0.3, 0.5, 0.7])
+    times = _get(cfg, "times", [0.0, 1.3, 5.0])
 
     cases = (transform_identity_cases(grid, betas, times)
              + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points), 0.9))
@@ -205,10 +219,15 @@ def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
 
 def _input_pair(cfg, grid, default_input):
     if "input_file" in cfg:
-        return load_pair(cfg["input_file"])
-    return named_pair(cfg.get("input", default_input), grid,
-                      amplitude=_number(cfg.get("amplitude", 0.05), "amplitude"),
-                      beta=cfg.get("beta", 0.5), t=cfg.get("t", 0.0), seed=cfg.get("seed", 0))
+        path = _get(cfg, "input_file", "")
+        try:
+            return load_pair(path)
+        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            raise ParameterError(f"input_file {path!r} holds no saved pair "
+                                 f"({type(exc).__name__}: {exc})") from exc
+    return named_pair(_get(cfg, "input", default_input), grid,
+                      amplitude=_get(cfg, "amplitude", 0.05), beta=_get(cfg, "beta", 0.5),
+                      t=_get(cfg, "t", 0.0), seed=_get(cfg, "seed", 0, 0))
 
 
 def _transform_rows(bundle, name, kind, rep, tol_scale):
@@ -230,34 +249,34 @@ def _transform_rows(bundle, name, kind, rep, tol_scale):
 
 def cmd_lift(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("lift")
-    kind = cfg.get("map", "zero-to-kink")
+    kind = _get(cfg, "map", "zero-to-kink")
     if kind == "manifold":
         # the map takes odd data, and its momentum row holds on criterion 5's grid
         pair = _input_pair(cfg, _grid_from(cfg, n_points=48001), "odd-bump")
     else:
         pair = _input_pair(cfg, _grid_from(cfg), "even-bump")
     grid = pair.grid
-    beta = cfg.get("beta", 0.5)
-    t = cfg.get("t", 0.0)
-    max_iter = _number(cfg.get("max_iter", 50), "max_iter", 1)
+    beta = _get(cfg, "beta", 0.5)
+    t = _get(cfg, "t", 0.0)
+    max_iter = _get(cfg, "max_iter", 50, 1)
     if kind == "zero-to-kink":
         rep = lift_zero_to_kink(grid, pair.first, pair.second, max_iter=max_iter)
     elif kind == "breather-to-wobbler":
         rep = lift_breather_to_wobbler(grid, pair.first, pair.second, beta, t,
                                        max_iter=max_iter)
     elif kind == "manifold":
-        rep = construct_manifold_data(grid, pair.first, pair.second, cfg.get("delta", 0.0))
+        delta = _get(cfg, "delta", 0.0)
+        rep = construct_manifold_data(grid, pair.first, pair.second, delta)
         st = FieldState(0.0, grid,
                         kink_profile(KinkParams(0.0, 0.0)).q(grid.x) + rep.result.first,
                         rep.result.second)
         bundle.check("momentum matches closed form",
                      momentum(st), 1e-6 * tol_scale,
                      "momentum of lifted data",
-                     expected=manifold_momentum(cfg.get("delta", 0.0)))
+                     expected=manifold_momentum(delta))
     elif kind == "orthogonal":
-        rep = lift_with_orthogonality(grid, pair.first, pair.second,
-                                      cfg.get("delta", 0.0), beta,
-                                      cfg.get("rho", 0.0), t)
+        rep = lift_with_orthogonality(grid, pair.first, pair.second, _get(cfg, "delta", 0.0),
+                                      beta, _get(cfg, "rho", 0.0), t)
         bundle.check("orthogonality residual", abs(rep.ortho_residual),
                      1e-10 * tol_scale, "constrained lift")
     else:
@@ -278,9 +297,9 @@ def cmd_descend(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("descend")
     pair = _input_pair(cfg, _grid_from(cfg), "odd-bump")
     grid = pair.grid
-    kind = cfg.get("map", "kink-to-zero")
-    beta = cfg.get("beta", 0.5)
-    t = cfg.get("t", 0.0)
+    kind = _get(cfg, "map", "kink-to-zero")
+    beta = _get(cfg, "beta", 0.5)
+    t = _get(cfg, "t", 0.0)
     if kind == "kink-to-zero":
         rep = descend_kink_to_zero(grid, pair.first, pair.second)
         back = lift_zero_to_kink(grid, rep.result.first, rep.result.second)
@@ -304,28 +323,28 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("evolve")
     grid = _grid_from(cfg)
     sampler, model = _sampler_from(cfg)
-    if cfg.get("model") == "phi4":
-        model = PHI4
+    model = Model(_get(cfg, "model", model.kind))
     background = None
     bg = cfg.get("background")
     if bg == "static-kink":
         background = KinkFrame()
     elif isinstance(bg, dict):
-        background = KinkFrame(bg.get("beta", 0.0), bg.get("x0", 0.0))
+        background = KinkFrame(_get(cfg, "background.beta", 0.0), _get(cfg, "background.x0", 0.0))
     elif bg is not None:
         raise ParameterError(f'background must be "static-kink" or an object, got {bg!r}')
-    ecfg = EvolveConfig(dt=cfg.get("dt", 0.005), t_end=cfg.get("t_end", 10.0),
+    ecfg = EvolveConfig(dt=_get(cfg, "dt", 0.005), t_end=_get(cfg, "t_end", 10.0),
                         background=background,
-                        snapshot_every=cfg.get("snapshot_every", 0.5))
-    interval = _reals(cfg.get("interval", (-5.0, 5.0)), "interval", 2)
-    weight = WeightSpec(_number(cfg.get("weight_rate", 0.5), "weight_rate"))
+                        snapshot_every=_get(cfg, "snapshot_every", 0.5))
+    interval = _get(cfg, "interval", (-5.0, 5.0))
+    weight = WeightSpec(_get(cfg, "weight_rate", 0.5))
+    track = _get(cfg, "track_modulation", False)
     traj = evolve(sampler.sample(grid, 0.0), model, ecfg)
     pairs = [traj.perturbation(i) for i in range(len(traj))]
     local_norms = [local_energy_norm(pair, interval) for pair in pairs]
     weighted_norms = [weighted_norm_sq(pair, weight) for pair in pairs]
     # rho and rho_rate read nan without tracking and after a tube exit
     rho = rho_rate = [math.nan] * len(traj)
-    if cfg.get("track_modulation", False):
+    if track:
         records = track_modulation(traj, background.beta if background else 0.0)
         untracked = [math.nan] * (len(traj) - len(records))
         rho = [r.rho for r in records] + untracked
@@ -343,16 +362,17 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 
 def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
-    etas = _reals(cfg.get("etas", [0.02, 0.04, 0.08]), "etas")
-    n_seeds = _number(cfg.get("seeds", 2), "seeds", 1)
-    t_end = cfg.get("t_end", 60.0)
-    dt = cfg.get("dt", 0.009)
-    snapshot_every = cfg.get("snapshot_every", 0.5)
-    interval = _reals(cfg.get("interval", (-5.0, 5.0)), "interval", 2)
+    etas = _get(cfg, "etas", [0.02, 0.04, 0.08])
+    n_seeds = _get(cfg, "seeds", 2, 1)
+    t_end = _get(cfg, "t_end", 60.0)
+    dt = _get(cfg, "dt", 0.009)
+    snapshot_every = _get(cfg, "snapshot_every", 0.5)
+    interval = _get(cfg, "interval", (-5.0, 5.0))
+    base_seed = _get(cfg, "seed", 0, 0)
     rate_peaks = {}
     rate_rows = []
     for seed in range(n_seeds):
-        seed_rng = np.random.default_rng((cfg.get("seed", 0), seed))
+        seed_rng = np.random.default_rng((base_seed, seed))
         shape = smooth_random(grid, "odd", 1.0, seed_rng)
         for eta in etas:
             y0 = eta * shape
@@ -397,11 +417,12 @@ def _stability_manifold(cfg, tol_scale, bundle):
 
 def _stability_wobbler(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
-    beta = cfg.get("beta", 0.3)
-    eta = _number(cfg.get("eta", 1e-3), "eta")
-    traj, distances = wobbler_orbit(grid, beta, eta, np.random.default_rng(cfg["seed"]),
-                                    cfg.get("dt", 0.01), cfg.get("t_end", 40.0),
-                                    cfg.get("snapshot_every", 1.0))
+    beta = _get(cfg, "beta", 0.3)
+    eta = _get(cfg, "eta", 1e-3)
+    traj, distances = wobbler_orbit(grid, beta, eta,
+                                    np.random.default_rng(_get(cfg, "seed", 0, 0)),
+                                    _get(cfg, "dt", 0.01), _get(cfg, "t_end", 40.0),
+                                    _get(cfg, "snapshot_every", 1.0))
     measured_c = max(distances) / eta
     bundle.tables["wobbler_distance"] = (["t", "distance"], list(zip(traj.times, distances)))
     bundle.plots["wobbler_distance"] = svg_line_plot(
@@ -414,7 +435,7 @@ def _stability_wobbler(cfg, tol_scale, bundle):
 
 def cmd_stability(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("stability")
-    experiment = cfg.get("experiment", "kink-manifold")
+    experiment = _get(cfg, "experiment", "kink-manifold")
     if experiment == "kink-manifold":
         _stability_manifold(cfg, tol_scale, bundle)
     elif experiment == "wobbler":
@@ -427,75 +448,59 @@ def cmd_stability(cfg, tol_scale) -> ReportBundle:
 # --- sweep ----------------------------------------------------------------------
 
 def _sweep_cell(payload):
+    """One sweep cell, run in a worker process on values cmd_sweep has checked."""
     kind = payload["kind"]
-    try:
-        if kind == "final-speed":
-            delta = payload["delta"]
-            b2 = final_speed_from_delta(delta)
-            b1 = final_speed_from_momentum(manifold_momentum(delta))
-            return {"delta": delta, "beta_momentum": b1, "beta_transform": b2,
-                    "gap": abs(b1 - b2)}
-        if kind == "energy-drift":
-            n = payload["n_points"]
-            grid = GridSpec(-40.0, 40.0, n)
-            st = breather(0.5).sample(grid, 0.0)
-            traj = evolve(st, SINE_GORDON,
-                          EvolveConfig(dt=payload["dt"], t_end=payload["t_end"]))
-            return {"n_points": n, "dt": payload["dt"], "drift": relative_drift(traj.energies)}
-        if kind == "three-soliton-limit":
-            v = payload["v"]
-            grid = GridSpec(-40.0, 40.0, payload.get("n_points", 4001))
-            w = wobbler(WobblerParams(payload["beta"]))
-            s = three_soliton(ThreeSolitonParams(payload["beta"], v))
-            gap = float(np.max(np.abs(np.asarray(s.value(payload["t"], grid.x))
-                                      - np.asarray(w.value(payload["t"], grid.x)))))
-            return {"v": v, "sup_gap": gap}
-        raise ParameterError(f"unknown sweep kind {kind!r}")
-    except Exception as exc:  # isolate per-cell failures
-        return {"error": f"{type(exc).__name__}: {exc}", **{k: v for k, v in payload.items()
-                                                            if k != "kind"}}
-
-
-def cmd_sweep(cfg, tol_scale, workers=1) -> ReportBundle:
-    bundle = ReportBundle("sweep")
-    kind = cfg.get("kind", "final-speed")
     if kind == "final-speed":
-        deltas = _reals(cfg.get("deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0]), "deltas")
-        payloads = [{"kind": kind, "delta": d} for d in deltas]
+        delta = payload["delta"]
+        b2 = final_speed_from_delta(delta)
+        b1 = final_speed_from_momentum(manifold_momentum(delta))
+        return {"delta": delta, "beta_momentum": b1, "beta_transform": b2, "gap": abs(b1 - b2)}
+    if kind == "energy-drift":
+        n = payload["n_points"]
+        grid = GridSpec(-40.0, 40.0, n)
+        st = breather(0.5).sample(grid, 0.0)
+        traj = evolve(st, SINE_GORDON, EvolveConfig(dt=payload["dt"], t_end=payload["t_end"]))
+        return {"n_points": n, "dt": payload["dt"], "drift": relative_drift(traj.energies)}
+    v, x = payload["v"], payload["grid"].x  # three-soliton-limit
+    w = wobbler(WobblerParams(payload["beta"]))
+    s = three_soliton(ThreeSolitonParams(payload["beta"], v))
+    gap = float(np.max(np.abs(np.asarray(s.value(payload["t"], x))
+                              - np.asarray(w.value(payload["t"], x)))))
+    return {"v": v, "sup_gap": gap}
+
+
+def cmd_sweep(cfg, tol_scale) -> ReportBundle:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bundle = ReportBundle("sweep")
+    kind = _get(cfg, "kind", "final-speed")
+    if kind == "final-speed":
+        payloads = [{"kind": kind, "delta": d}
+                    for d in _get(cfg, "deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0])]
     elif kind == "energy-drift":
-        res = cfg.get("resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])
-        # (n_points, dt) pairs; a bare value fails as one malformed pair
-        pairs = [_reals(r, "a resolution", 2) for r in (res if isinstance(res, list) else [res])]
-        payloads = [{"kind": kind, "n_points": _number(n, "n_points", 3), "dt": dt,
-                     "t_end": cfg.get("t_end", 10.0)} for n, dt in pairs]
+        t_end = _get(cfg, "t_end", 10.0)
+        payloads = [{"kind": kind, "n_points": n, "dt": dt, "t_end": t_end} for n, dt in
+                    _get(cfg, "resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])]
     elif kind == "three-soliton-limit":
-        payloads = [{"kind": kind, "v": v, "beta": cfg.get("beta", 0.5),
-                     "t": cfg.get("t", 0.7), "n_points": cfg.get("n_points", 4001)}
-                    for v in _reals(cfg.get("speeds", [0.1, 0.01, 0.001]), "speeds")]
+        grid, beta, t = _grid_from(cfg), _get(cfg, "beta", 0.5), _get(cfg, "t", 0.7)
+        payloads = [{"kind": kind, "v": v, "beta": beta, "t": t, "grid": grid}
+                    for v in _get(cfg, "speeds", [0.1, 0.01, 0.001])]
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
-    else:
-        results = [_sweep_cell(p) for p in payloads]
-    failures = [r for r in results if "error" in r]
-    ok_results = [r for r in results if "error" not in r]
-    if ok_results:
-        header = list(ok_results[0].keys())
-        bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in ok_results])
-    if failures:
-        bundle.tables["failures"] = (["detail"], [(json.dumps(f),) for f in failures])
-    bundle.check("cells completed", len(ok_results), 0.5,
-                 "sweep execution", expected=len(payloads))
-    if kind == "final-speed" and ok_results:
-        worst = max(r["gap"] for r in ok_results)
+    # workers start from a fresh import (spawn), so no thread state is forked
+    with ProcessPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(payloads))),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_sweep_cell, payloads))
+    if results:
+        header = list(results[0].keys())
+        bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in results])
+    if kind == "final-speed" and results:
+        worst = max(r["gap"] for r in results)
         bundle.check("final-speed identity", worst, 1e-12 * tol_scale,
                      "momentum- and transform-defined speeds agree")
-    if kind == "three-soliton-limit" and len(ok_results) >= 2:
-        gaps = [r["sup_gap"] for r in ok_results]
+    if kind == "three-soliton-limit" and len(results) >= 2:
+        gaps = [r["sup_gap"] for r in results]
         bundle.check("limit is monotone", float(all(gaps[i] > gaps[i + 1]
                                                     for i in range(len(gaps) - 1))),
                      0.5, "three-soliton approaches the wobbler", expected=1.0)
@@ -543,9 +548,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default="out",
                        help="output directory for reports")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=1,
-                           help="concurrent sweep cells")
         p.add_argument("--strict", action="store_true",
                        help="tighten all tolerances tenfold")
     args = parser.parse_args(argv)
@@ -560,10 +562,7 @@ def main(argv=None) -> int:
     # every random draw seeds from cfg["seed"]: a config's "seed" key wins over --seed
     cfg.setdefault("seed", args.seed)
     try:
-        if args.command == "sweep":
-            bundle = cmd_sweep(cfg, tol_scale, workers=args.workers)
-        else:
-            bundle = _COMMANDS[args.command](cfg, tol_scale)
+        bundle = _COMMANDS[args.command](cfg, tol_scale)
     except (ParameterError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

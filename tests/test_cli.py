@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sglab
-from sglab.cli import PROBE_HEADER, main
+from sglab.cli import _COMMANDS, PROBE_HEADER, _sweep_cell, main
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import SPECTRA, linear_transform_cases, spectrum_ladder, wobbler_orbit
 from sglab.grids import SINE_GORDON, GridSpec, WeightSpec, local_energy_norm, weighted_norm_sq
@@ -157,14 +157,42 @@ class TestCliCommands:
         ("stability", {"experiment": "wobbler", "eta": "0.001"}),
         ("evolve", {"snapshot_every": -1, "t_end": 1}),
         ("evolve", {"snapshot_every": 0, "t_end": 1}),
+        ("verify-exact", {"t": "0.7"}), ("verify-exact", {"dt": "0.01"}),
+        ("evolve", {"background": {"beta": "0.1"}}), ("evolve", {"track_modulation": "no"}),
+        ("lift", {"map": "breather-to-wobbler", "beta": "0.5"}),
+        ("lift", {"map": "orthogonal", "delta": "0.1"}),
+        ("lift", {"map": "orthogonal", "rho": "0.1"}), ("lift", {"input_file": 3}),
+        ("descend", {"map": "wobbler-to-breather", "t": "0.5"}),
+        ("stability", {"experiment": "wobbler", "seed": "x"}),
+        ("stability", {"experiment": "wobbler", "seed": -1}),
+        ("stability", {"experiment": "wobbler", "beta": "0.3"}),
+        ("sweep", {"kind": "energy-drift", "t_end": "4"}),
+        ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.05]]}),
+        ("sweep", {"kind": "three-soliton-limit", "beta": "0.5"}),
+        ("sweep", {"kind": "three-soliton-limit", "grid": {"n_points": "801"}}),
+        ("lift", {"input_file": "missing.json"}), ("lift", {"input_file": "not-json.txt"}),
+        ("lift", {"input_file": "no-x-max.json"}),
+        ("evolve", {"model": "foo", "t_end": 1}), ("evolve", {"model": 4, "t_end": 1}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
             "string-levels", "one-level", "wobbler-betas-number", "betas-number", "string-times",
             "deltas-number", "flat-resolutions", "string-speeds", "string-params-beta",
             "string-weight-rate", "string-amplitude", "string-max-iter", "string-eta",
-            "negative-snapshot-every", "zero-snapshot-every"])
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, command, payload):
+            "negative-snapshot-every", "zero-snapshot-every", "string-exact-t",
+            "string-exact-dt", "string-background-beta", "string-track-modulation",
+            "string-lift-beta", "string-delta", "string-rho", "number-input-file",
+            "string-descend-t", "string-seed", "negative-seed", "string-wobbler-beta",
+            "string-sweep-t-end", "cfl-violating-resolution", "string-sweep-beta",
+            "string-sweep-n-points", "missing-input-file", "input-file-not-json",
+            "input-file-without-x-max", "unknown-model", "number-model"])
+    def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                              command, payload):
+        # the input_file cases name files in the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "not-json.txt").write_text("{not json")
+        write_config(tmp_path, "no-x-max.json", {"x_min": -1.0, "n_points": 3,
+                                                 "first": [0, 0, 0], "second": [0, 0, 0]})
         cfg = write_config(tmp_path, "c.json", payload)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -220,16 +248,25 @@ class TestCliCommands:
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
     def test_sweep_workers(self, tmp_path):
+        # the pooled sweep writes exactly what its cells return run serially
+        grid = GridSpec(-40.0, 40.0, 2001)
         cfg = write_config(tmp_path, "c.json", {
             "version": 1, "kind": "three-soliton-limit", "speeds": [0.1, 0.01],
-            "n_points": 2001})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--workers", "2"]) == 0
+            "grid": {"n_points": 2001}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        cells = [_sweep_cell({"kind": "three-soliton-limit", "v": v, "beta": 0.5, "t": 0.7,
+                              "grid": grid}) for v in (0.1, 0.01)]
+        write_csv(tmp_path / "serial.csv", ["v", "sup_gap"],
+                  [(c["v"], c["sup_gap"]) for c in cells])
+        assert ((tmp_path / "o" / "sweep.csv").read_bytes()
+                == (tmp_path / "serial.csv").read_bytes())
 
-    def test_workers_is_a_sweep_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--workers", "2", "--out", str(tmp_path / "o")])
-        assert exc.value.code == 2
+    def test_workers_is_no_flag(self, tmp_path):
+        # the sweep pool sizes itself, so no command takes --workers
+        for command in _COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--workers", "2", "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
     def test_strict_tightens(self, tmp_path):
@@ -335,20 +372,27 @@ class TestCliCommands:
 
 
 def _config_keys_read_by_cli():
-    """Every literal key the CLI reads from a config, with nested objects
-    written as ``grid.n_points``, ``params.beta`` and ``background.x0``."""
-    source = Path(sglab.__file__).with_name("cli.py").read_text()
-    prefix = {"cfg": "", "g": "grid.", "params": "params.", "bg": "background."}
-    keys = set()
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in prefix and node.args
-                and isinstance(node.args[0], ast.Constant)):
-            keys.add(prefix[node.func.value.id] + node.args[0].value)
-        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-              and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
-            keys.add(node.slice.value)
+    """Every key the CLI reads from a config through its typed reader ``_get``,
+    with nested objects written as ``grid.n_points`` and listed themselves,
+    plus ``version`` and ``background``, the two keys read directly. Any other
+    direct read of a config object fails, so no value bypasses the reader."""
+    tree = ast.parse(Path(sglab.__file__).with_name("cli.py").read_text())
+    keys = {"version", "background"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
+            key = node.args[1]
+            if isinstance(key, ast.Constant):  # else the reader's own walk to a parent
+                parts = key.value.split(".")
+                keys.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            obj, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript):
+            obj, key = node.value, node.slice
+        else:
+            continue
+        if getattr(obj, "id", None) in ("cfg", "g", "params", "bg"):
+            assert getattr(key, "value", None) in ("version", "background"), ast.unparse(node)
     return keys
 
 
