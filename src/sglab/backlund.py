@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conserved import momentum
+from .conserved import _offset_multiplier, momentum
 from .grids import (
     ContractError,
     FieldState,
@@ -36,6 +36,8 @@ from .grids import (
     ParameterError,
     PerturbationPair,
     SolverError,
+    _running_trapezoid,
+    _trapezoid,
     cumulative_quadrature,
     derivative,
     local_energy_norm,
@@ -95,7 +97,8 @@ class BtParameter:
 
     @property
     def beta(self) -> float:
-        return (self.a ** 2 - 1.0) / (self.a ** 2 + 1.0)
+        a_sq = self.a * self.a
+        return (a_sq - 1.0) / (a_sq + 1.0)
 
     @property
     def delta(self) -> float:
@@ -154,10 +157,8 @@ class _Background:
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
         """The wobbler over the breather at time t, with multiplier 1."""
-        w, b = wobbler(WobblerParams(beta)), breather(beta)
-        fields = (w.value, w.dvalue_dx, w.dvalue_dt, b.value, b.dvalue_dx, b.dvalue_dt)
-        w_u, *rest = (np.asarray(f(t, grid.x), dtype=float) for f in fields)
-        return cls(w_u - np.pi, *rest, 1.0)
+        w_u, w_x, w_t = wobbler(WobblerParams(beta)).fields(grid, t)
+        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0)
 
     def _half_angles(self, u, y):
         kink_side = self.psi + u
@@ -211,16 +212,8 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
     transform pair the residuals are at round-off level independent of the
     grid spacing.
     """
-    x = grid.x
-
-    def fields(s):
-        u = np.asarray(s.value(t, x), dtype=float)
-        u_x = (derivative(u, grid) if s.dvalue_dx is None
-               else np.asarray(s.dvalue_dx(t, x), dtype=float))
-        return u, u_x, np.asarray(s.dvalue_dt(t, x), dtype=float)
-
-    (psi_u, psi_x, psi_t), phi_fields = fields(psi), fields(phi)
-    bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi_fields, _a_value(a))
+    psi_u, psi_x, psi_t = psi.fields(grid, t)
+    bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi.fields(grid, t), _a_value(a))
     return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
 
 
@@ -241,9 +234,7 @@ def _log_factor(c, grid, m):
 def _sweep(f, e, h):
     """e^{-e} times the running trapezoid integral of e^{e} f from index 0;
     callers shift the exponent e to at most 0 so every factor stays bounded."""
-    g = f * np.exp(e)
-    k = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    return np.exp(-e) * k
+    return np.exp(-e) * _running_trapezoid(f * np.exp(e), h)
 
 
 def _solve_outward(c, f, grid, m):
@@ -276,7 +267,7 @@ def _solve_inward(c, f, grid, m, compat_tol):
     lw = _log_factor(c, grid, m)
     base = lw.min()
     weight = np.exp(-(lw - base))
-    total = h * ((weight * f).sum() - 0.5 * (weight[0] * f[0] + weight[-1] * f[-1]))
+    total = _trapezoid(weight * f, h)
     if abs(total) > compat_tol:
         raise ContractError(
             f"compatibility integral {total:.3e} exceeds {compat_tol:.1e}; "
@@ -361,13 +352,6 @@ def _require_parity(values, grid, kind, tol, what):
     if defect > tol:
         raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {tol:.1e})")
     return values
-
-
-def _offset_multiplier(delta: float) -> float:
-    a = 1.0 + delta
-    if not a > 0:
-        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
-    return a
 
 
 # --- the two Newton solvers -----------------------------------------------------
@@ -605,5 +589,4 @@ def final_speed_from_momentum(P: float) -> float:
 
 def final_speed_from_delta(delta: float) -> float:
     """The speed whose transform parameter is 1 + delta."""
-    a = _offset_multiplier(delta)
-    return (a * a - 1.0) / (a * a + 1.0)
+    return BtParameter(_offset_multiplier(delta)).beta

@@ -363,6 +363,8 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
     etas = _get(cfg, "etas", [0.02, 0.04, 0.08])
+    if not etas or min(etas) <= 0:
+        raise ParameterError(f"etas must list at least one noise size, each > 0, got {etas!r}")
     n_seeds = _get(cfg, "seeds", 2, 1)
     t_end = _get(cfg, "t_end", 60.0)
     dt = _get(cfg, "dt", 0.009)
@@ -419,6 +421,8 @@ def _stability_wobbler(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
     beta = _get(cfg, "beta", 0.3)
     eta = _get(cfg, "eta", 1e-3)
+    if not eta > 0:
+        raise ParameterError(f"eta must be > 0, got {eta!r}")
     traj, distances = wobbler_orbit(grid, beta, eta,
                                     np.random.default_rng(_get(cfg, "seed", 0, 0)),
                                     _get(cfg, "dt", 0.01), _get(cfg, "t_end", 40.0),
@@ -461,12 +465,10 @@ def _sweep_cell(payload):
         st = breather(0.5).sample(grid, 0.0)
         traj = evolve(st, SINE_GORDON, EvolveConfig(dt=payload["dt"], t_end=payload["t_end"]))
         return {"n_points": n, "dt": payload["dt"], "drift": relative_drift(traj.energies)}
-    v, x = payload["v"], payload["grid"].x  # three-soliton-limit
-    w = wobbler(WobblerParams(payload["beta"]))
-    s = three_soliton(ThreeSolitonParams(payload["beta"], v))
-    gap = float(np.max(np.abs(np.asarray(s.value(payload["t"], x))
-                              - np.asarray(w.value(payload["t"], x)))))
-    return {"v": v, "sup_gap": gap}
+    v, beta, grid, t = payload["v"], payload["beta"], payload["grid"], payload["t"]
+    w = wobbler(WobblerParams(beta)).sample(grid, t)  # three-soliton-limit
+    s = three_soliton(ThreeSolitonParams(beta, v)).sample(grid, t)
+    return {"v": v, "sup_gap": float(np.max(np.abs(s.u - w.u)))}
 
 
 def cmd_sweep(cfg, tol_scale) -> ReportBundle:
@@ -476,30 +478,42 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("sweep")
     kind = _get(cfg, "kind", "final-speed")
     if kind == "final-speed":
+        key, least = "deltas", 1
         payloads = [{"kind": kind, "delta": d}
                     for d in _get(cfg, "deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0])]
     elif kind == "energy-drift":
-        t_end = _get(cfg, "t_end", 10.0)
+        key, least, t_end = "resolutions", 2, _get(cfg, "t_end", 10.0)
         payloads = [{"kind": kind, "n_points": n, "dt": dt, "t_end": t_end} for n, dt in
                     _get(cfg, "resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])]
+        if any(a["dt"] == b["dt"] for a, b in zip(payloads, payloads[1:])):
+            raise ParameterError("consecutive resolutions need distinct dt")
     elif kind == "three-soliton-limit":
         grid, beta, t = _grid_from(cfg), _get(cfg, "beta", 0.5), _get(cfg, "t", 0.7)
+        key, least = "speeds", 2
         payloads = [{"kind": kind, "v": v, "beta": beta, "t": t, "grid": grid}
                     for v in _get(cfg, "speeds", [0.1, 0.01, 0.001])]
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
+    if len(payloads) < least:
+        raise ParameterError(f"{key} must have at least {least} item{'s' * (least > 1)} "
+                             f"for a {kind} sweep, got {len(payloads)}")
     # workers start from a fresh import (spawn), so no thread state is forked
     with ProcessPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(payloads))),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         results = list(pool.map(_sweep_cell, payloads))
-    if results:
-        header = list(results[0].keys())
-        bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in results])
-    if kind == "final-speed" and results:
+    header = list(results[0].keys())
+    bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in results])
+    if kind == "final-speed":
         worst = max(r["gap"] for r in results)
         bundle.check("final-speed identity", worst, 1e-12 * tol_scale,
                      "momentum- and transform-defined speeds agree")
-    if kind == "three-soliton-limit" and len(results) >= 2:
+    if kind == "energy-drift":
+        drift, dt = np.array([(r["drift"], r["dt"]) for r in results]).T
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero drift has no order
+            orders = np.log(drift[:-1] / drift[1:]) / np.log(dt[:-1] / dt[1:])
+        bundle.check("energy-drift order in dt", float(np.min(orders)), 1.9,
+                     "leapfrog energy error is second order in dt", larger_ok=True)
+    if kind == "three-soliton-limit":
         gaps = [r["sup_gap"] for r in results]
         bundle.check("limit is monotone", float(all(gaps[i] > gaps[i + 1]
                                                     for i in range(len(gaps) - 1))),

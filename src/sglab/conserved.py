@@ -34,15 +34,21 @@ def momentum(state: FieldState) -> float:
     return 0.5 * quadrature(state.v * ux, state.grid)
 
 
+def _offset_multiplier(delta: float) -> float:
+    """The transform multiplier 1 + delta, which must be positive."""
+    a = 1.0 + delta
+    if not a > 0:
+        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    return a
+
+
 def manifold_momentum(delta: float) -> float:
     """Momentum of kink data built from the vacuum with multiplier 1 + delta.
 
     Closed form 2 (1/(1+delta) - (1+delta)); zero exactly at delta = 0 and of
     sign opposite to delta.
     """
-    a = 1.0 + delta
-    if not a > 0:
-        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    a = _offset_multiplier(delta)
     return 2.0 * (1.0 / a - a)
 
 

@@ -120,11 +120,11 @@ def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
     static kink frame.  Returns the trajectory and each snapshot's local energy
     distance to the nearest time-shifted wobbler: over one period, a 41-point
     scan brackets the shift and 40 ternary steps refine it."""
-    x, w = grid.x, wobbler(WobblerParams(beta))
-    u0 = np.asarray(w.value(0.0, x)) + smooth_random(grid, "odd", eta, rng)
-    traj = evolve(FieldState(0.0, grid, u0, np.asarray(w.dvalue_dt(0.0, x))), SINE_GORDON,
-                  EvolveConfig(dt=dt, t_end=t_end, background=KinkFrame(),
-                               snapshot_every=snapshot_every))
+    w = wobbler(WobblerParams(beta))
+    start = w.sample(grid, 0.0)
+    noisy = FieldState(0.0, grid, start.u + smooth_random(grid, "odd", eta, rng), start.v)
+    traj = evolve(noisy, SINE_GORDON, EvolveConfig(dt=dt, t_end=t_end, background=KinkFrame(),
+                                                   snapshot_every=snapshot_every))
     period = 2.0 * math.pi / math.sqrt(1.0 - beta ** 2)
     distances = []
     for i in range(len(traj)):
@@ -132,9 +132,8 @@ def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
         t = state.t
 
         def dist(tau):
-            du = state.u - np.asarray(w.value(t + tau, x))
-            dv = state.v - np.asarray(w.dvalue_dt(t + tau, x))
-            return local_energy_norm(PerturbationPair(grid, du, dv))
+            ref = w.sample(grid, t + tau)
+            return local_energy_norm(PerturbationPair(grid, state.u - ref.u, state.v - ref.v))
 
         taus = np.linspace(-0.5 * period, 0.5 * period, 41)
         k = int(np.argmin([dist(tau) for tau in taus]))

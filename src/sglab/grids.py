@@ -263,19 +263,28 @@ class WeightSpec:
         return np.exp(-self.rate * np.abs(x - self.center))
 
 
+def _trapezoid(f: np.ndarray, h: float) -> float:
+    """Trapezoid-rule integral of the samples f at spacing h."""
+    return h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+
+def _running_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of the samples f at spacing h; entry i is
+    the integral from the first sample to the i-th."""
+    out = np.empty_like(f)
+    out[0] = 0.0
+    np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=out[1:])
+    return out
+
+
 def quadrature(values, grid: GridSpec) -> float:
     """Trapezoid-rule integral over the grid; exact for piecewise-linear data."""
-    arr = _as_field(values, grid, "values")
-    return grid.h * (arr.sum() - 0.5 * (arr[0] + arr[-1]))
+    return _trapezoid(_as_field(values, grid, "values"), grid.h)
 
 
 def cumulative_quadrature(values, grid: GridSpec) -> np.ndarray:
     """Running trapezoid integral from x_min; entry i is the integral up to x_i."""
-    arr = _as_field(values, grid, "values")
-    out = np.empty_like(arr)
-    out[0] = 0.0
-    np.cumsum(0.5 * grid.h * (arr[1:] + arr[:-1]), out=out[1:])
-    return out
+    return _running_trapezoid(_as_field(values, grid, "values"), grid.h)
 
 
 def derivative(values, grid: GridSpec) -> np.ndarray:
@@ -315,6 +324,20 @@ def dirichlet_second_derivative(values, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _time_difference(sampler, t: float, grid: GridSpec, dt: float) -> tuple:
+    """(u, u_tt) of a sampler at time t on the grid, u_tt the centered
+    difference (u(t + dt) - 2 u(t) + u(t - dt)) / dt^2; every sample must be finite."""
+    if not dt > 0:
+        raise ParameterError("dt must be positive")
+    x = grid.x
+    u_m, u_0, u_p = (np.asarray(sampler.value(s, x), dtype=float) for s in (t - dt, t, t + dt))
+    for arr in (u_m, u_0, u_p):
+        if not np.all(np.isfinite(arr)):
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise ContractError(f"non-finite sample at node {bad} (x={x[bad]:.6g})")
+    return u_0, (u_p - 2.0 * u_0 + u_m) / dt ** 2
+
+
 def pde_residual(sampler, model: Model, t: float, grid: GridSpec, dt: float) -> np.ndarray:
     """Residual u_tt - u_xx + N(u) of a sampler, per node.
 
@@ -322,19 +345,8 @@ def pde_residual(sampler, model: Model, t: float, grid: GridSpec, dt: float) -> 
     u_xx from centered space differences; for an exact solution the max residual
     is O(dt^2 + h^2).
     """
-    if not dt > 0:
-        raise ParameterError("dt must be positive")
-    x = grid.x
-    u_m = np.asarray(sampler.value(t - dt, x), dtype=float)
-    u_0 = np.asarray(sampler.value(t, x), dtype=float)
-    u_p = np.asarray(sampler.value(t + dt, x), dtype=float)
-    for arr in (u_m, u_0, u_p):
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ContractError(f"non-finite sample at node {bad} (x={x[bad]:.6g})")
-    u_tt = (u_p - 2.0 * u_0 + u_m) / dt ** 2
-    u_xx = second_derivative(u_0, grid)
-    return u_tt - u_xx + model.nonlinearity(u_0)
+    u_0, u_tt = _time_difference(sampler, t, grid, dt)
+    return u_tt - second_derivative(u_0, grid) + model.nonlinearity(u_0)
 
 
 def weighted_norm_sq(pair: PerturbationPair, w: WeightSpec) -> float:
@@ -366,12 +378,9 @@ def local_energy_norm(pair: PerturbationPair, interval=None) -> float:
     grid = pair.grid
     fx = derivative(pair.first, grid)
     density = fx ** 2 + pair.first ** 2 + pair.second ** 2
-    if interval is None:
-        total = quadrature(density, grid)
-    else:
-        sl = _interval_slice(grid, interval)
-        sub = density[sl]
-        total = grid.h * (sub.sum() - 0.5 * (sub[0] + sub[-1]))
+    if interval is not None:
+        density = density[_interval_slice(grid, interval)]
+    total = _trapezoid(density, grid.h)
     return float(np.sqrt(max(total, 0.0)))
 
 

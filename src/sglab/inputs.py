@@ -62,16 +62,12 @@ def named_pair(name: str, grid: GridSpec, *, amplitude: float = 0.05,
         tag = f"{parity}-{parity}"
         return PerturbationPair(grid, first, second, tag)
     if name == "breather-state":
-        b = breather(beta)
-        return PerturbationPair(grid, np.asarray(b.value(t, x), dtype=float),
-                                np.asarray(b.dvalue_dt(t, x), dtype=float),
-                                "even-even", parity_tol=1e-8)
+        b = breather(beta).sample(grid, t)
+        return PerturbationPair(grid, b.u, b.v, "even-even", parity_tol=1e-8)
     if name == "wobbler-perturbation":
-        w = wobbler(WobblerParams(beta))
-        k = kink(KinkParams(0.0))
-        first = np.asarray(w.value(t, x), dtype=float) - np.asarray(k.value(t, x), dtype=float)
-        second = np.asarray(w.dvalue_dt(t, x), dtype=float)
-        return PerturbationPair(grid, first, second, "odd-odd", parity_tol=1e-8)
+        w = wobbler(WobblerParams(beta)).sample(grid, t)
+        return PerturbationPair(grid, w.u - kink(KinkParams(0.0)).sample(grid, t).u, w.v,
+                                "odd-odd", parity_tol=1e-8)
     raise ParameterError(f"unknown input generator {name!r}")
 
 

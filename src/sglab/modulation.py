@@ -22,9 +22,11 @@ from .grids import (
     PerturbationPair,
     SINE_GORDON,
     SolverError,
+    WeightSpec,
     derivative,
     local_energy_norm,
     quadrature,
+    weighted_norm_sq,
 )
 from .solutions import KinkParams, _arctan_exp, _sech, kink_profile
 
@@ -161,20 +163,16 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1) -> dict:
     """Measure the weighted inequality bounding |rho'|.
 
     ``zero_pairs[k]`` is the vacuum-side (y, v) snapshot matching
-    ``records[k]``.  Fills rhs_bound on the records and returns the ratios of
-    |rho_rate| over the bound and their max; a pure diagnostic, nothing is
-    asserted.
+    ``records[k]``; its bound is ``weighted_norm_sq`` with weight
+    e^{-(1 - eps)|x - rho|}, so eps must be below 1.  Fills rhs_bound on the
+    records and returns the ratios of |rho_rate| over the bound and their max;
+    a pure diagnostic, nothing is asserted.
     """
     if len(zero_pairs) != len(records):
         raise ParameterError("zero_pairs must align with records")
     ratios = []
     for rec, pair in zip(records, zero_pairs):
-        grid = pair.grid
-        y, v = pair.first, pair.second
-        y_x = derivative(y, grid)
-        w_minus = np.exp(-(1.0 - eps) * np.abs(grid.x - rec.rho))
-        rhs = float(quadrature(w_minus * (v ** 2 + y ** 2 + y_x ** 2), grid))
-        rec.rhs_bound = rhs
+        rhs = rec.rhs_bound = float(weighted_norm_sq(pair, WeightSpec(1.0 - eps, rec.rho)))
         lhs = abs(rec.rho_rate) if rec.rho_rate is not None else 0.0
         if rhs > 0:
             ratios.append(lhs / rhs)

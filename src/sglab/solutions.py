@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import FieldState, GridSpec, ParameterError
+from .grids import FieldState, GridSpec, ParameterError, derivative
 
 __all__ = [
     "SolutionSampler",
@@ -113,8 +113,9 @@ def _sc_arctan_of_ratio(num, den):
 class SolutionSampler:
     """Pure evaluator of a space-time function and its time derivative.
 
-    ``dvalue_dx`` is present whenever a closed-form space derivative exists;
-    consumers fall back to finite differences when it is None.
+    ``dvalue_dx`` is present whenever a closed-form space derivative exists.
+    Code outside this module reads a sampler through ``sample`` or ``fields``,
+    never through the derivative callables.
     """
 
     label: str
@@ -126,6 +127,15 @@ class SolutionSampler:
         x = grid.x
         return FieldState(t, grid, np.asarray(self.value(t, x), dtype=float),
                           np.asarray(self.dvalue_dt(t, x), dtype=float))
+
+    def fields(self, grid: GridSpec, t: float) -> tuple:
+        """(u, u_x, u_t) at time t on the grid as float arrays; u_x is the
+        closed form when there is one and ``derivative(u, grid)`` otherwise."""
+        x = grid.x
+        u = np.asarray(self.value(t, x), dtype=float)
+        u_x = (derivative(u, grid) if self.dvalue_dx is None
+               else np.asarray(self.dvalue_dx(t, x), dtype=float))
+        return u, u_x, np.asarray(self.dvalue_dt(t, x), dtype=float)
 
 
 def zero_sampler() -> SolutionSampler:

@@ -26,7 +26,7 @@ from .grids import (
     GridSpec,
     ParameterError,
     SolverError,
-    derivative,
+    _time_difference,
     dirichlet_second_derivative,
     quadrature,
 )
@@ -120,23 +120,11 @@ def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec):
     return out
 
 
-def _space_derivative(sampler: SolutionSampler, t: float, grid: GridSpec) -> np.ndarray:
-    if sampler.dvalue_dx is not None:
-        return np.asarray(sampler.dvalue_dx(t, grid.x), dtype=float)
-    return derivative(np.asarray(sampler.value(t, grid.x), dtype=float), grid)
-
-
-def _first_order_residuals(phi: SolutionSampler, psi: SolutionSampler, t: float,
-                           grid: GridSpec, coeff: np.ndarray):
-    """Residuals of  phi_x - psi_t + c phi  and  phi_t - psi_x + c psi."""
-    x = grid.x
-    e1 = (_space_derivative(phi, t, grid)
-          - np.asarray(psi.dvalue_dt(t, x), dtype=float)
-          + coeff * np.asarray(phi.value(t, x), dtype=float))
-    e2 = (np.asarray(phi.dvalue_dt(t, x), dtype=float)
-          - _space_derivative(psi, t, grid)
-          + coeff * np.asarray(psi.value(t, x), dtype=float))
-    return e1, e2
+def _first_order_residuals(phi, psi, coeff: np.ndarray):
+    """Residuals of  phi_x - psi_t + c phi  and  phi_t - psi_x + c psi, from
+    the (u, u_x, u_t) ``fields`` of phi and psi."""
+    (phi_u, phi_x, phi_t), (psi_u, psi_x, psi_t) = phi, psi
+    return phi_x - psi_t + coeff * phi_u, phi_t - psi_x + coeff * psi_u
 
 
 def lbt_residual_sg(phi: SolutionSampler, psi: SolutionSampler, t: float, grid: GridSpec):
@@ -145,12 +133,13 @@ def lbt_residual_sg(phi: SolutionSampler, psi: SolutionSampler, t: float, grid: 
     The system couples a mode phi around the kink to a mode psi of the flat
     Klein-Gordon equation through the coefficient tanh x.
     """
-    return _first_order_residuals(phi, psi, t, grid, np.tanh(grid.x))
+    return _first_order_residuals(phi.fields(grid, t), psi.fields(grid, t), np.tanh(grid.x))
 
 
 def lbt_residual_phi4(phi: SolutionSampler, psi: SolutionSampler, t: float, grid: GridSpec):
     """Residuals of the linearized transform around the phi^4 kink (coefficient sqrt 2 H)."""
-    return _first_order_residuals(phi, psi, t, grid, _SQRT2 * np.tanh(grid.x / _SQRT2))
+    return _first_order_residuals(phi.fields(grid, t), psi.fields(grid, t),
+                                  _SQRT2 * np.tanh(grid.x / _SQRT2))
 
 
 def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSpec):
@@ -169,16 +158,13 @@ def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSp
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
     lam_im = math.sqrt(1.5)  # lam = i * lam_im
     coeff = np.tanh(grid.x / _SQRT2) / _SQRT2
-    (phi_re, phi_im), (psi_re, psi_im) = phi_pair, psi_pair
-    e1_re, e2_re = _first_order_residuals(phi_re, psi_re, t, grid, coeff)
-    e1_im, e2_im = _first_order_residuals(phi_im, psi_im, t, grid, coeff)
-
-    def val(s):
-        return np.asarray(s.value(t, grid.x), dtype=float)
-
+    (phi_re, phi_im), (psi_re, psi_im) = ([s.fields(grid, t) for s in pair]
+                                          for pair in (phi_pair, psi_pair))
+    e1_re, e2_re = _first_order_residuals(phi_re, psi_re, coeff)
+    e1_im, e2_im = _first_order_residuals(phi_im, psi_im, coeff)
     # lam * (a + i b) = i lam_im (a + i b) = -lam_im b + i lam_im a
-    return ((e1_re + sign * (-lam_im * val(psi_im)), e1_im + sign * (lam_im * val(psi_re))),
-            (e2_re + sign * (-lam_im * val(phi_im)), e2_im + sign * (lam_im * val(phi_re))))
+    return ((e1_re + sign * (-lam_im * psi_im[0]), e1_im + sign * (lam_im * psi_re[0])),
+            (e2_re + sign * (-lam_im * phi_im[0]), e2_im + sign * (lam_im * phi_re[0])))
 
 
 def wave_residual(phi: SolutionSampler, op: Union[SchrodingerOperator, float],
@@ -188,13 +174,7 @@ def wave_residual(phi: SolutionSampler, op: Union[SchrodingerOperator, float],
     ``op`` is a SchrodingerOperator, or a number m^2 meaning the flat operator
     -d^2/dx^2 + m^2.
     """
-    if not dt > 0:
-        raise ParameterError("dt must be positive")
-    x = grid.x
-    u_m = np.asarray(phi.value(t - dt, x), dtype=float)
-    u_0 = np.asarray(phi.value(t, x), dtype=float)
-    u_p = np.asarray(phi.value(t + dt, x), dtype=float)
-    u_tt = (u_p - 2.0 * u_0 + u_m) / dt ** 2
+    u_0, u_tt = _time_difference(phi, t, grid, dt)
     if isinstance(op, SchrodingerOperator):
         return u_tt + apply_operator(op, u_0, grid)
     mass_sq = float(op)

@@ -167,12 +167,21 @@ class TestCliCommands:
         ("stability", {"experiment": "wobbler", "seed": -1}),
         ("stability", {"experiment": "wobbler", "beta": "0.3"}),
         ("sweep", {"kind": "energy-drift", "t_end": "4"}),
-        ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.05]]}),
+        ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.05], [1001, 0.1]]}),
         ("sweep", {"kind": "three-soliton-limit", "beta": "0.5"}),
         ("sweep", {"kind": "three-soliton-limit", "grid": {"n_points": "801"}}),
         ("lift", {"input_file": "missing.json"}), ("lift", {"input_file": "not-json.txt"}),
         ("lift", {"input_file": "no-x-max.json"}),
         ("evolve", {"model": "foo", "t_end": 1}), ("evolve", {"model": 4, "t_end": 1}),
+        ("stability", {"experiment": "wobbler", "eta": 0}),
+        ("stability", {"experiment": "wobbler", "eta": -0.001}),
+        ("stability", {"etas": []}), ("stability", {"etas": [0.02, 0.0]}),
+        ("stability", {"etas": [-0.02, 0.04]}),
+        ("sweep", {"deltas": []}), ("sweep", {"kind": "energy-drift", "resolutions": []}),
+        ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.02]]}),
+        ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.02], [4001, 0.02]]}),
+        ("sweep", {"kind": "three-soliton-limit", "speeds": []}),
+        ("sweep", {"kind": "three-soliton-limit", "speeds": [0.1]}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -185,7 +194,9 @@ class TestCliCommands:
             "string-descend-t", "string-seed", "negative-seed", "string-wobbler-beta",
             "string-sweep-t-end", "cfl-violating-resolution", "string-sweep-beta",
             "string-sweep-n-points", "missing-input-file", "input-file-not-json",
-            "input-file-without-x-max", "unknown-model", "number-model"])
+            "input-file-without-x-max", "unknown-model", "number-model", "zero-eta",
+            "negative-eta", "empty-etas", "zero-in-etas", "negative-in-etas", "empty-deltas",
+            "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, payload):
         # the input_file cases name files in the working directory

@@ -11,7 +11,9 @@ from sglab.grids import (
     PerturbationPair,
     PHI4,
     SINE_GORDON,
+    WeightSpec,
     quadrature,
+    weighted_norm_sq,
 )
 from sglab.inputs import smooth_random
 from sglab.modulation import (
@@ -202,6 +204,20 @@ def test_rate_check_zero_run(grid40):
     out = rho_rate_check(records, [zero] * 5, 0.1)
     assert out["max_rate_ratio"] == 0.0
     assert all(r.rhs_bound == 0.0 for r in records)
+
+
+def test_rate_check_bound_is_the_weighted_norm(grid40):
+    # the bound is weighted_norm_sq with rate 1 - eps about the record's rho,
+    # so an eps >= 1, which would make the weight grow, is refused
+    from sglab.modulation import ModulationRecord
+
+    bump = np.exp(-grid40.x ** 2)
+    pair = PerturbationPair(grid40, 0.05 * bump, 0.02 * bump)
+    record = ModulationRecord(t=0.0, rho=0.3, rho_rate=1e-4)
+    rho_rate_check([record], [pair], 0.1)
+    assert record.rhs_bound == weighted_norm_sq(pair, WeightSpec(0.9, 0.3))
+    with pytest.raises(ParameterError, match="weight rate"):
+        rho_rate_check([record], [pair], 1.0)
 
 
 class TestSecondComponentIdentity:

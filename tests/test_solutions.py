@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sglab.grids import GridSpec, PHI4, SINE_GORDON, ParameterError, parity_check, pde_residual
+import sglab
+from sglab.grids import (GridSpec, PHI4, SINE_GORDON, ParameterError, derivative, parity_check,
+                         pde_residual)
 from sglab.solutions import (
     KinkParams,
     LINEAR_MODE_NAMES,
@@ -269,6 +274,11 @@ class TestThreeSoliton:
         assert np.max(np.abs(fd_time_derivative(s, 0.8, grid40.x)
                              - s.dvalue_dt(0.8, grid40.x))) < 1e-8
 
+    def test_fields_fall_back_to_the_grid_derivative(self, grid40):
+        # the family has no closed-form u_x, so fields differentiates u on the grid
+        u, u_x, _ = three_soliton(ThreeSolitonParams(0.5, 0.4)).fields(grid40, 0.7)
+        assert np.array_equal(u_x, derivative(u, grid40))
+
     def test_large_argument_is_finite(self):
         s = three_soliton(ThreeSolitonParams(0.7, 0.6))
         big = np.array([-1500.0, 1500.0])
@@ -367,3 +377,12 @@ class TestBoost:
         boosted = boost(breather(0.5), 0.3)
         r = np.max(np.abs(pde_residual(boosted, SINE_GORDON, 0.7, grid40, 0.01)))
         assert r < 5e-4
+
+
+def test_only_solutions_reads_sampler_derivatives():
+    # every other module reads a sampler through SolutionSampler.fields or
+    # .sample, so the closed-form-or-grid choice for u_x is written once
+    readers = {path.name for path in Path(sglab.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("dvalue_dt", "dvalue_dx")}
+    assert readers == {"solutions.py"}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -149,6 +150,21 @@ class TestLinearTransformSG:
         e1, e2 = lbt_residual_sg(linear_mode("L-alt"), linear_mode("M-alt"), 0.7, grid30)
         assert np.max(np.abs(e1)) < 1e-13
         assert np.max(np.abs(e2)) < 1e-13
+
+    def test_grid_derivative_fallback_is_second_order(self, grid30):
+        # without its closed-form u_x, L is differentiated on the grid: the
+        # residual becomes O(h^2) (4.7e-5 at n = 4001) instead of round-off
+        closed = linear_mode("L")
+        fallback = dataclasses.replace(closed, dvalue_dx=None)
+
+        def worst(phi, grid):
+            return max(float(np.max(np.abs(e)))
+                       for e in lbt_residual_sg(phi, linear_mode("M"), 0.9, grid))
+
+        coarse, fine = (worst(fallback, g) for g in (grid30, grid30.refined(2)))
+        assert math.log2(coarse / fine) >= 1.9
+        assert coarse > 1e-6
+        assert worst(closed, grid30) < 1e-13 and worst(closed, grid30.refined(2)) < 1e-13
 
 
 class TestLinearTransformPhi4:
