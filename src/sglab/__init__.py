@@ -24,7 +24,6 @@ from .grids import (
     parity_check,
     pde_residual,
     quadrature,
-    second_derivative,
     weighted_norm_sq,
 )
 from .solutions import (
@@ -59,7 +58,6 @@ from .backlund import (
 )
 from .spectra import (
     SchrodingerOperator,
-    apply_operator,
     discrete_spectrum,
     kink_phi4_dual_operator,
     kink_phi4_operator,
@@ -67,7 +65,6 @@ from .spectra import (
     lbt_residual_phi4,
     lbt_residual_phi4_dual,
     lbt_residual_sg,
-    wave_residual,
 )
 from .evolution import EvolveConfig, KinkFrame, Trajectory, evolve
 from .modulation import (
@@ -75,7 +72,6 @@ from .modulation import (
     TubeExitError,
     convergence_classifier,
     rho_rate_check,
-    solve_shift,
     stilde_bound_check,
     track_modulation,
 )

@@ -363,8 +363,9 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
 def _stability_manifold(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
     etas = _get(cfg, "etas", [0.02, 0.04, 0.08])
-    if not etas or min(etas) <= 0:
-        raise ParameterError(f"etas must list at least one noise size, each > 0, got {etas!r}")
+    if not etas or min(etas) <= 0 or len(set(etas)) < len(etas):
+        raise ParameterError(f"etas must list at least one noise size, each > 0 and "
+                             f"none repeated, got {etas!r}")
     n_seeds = _get(cfg, "seeds", 2, 1)
     t_end = _get(cfg, "t_end", 60.0)
     dt = _get(cfg, "dt", 0.009)
@@ -387,16 +388,17 @@ def _stability_manifold(cfg, tol_scale, bundle):
             check = vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, 0.1)
             peak = max((abs(r.rho_rate) for r in records), default=0.0)
             rate_peaks.setdefault(eta, []).append(peak)
-            cls = convergence_classifier(records)
-            series = cls["local_norms"]
-            rate_rows.append((seed, eta, peak, check["max_rate_ratio"], cls["kind"],
+            kind = convergence_classifier(records)["kind"]
+            times = [r.t for r in records]
+            series = [r.local_norm for r in records]
+            rate_rows.append((seed, eta, peak, check["max_rate_ratio"], kind,
                               series[0], series[-1]))
             if seed == 0:
                 bundle.plots[f"rho_eta{eta:g}"] = svg_line_plot(
-                    {"rho": ([r.t for r in records], [r.rho for r in records])},
+                    {"rho": (times, [r.rho for r in records])},
                     title=f"shift, eta={eta:g}", xlabel="t", ylabel="rho")
                 bundle.plots[f"local_norm_eta{eta:g}"] = svg_line_plot(
-                    {"local": (cls["times"], series)},
+                    {"local": (times, series)},
                     title=f"local remainder norm, eta={eta:g}", xlabel="t", ylabel="norm")
     bundle.tables["manifold_runs"] = (
         ["seed", "eta", "max_rho_rate", "max_rate_ratio", "classification",
@@ -483,6 +485,8 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
                     for d in _get(cfg, "deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0])]
     elif kind == "energy-drift":
         key, least, t_end = "resolutions", 2, _get(cfg, "t_end", 10.0)
+        if not t_end > 0:
+            raise ParameterError(f"t_end must be > 0 for an energy-drift sweep, got {t_end!r}")
         payloads = [{"kind": kind, "n_points": n, "dt": dt, "t_end": t_end} for n, dt in
                     _get(cfg, "resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])]
         if any(a["dt"] == b["dt"] for a, b in zip(payloads, payloads[1:])):

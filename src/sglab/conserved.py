@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 from .grids import FieldState, Model, ParameterError, derivative, quadrature
 
@@ -13,18 +12,11 @@ __all__ = ["energy", "momentum", "manifold_momentum", "kink_profile_momentum"]
 def energy(state: FieldState, model: Model) -> float:
     """Total energy (1/2) int (u_x^2 + v^2) + int V(u) by trapezoid quadrature.
 
-    Warns when the energy density has not decayed at the grid ends, reporting
-    the end density as a rough truncation-error estimate.
+    The integral stops at the grid ends: a density that has not decayed there
+    (radiation reaching the box ends, say) is truncated without notice.
     """
     ux = derivative(state.u, state.grid)
     density = 0.5 * (ux ** 2 + state.v ** 2) + model.potential(state.u)
-    end_density = max(abs(density[0]), abs(density[-1]))
-    if end_density > 1e-10:
-        warnings.warn(
-            f"energy density {end_density:.3e} at the grid ends; truncation error "
-            f"is roughly that size",
-            stacklevel=2,
-        )
     return quadrature(density, state.grid)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .conserved import energy, momentum
 from .grids import (
     ContractError,
     FieldState,
@@ -24,8 +25,6 @@ from .grids import (
     ParameterError,
     SINE_GORDON,
     PerturbationPair,
-    derivative,
-    quadrature,
 )
 from .solutions import KinkParams, KinkProfile, kink_profile
 
@@ -118,13 +117,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _full_energy_momentum(grid, model, u, v):
-    ux = derivative(u, grid)
-    e = quadrature(0.5 * (ux ** 2 + v ** 2) + model.potential(u), grid)
-    p = 0.5 * quadrature(v * ux, grid)
-    return e, p
-
-
 def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     """Integrate the field (or its perturbation around a kink frame) to t_end.
 
@@ -191,10 +183,9 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         traj.v_snaps.append(v.copy())
         # a plain run's u + 0.0 would turn -0.0 entries into +0.0
         q, q_t = traj.background_fields(t)
-        full_u, full_v = (u, v) if frame is None else (u + q, v + q_t)
-        e, p = _full_energy_momentum(grid, model, full_u, full_v)
-        traj.energies.append(e)
-        traj.momenta.append(p)
+        full = FieldState(t, grid, *((u, v) if frame is None else (u + q, v + q_t)))
+        traj.energies.append(energy(full, model))
+        traj.momenta.append(momentum(full))
 
     record(t0)
     half_kick(t0)

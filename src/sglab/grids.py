@@ -26,8 +26,6 @@ __all__ = [
     "quadrature",
     "cumulative_quadrature",
     "derivative",
-    "second_derivative",
-    "dirichlet_second_derivative",
     "pde_residual",
     "weighted_norm_sq",
     "local_energy_norm",
@@ -310,17 +308,6 @@ def second_derivative(values, grid: GridSpec) -> np.ndarray:
     else:
         out[0] = out[1]
         out[-1] = out[1]
-    return out
-
-
-def dirichlet_second_derivative(values, grid: GridSpec) -> np.ndarray:
-    """Second derivative with zero ghost values outside the grid (Dirichlet closure)."""
-    f = _as_field(values, grid, "values")
-    h2 = grid.h ** 2
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    out[0] = (f[1] - 2.0 * f[0]) / h2
-    out[-1] = (f[-2] - 2.0 * f[-1]) / h2
     return out
 
 

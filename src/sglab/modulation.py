@@ -33,7 +33,6 @@ from .solutions import KinkParams, _arctan_exp, _sech, kink_profile
 __all__ = [
     "TubeExitError",
     "ModulationRecord",
-    "solve_shift",
     "track_modulation",
     "rho_rate_check",
     "stilde_bound_check",
@@ -85,9 +84,14 @@ def _mismatch(state: FieldState, beta: float, rho: float):
 
 
 def _fit_shift(state, beta, rho_guess, tube_radius):
-    """``solve_shift``, also returning the converged orthogonality value and
-    the remainder pair, so a caller needs no further profile evaluation.
-    Newton stops at |value| <= 1e-10 and gives up after 50 iterations."""
+    """Newton-solve the shift rho that makes the remainder orthogonal to the
+    kink's translation direction, starting from `rho_guess`.
+
+    Returns rho, the converged orthogonality value and the remainder pair, so
+    a caller needs no further profile evaluation.  Newton stops at
+    |value| <= 1e-10 and gives up after 50 iterations; divergence, or a
+    remainder larger than `tube_radius` at the root, raises TubeExitError,
+    the exit-time mechanism of orbital tracking."""
     if not abs(beta) < 1:
         raise ParameterError(f"|beta| < 1 required, got {beta}")
     rho = float(rho_guess)
@@ -108,17 +112,6 @@ def _fit_shift(state, beta, rho_guess, tube_radius):
             raise TubeExitError(f"shift solve diverged (step {step:.3g})")
         rho -= step
     raise TubeExitError("shift solve: no convergence after 50 iterations")
-
-
-def solve_shift(state: FieldState, beta: float, rho_guess: float = 0.0, *,
-                tube_radius: float = 0.5) -> float:
-    """Newton-solve the shift rho that makes the remainder orthogonal to the
-    kink's translation direction.
-
-    Divergence (or a remainder larger than `tube_radius` at the root) raises
-    TubeExitError, mirroring the exit-time mechanism of orbital tracking.
-    """
-    return _fit_shift(state, beta, rho_guess, tube_radius)[0]
 
 
 def track_modulation(traj, beta: float, interval=(-5.0, 5.0),
@@ -209,8 +202,9 @@ def convergence_classifier(records) -> dict:
     """Classify the tracked shift: settled to a limit, or still excursive.
 
     ``bounded-converging`` is declared when the total variation of rho over the
-    last quarter of the run is below 1e-3, and ``excursion`` otherwise.  The
-    local-norm series rides along for decay inspection either way.
+    last quarter of the run is below 1e-3, and ``excursion`` otherwise.
+    Returns the kind, that tail variation and, for a settled shift, its tail
+    mean ``rho_bar``.
     """
     if not records:
         raise ParameterError("no records to classify")
@@ -218,8 +212,7 @@ def convergence_classifier(records) -> dict:
     q = max(2, len(records) // 4)
     tail = rhos[-q:]
     tv = float(np.sum(np.abs(np.diff(tail))))
-    out = {"total_variation_tail": tv, "times": np.array([r.t for r in records]),
-           "local_norms": np.array([r.local_norm for r in records])}
+    out = {"total_variation_tail": tv}
     if tv < 1e-3:
         out["kind"] = "bounded-converging"
         out["rho_bar"] = float(np.mean(tail))

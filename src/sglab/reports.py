@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["ReportRow", "ReportBundle", "fmt", "runtime_info", "write_csv", "svg_line_plot"]
+__all__ = ["ReportBundle", "svg_line_plot"]
 
 
 def fmt(value) -> str:
@@ -57,33 +57,12 @@ def runtime_info() -> dict:
 
 
 @dataclass
-class ReportRow:
-    """One checked quantity: measured value, the tolerance it was judged
-    against, and where the expected value comes from."""
-
-    name: str
-    measured: float
-    tolerance: float
-    passed: bool
-    provenance: str = ""
-    expected: float | None = None
-
-    def as_dict(self):
-        d = {
-            "name": self.name,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "provenance": self.provenance,
-        }
-        if self.expected is not None:
-            d["expected"] = self.expected
-        return d
-
-
-@dataclass
 class ReportBundle:
-    """Rows plus named tables and plots, written together to a directory."""
+    """Rows plus named tables and plots, written together to a directory.
+
+    A row is one checked quantity, the dict that ``summary.json`` lists under
+    ``checks``: name, measured, tolerance, passed and provenance, then
+    expected when one was given."""
 
     title: str
     rows: list = field(default_factory=list)
@@ -104,19 +83,22 @@ class ReportBundle:
             ok = measured >= tolerance
         else:
             ok = measured <= tolerance
-        self.rows.append(ReportRow(name, float(measured), float(tolerance),
-                                   bool(ok), provenance, expected))
+        row = {"name": name, "measured": float(measured), "tolerance": float(tolerance),
+               "passed": bool(ok), "provenance": provenance}
+        if expected is not None:
+            row["expected"] = expected
+        self.rows.append(row)
         return ok
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return all(r["passed"] for r in self.rows)
 
     def summary(self) -> dict:
         return {
             "title": self.title,
             "passed": self.passed,
-            "checks": [r.as_dict() for r in self.rows],
+            "checks": self.rows,
             "runtime": runtime_info(),
         }
 
@@ -134,10 +116,10 @@ class ReportBundle:
 
     def print_rows(self):
         for r in self.rows:
-            status = "PASS" if r.passed else "FAIL"
-            extra = f" expected={fmt(r.expected)}" if r.expected is not None else ""
-            print(f"[{status}] {r.name}: measured={fmt(r.measured)} "
-                  f"tol={fmt(r.tolerance)}{extra} ({r.provenance})")
+            status = "PASS" if r["passed"] else "FAIL"
+            extra = f" expected={fmt(r['expected'])}" if "expected" in r else ""
+            print(f"[{status}] {r['name']}: measured={fmt(r['measured'])} "
+                  f"tol={fmt(r['tolerance'])}{extra} ({r['provenance']})")
 
 
 def write_csv(path, header, rows):

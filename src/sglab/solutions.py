@@ -30,7 +30,6 @@ __all__ = [
     "three_soliton",
     "phi4_kink",
     "linear_mode",
-    "LINEAR_MODE_NAMES",
     "zero_sampler",
 ]
 

@@ -1,5 +1,4 @@
-"""Linearized operators around kinks: spectra, linear transform residuals,
-and second-order wave checks.
+"""Linearized operators around kinks: spectra and linear transform residuals.
 
 The three Schrodinger operators in play are
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .grids import (
     GridSpec,
     ParameterError,
     SolverError,
-    _time_difference,
-    dirichlet_second_derivative,
     quadrature,
 )
 from .solutions import SolutionSampler, _sech
@@ -37,12 +34,10 @@ __all__ = [
     "kink_sg_operator",
     "kink_phi4_operator",
     "kink_phi4_dual_operator",
-    "apply_operator",
     "discrete_spectrum",
     "lbt_residual_sg",
     "lbt_residual_phi4",
     "lbt_residual_phi4_dual",
-    "wave_residual",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -77,12 +72,6 @@ def kink_phi4_operator() -> SchrodingerOperator:
 
 def kink_phi4_dual_operator() -> SchrodingerOperator:
     return SchrodingerOperator(lambda x: 2.0 - _sech(np.asarray(x) / _SQRT2) ** 2, 2.0)
-
-
-def apply_operator(op: SchrodingerOperator, f, grid: GridSpec) -> np.ndarray:
-    """-f'' + potential * f with centered differences and Dirichlet closure."""
-    f = np.asarray(f, dtype=float)
-    return -dirichlet_second_derivative(f, grid) + op.potential(grid.x) * f
 
 
 def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec):
@@ -165,17 +154,3 @@ def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSp
     # lam * (a + i b) = i lam_im (a + i b) = -lam_im b + i lam_im a
     return ((e1_re + sign * (-lam_im * psi_im[0]), e1_im + sign * (lam_im * psi_re[0])),
             (e2_re + sign * (-lam_im * phi_im[0]), e2_im + sign * (lam_im * phi_re[0])))
-
-
-def wave_residual(phi: SolutionSampler, op: Union[SchrodingerOperator, float],
-                  t: float, grid: GridSpec, dt: float) -> np.ndarray:
-    """Residual of phi_tt + L phi = 0 with centered time differences.
-
-    ``op`` is a SchrodingerOperator, or a number m^2 meaning the flat operator
-    -d^2/dx^2 + m^2.
-    """
-    u_0, u_tt = _time_difference(phi, t, grid, dt)
-    if isinstance(op, SchrodingerOperator):
-        return u_tt + apply_operator(op, u_0, grid)
-    mass_sq = float(op)
-    return u_tt - dirichlet_second_derivative(u_0, grid) + mass_sq * u_0

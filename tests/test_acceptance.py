@@ -59,12 +59,8 @@ from sglab.solutions import (
     two_kink,
     wobbler,
 )
-from sglab.spectra import (
-    kink_phi4_dual_operator,
-    kink_phi4_operator,
-    kink_sg_operator,
-    wave_residual,
-)
+from sglab.spectra import kink_phi4_dual_operator, kink_phi4_operator, kink_sg_operator
+from wave_checks import wave_residual
 
 
 def report(criterion, passed, detail):

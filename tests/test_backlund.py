@@ -35,7 +35,6 @@ from sglab.grids import (
     quadrature,
 )
 from sglab.inputs import smooth_random
-from sglab.modulation import solve_shift
 from sglab.solutions import (
     KinkParams,
     WobblerParams,
@@ -457,7 +456,6 @@ _SOLVER_OPTIONS = {
     descend_wobbler_to_breather: {"parity_tol", "compat_tol"},
     lift_with_orthogonality: set(),
     zero_momentum_manifold_data: set(),
-    solve_shift: {"rho_guess", "tube_radius"},
 }
 
 

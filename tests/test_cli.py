@@ -46,6 +46,16 @@ class TestReportBundle:
         svg = (out / "line.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>")
 
+    def test_summary_rows_keep_their_key_order(self, tmp_path):
+        b = ReportBundle("demo")
+        b.check("bare", 0.5, 1.0, "provenance text")
+        b.check("against", 1.0005, 1e-3, expected=1.0)
+        checks = json.loads((b.write(tmp_path / "report") / "summary.json").read_text())["checks"]
+        keys = ["name", "measured", "tolerance", "passed", "provenance"]
+        assert [list(c) for c in checks] == [keys, keys + ["expected"]]
+        assert checks[0] == {"name": "bare", "measured": 0.5, "tolerance": 1.0,
+                             "passed": True, "provenance": "provenance text"}
+
     def test_summary_records_runtime(self, tmp_path):
         out = ReportBundle("demo").write(tmp_path / "report")
         runtime = json.loads((out / "summary.json").read_text())["runtime"]
@@ -182,6 +192,8 @@ class TestCliCommands:
         ("sweep", {"kind": "energy-drift", "resolutions": [[2001, 0.02], [4001, 0.02]]}),
         ("sweep", {"kind": "three-soliton-limit", "speeds": []}),
         ("sweep", {"kind": "three-soliton-limit", "speeds": [0.1]}),
+        ("stability", {"etas": [0.02, 0.02]}),
+        ("sweep", {"kind": "energy-drift", "t_end": 0.0}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -196,7 +208,8 @@ class TestCliCommands:
             "string-sweep-n-points", "missing-input-file", "input-file-not-json",
             "input-file-without-x-max", "unknown-model", "number-model", "zero-eta",
             "negative-eta", "empty-etas", "zero-in-etas", "negative-in-etas", "empty-deltas",
-            "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed"])
+            "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed",
+            "repeated-etas", "zero-sweep-t-end"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, payload):
         # the input_file cases name files in the working directory

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sglab.cli import cmd_evolve
+from sglab.conserved import energy, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.grids import (
     ContractError,
@@ -284,6 +285,19 @@ class TestAgainstReferenceLeapfrog:
                 assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
             else:
                 assert max(float(np.max(np.abs(g - r))) for g, r in zip(got, (u, v, e, p))) < tol
+
+
+@pytest.mark.parametrize("model,frame", [
+    (SINE_GORDON, None), (PHI4, None), (SINE_GORDON, KinkFrame()),
+    (SINE_GORDON, KinkFrame(beta=0.3)),
+], ids=["sg-plain", "phi4-plain", "sg-static-frame", "sg-moving-frame"])
+def test_logs_are_the_conserved_functionals_of_each_snapshot(model, frame):
+    grid = GridSpec(-20.0, 20.0, 801)
+    base = (phi4_kink() if model == PHI4 else breather(0.5) if frame is None
+            else kink(KinkParams(frame.beta))).sample(grid, 0.0)
+    traj = evolve(base, model, EvolveConfig(dt=0.02, t_end=2.0, background=frame))
+    assert traj.energies == [energy(traj.state(i), model) for i in range(len(traj))]
+    assert traj.momenta == [momentum(traj.state(i)) for i in range(len(traj))]
 
 
 def test_closed_form_sin_cos_of_kink():

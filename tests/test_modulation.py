@@ -22,7 +22,6 @@ from sglab.modulation import (
     _mismatch,
     convergence_classifier,
     rho_rate_check,
-    solve_shift,
     stilde_bound_check,
     track_modulation,
 )
@@ -42,14 +41,14 @@ class TestSolveShift:
     def test_exact_shifted_kink(self, grid40):
         prof = kink_profile(KinkParams(0.0, 0.37))
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
-        assert solve_shift(st, 0.0) == pytest.approx(0.37, abs=1e-9)
+        assert _fit_shift(st, 0.0, 0.0, 0.5)[0] == pytest.approx(0.37, abs=1e-9)
 
     def test_odd_perturbation_keeps_zero_shift(self, grid40):
         prof = kink_profile(KinkParams(0.0))
         u0 = 0.05 * np.tanh(grid40.x) * np.exp(-((grid40.x / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(grid40.x) + u0, np.zeros(grid40.n_points))
         for guess in (-0.2, 0.0, 0.4):
-            assert abs(solve_shift(st, 0.0, rho_guess=guess)) < 1e-9
+            assert abs(_fit_shift(st, 0.0, guess, 0.5)[0]) < 1e-9
 
     def test_translation_equivariance(self, grid40):
         x = grid40.x
@@ -57,17 +56,17 @@ class TestSolveShift:
         prof = kink_profile(KinkParams(0.0, shift))
         u = 0.05 * np.tanh(x - shift) * np.exp(-(((x - shift) / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(x) + u, np.zeros(grid40.n_points))
-        assert solve_shift(st, 0.0, rho_guess=1.0) == pytest.approx(shift, abs=1e-9)
+        assert _fit_shift(st, 0.0, 1.0, 0.5)[0] == pytest.approx(shift, abs=1e-9)
 
     def test_tube_exit_raises(self, grid40):
         st = FieldState(0.0, grid40, np.zeros(grid40.n_points), np.zeros(grid40.n_points))
         with pytest.raises(TubeExitError):
-            solve_shift(st, 0.0)
+            _fit_shift(st, 0.0, 0.0, 0.5)
 
     def test_speed_guard(self, grid40):
         st = kink(KinkParams(0.0)).sample(grid40, 0.0)
         with pytest.raises(ParameterError):
-            solve_shift(st, 1.5)
+            _fit_shift(st, 1.5, 0.0, 0.5)
 
 
     @pytest.mark.parametrize("beta,t,rho", [(0.0, 0.0, 0.2), (0.3, 1.5, -0.4)])
@@ -269,6 +268,7 @@ class TestClassifier:
                                    snapshot_every=0.5))
         records = track_modulation(traj, 0.0)
         out = convergence_classifier(records)
+        assert set(out) == {"kind", "total_variation_tail", "rho_bar"}
         assert out["kind"] == "bounded-converging"
         assert abs(out["rho_bar"]) < 1e-8
 

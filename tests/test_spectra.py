@@ -14,7 +14,6 @@ import sglab
 from sglab.grids import ContractError, GridSpec, quadrature
 from sglab.solutions import SolutionSampler, linear_mode, zero_sampler
 from sglab.spectra import (
-    apply_operator,
     discrete_spectrum,
     kink_phi4_dual_operator,
     kink_phi4_operator,
@@ -22,8 +21,8 @@ from sglab.spectra import (
     lbt_residual_phi4,
     lbt_residual_phi4_dual,
     lbt_residual_sg,
-    wave_residual,
 )
+from wave_checks import apply_operator, wave_residual
 
 SQRT2 = math.sqrt(2.0)
 
