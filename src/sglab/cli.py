@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import numbers
-import os
 import sys
 from pathlib import Path
 
@@ -454,7 +453,7 @@ def cmd_stability(cfg, tol_scale) -> ReportBundle:
 # --- sweep ----------------------------------------------------------------------
 
 def _sweep_cell(payload):
-    """One sweep cell, run in a worker process on values cmd_sweep has checked."""
+    """One sweep cell, run on values cmd_sweep has checked."""
     kind = payload["kind"]
     if kind == "final-speed":
         delta = payload["delta"]
@@ -474,9 +473,6 @@ def _sweep_cell(payload):
 
 
 def cmd_sweep(cfg, tol_scale) -> ReportBundle:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     bundle = ReportBundle("sweep")
     kind = _get(cfg, "kind", "final-speed")
     if kind == "final-speed":
@@ -501,10 +497,7 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
     if len(payloads) < least:
         raise ParameterError(f"{key} must have at least {least} item{'s' * (least > 1)} "
                              f"for a {kind} sweep, got {len(payloads)}")
-    # workers start from a fresh import (spawn), so no thread state is forked
-    with ProcessPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(payloads))),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        results = list(pool.map(_sweep_cell, payloads))
+    results = list(map(_sweep_cell, payloads))
     header = list(results[0].keys())
     bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in results])
     if kind == "final-speed":

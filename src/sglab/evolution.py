@@ -58,8 +58,8 @@ class EvolveConfig:
     def __post_init__(self):
         for name in ("dt", "t_end", "snapshot_every"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ParameterError(f"{name} must be a finite real number, got {value!r}")
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
         if not self.t_end >= 0:
@@ -117,16 +117,38 @@ class Trajectory:
         return len(self.times)
 
 
+def _kink_frame_force(sin_q, cos_q, u, out, work):
+    """The sine-Gordon force on a perturbation u of the kink Q,
+    sin(Q + u) - sin Q = sin Q (cos u - 1) + cos Q sin u, written into ``out``;
+    ``work`` is a scratch array of u's shape.
+
+    One transcendental, t = tan(u/2): then sin u = 2t / (1 + t^2) and
+    cos u - 1 = -t sin u, so the force is sin u (cos Q - t sin Q).  This holds
+    for every finite u (u/2 is never exactly an odd multiple of pi/2 in
+    floating point), is exactly zero at u = 0, avoids the cancellation of
+    cos u - 1 for small u, and keeps odd parity of u around the kink.
+    """
+    np.multiply(u, 0.5, out=work)
+    np.tan(work, out=work)
+    np.multiply(work, work, out=out)
+    out += 1.0
+    np.divide(work, out, out=out)
+    out *= 2.0
+    work *= sin_q
+    np.subtract(cos_q, work, out=work)
+    out *= work
+    return out
+
+
 def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     """Integrate the field (or its perturbation around a kink frame) to t_end.
 
     ``initial`` is always the full field; with a background the perturbation
     u = field - kink is evolved with the exact background force and zero
     Dirichlet ends, and snapshots record the perturbation.  A frame carries
-    the sine-Gordon kink, so other models refuse one.  A static frame's force
-    terms are computed once; a translating frame's are evaluated each step
-    from the kink's closed-form sin Q and cos Q.  The step loop allocates no
-    array.
+    the sine-Gordon kink, so other models refuse one.  The force terms sin Q
+    and cos Q come from the kink's closed form: once for a static frame, and
+    on every step for a translating one.  The step loop allocates no array.
     """
     grid = initial.grid
     h = grid.h
@@ -158,8 +180,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
     if frame is not None:
-        terms = (model.background_terms(q0[1:-1]) if frame.beta == 0
-                 else (np.empty_like(u_in), np.empty_like(u_in)))
+        terms = frame.profile(t0).sin_cos_q(x_in, (np.empty_like(u_in), np.empty_like(u_in)),
+                                            work)
 
     def half_kick(t):
         # kick = a dt/2 with a = u_xx - force, built in place with the
@@ -173,7 +195,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         else:
             if frame.beta != 0:
                 frame.profile(t).sin_cos_q(x_in, terms, work)
-            model.force_from_terms(terms, u_in, force, work)
+            _kink_frame_force(*terms, u_in, force, work)
         np.subtract(kick, force, out=kick)
         np.multiply(kick, half_dt, out=kick)
 

@@ -179,68 +179,6 @@ class Model:
             return 1.0 - np.cos(u)
         return 0.25 * (1.0 - u * u) ** 2
 
-    def perturbation_force(self, background, u):
-        """N(background + u) - N(background), written to stay exact for u = 0.
-
-        For sine-Gordon this is sin(Q)(cos u - 1) + cos(Q) sin u, evaluated in
-        half-angle form (see ``force_from_terms``), which has no cancellation
-        for small u and keeps odd parity of u manifestly preserved around a
-        kink; for phi^4 it is (3 Q^2 - 1) u + 3 Q u^2 + u^3.  This is the
-        reference the evolver's in-place path is tested against.
-        """
-        return self.force_from_terms(self.background_terms(background), u)
-
-    def background_terms(self, background) -> tuple:
-        """The factors of the perturbation force that depend on the background Q
-        alone: (sin Q, cos Q) for sine-Gordon, (3 Q^2 - 1, 3 Q) for phi^4.
-
-        A caller whose background does not change computes them once.
-        """
-        if self.kind == "sine-gordon":
-            return np.sin(background), np.cos(background)
-        q3 = 3.0 * background
-        return q3 * background - 1.0, q3
-
-    def force_from_terms(self, terms, u, out=None, work=None):
-        """``perturbation_force`` from precomputed ``background_terms``.
-
-        The result is written into ``out`` (allocated when None); ``work`` is a
-        scratch array of the same shape.
-
-        Sine-Gordon uses one transcendental, t = tan(u/2): then
-        sin u = 2t / (1 + t^2) and cos u - 1 = -t sin u, so the force is
-        sin u (cos Q - t sin Q).  This holds for every finite u (u/2 is never
-        exactly an odd multiple of pi/2 in floating point), is exactly zero at
-        u = 0, and avoids the cancellation of cos u - 1 for small u.  phi^4
-        forms u^3 by multiplication.
-        """
-        u = np.asarray(u, dtype=float)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(u.shape, np.shape(terms[0])))
-        if work is None:
-            work = np.empty_like(out)
-        if self.kind == "sine-gordon":
-            sin_q, cos_q = terms
-            np.multiply(u, 0.5, out=work)
-            np.tan(work, out=work)
-            np.multiply(work, work, out=out)
-            out += 1.0
-            np.divide(work, out, out=out)
-            out *= 2.0
-            work *= sin_q
-            np.subtract(cos_q, work, out=work)
-            out *= work
-            return out
-        linear, quadratic = terms
-        np.multiply(linear, u, out=out)
-        np.multiply(quadratic, u, out=work)
-        work *= u
-        out += work
-        np.multiply(u, u, out=work)
-        work *= u
-        out += work
-        return out
-
 
 SINE_GORDON = Model("sine-gordon")
 PHI4 = Model("phi4")

@@ -41,6 +41,9 @@ __all__ = [
 
 log = logging.getLogger("sglab.modulation")
 
+# the largest local energy norm of the remainder the tracker follows
+TUBE_RADIUS = 0.5
+
 
 class TubeExitError(SolverError):
     """The state left the neighborhood of the kink family during tracking."""
@@ -83,14 +86,14 @@ def _mismatch(state: FieldState, beta: float, rho: float):
     return value, dvalue, du, dv
 
 
-def _fit_shift(state, beta, rho_guess, tube_radius):
+def _fit_shift(state, beta, rho_guess):
     """Newton-solve the shift rho that makes the remainder orthogonal to the
     kink's translation direction, starting from `rho_guess`.
 
     Returns rho, the converged orthogonality value and the remainder pair, so
     a caller needs no further profile evaluation.  Newton stops at
     |value| <= 1e-10 and gives up after 50 iterations; divergence, or a
-    remainder larger than `tube_radius` at the root, raises TubeExitError,
+    remainder larger than TUBE_RADIUS at the root, raises TubeExitError,
     the exit-time mechanism of orbital tracking."""
     if not abs(beta) < 1:
         raise ParameterError(f"|beta| < 1 required, got {beta}")
@@ -101,9 +104,9 @@ def _fit_shift(state, beta, rho_guess, tube_radius):
         if abs(value) <= 1e-10:
             pair = PerturbationPair(state.grid, du, dv)
             dist = local_energy_norm(pair)
-            if dist > tube_radius:
+            if dist > TUBE_RADIUS:
                 raise TubeExitError(
-                    f"remainder norm {dist:.3f} exceeds the tube radius {tube_radius}")
+                    f"remainder norm {dist:.3f} exceeds the tube radius {TUBE_RADIUS}")
             return rho, value, pair
         if abs(dvalue) < 1e-12 or not math.isfinite(value):
             raise TubeExitError("shift solve lost its nondegeneracy")
@@ -114,8 +117,7 @@ def _fit_shift(state, beta, rho_guess, tube_radius):
     raise TubeExitError("shift solve: no convergence after 50 iterations")
 
 
-def track_modulation(traj, beta: float, interval=(-5.0, 5.0),
-                     tube_radius: float = 0.5) -> list:
+def track_modulation(traj, beta: float, interval=(-5.0, 5.0)) -> list:
     """Track the shift along a trajectory from rho = 0, warm-starting each solve.
 
     Returns one ModulationRecord per snapshot with rho, the orthogonality
@@ -134,7 +136,7 @@ def track_modulation(traj, beta: float, interval=(-5.0, 5.0),
     for i in range(len(traj)):
         state = traj.state(i)
         try:
-            rho, value, pair = _fit_shift(state, beta, rho, tube_radius)
+            rho, value, pair = _fit_shift(state, beta, rho)
         except TubeExitError as exc:
             log.warning("tracking stopped at t = %.6g after %d of %d snapshots: %s",
                         state.t, len(records), len(traj), exc)

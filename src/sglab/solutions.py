@@ -213,18 +213,12 @@ class KinkProfile:
         a = self._arg(x)
         return 2.0 * self.beta * self.gamma ** 3 * _sech(a) * (1.0 - 2.0 * np.tanh(a) ** 2)
 
-    def sin_cos_q(self, x, out=None, work=None):
+    def sin_cos_q(self, x, out, work):
         """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan.
 
-        The pair is written into ``out`` (allocated when None) and ``work`` is a
-        scratch array of x's shape, so a caller that passes both allocates
-        nothing; either way the operations and their order are the same.
+        The pair is written into ``out``, a pair of arrays of x's shape, and
+        ``work`` is a scratch array of that shape, so the call allocates nothing.
         """
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty_like(x), np.empty_like(x)
-        if work is None:
-            work = np.empty_like(x)
         sin_q, cos_q = out
         np.subtract(x, self.x0, out=work)
         work *= self.gamma  # a

@@ -1,11 +1,14 @@
+import importlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sglab
 from sglab.backlund import (
     BtParameter,
     _Background,
@@ -446,20 +449,60 @@ class TestFinalSpeeds:
         assert gap < 1e-12
 
 
-# every keyword option here is passed by a test or the CLI; a knob that no
-# caller sets is a literal inside the solver instead
-_SOLVER_OPTIONS = {
-    construct_manifold_data: set(),
-    lift_zero_to_kink: {"tol", "max_iter"},
-    descend_kink_to_zero: {"parity_tol"},
-    lift_breather_to_wobbler: {"max_iter"},
-    descend_wobbler_to_breather: {"parity_tol", "compat_tol"},
-    lift_with_orthogonality: set(),
-    zero_momentum_manifold_data: set(),
+# the keyword options (parameters with a default) of every function and method
+# named without a leading underscore in src/sglab/*.py: each is passed by a
+# test or the CLI, a knob that no caller sets is a literal instead, and a new
+# option must be added here
+_OPTIONS = {
+    "lift_zero_to_kink": {"tol", "max_iter"},
+    "descend_kink_to_zero": {"parity_tol"},
+    "lift_breather_to_wobbler": {"max_iter"},
+    "descend_wobbler_to_breather": {"parity_tol", "compat_tol"},
+    "_Background.kink": {"kinkp"},
+    "main": {"argv"},
+    "GridSpec.refined": {"factor"},
+    "Model.nonlinearity": {"out"},
+    "local_energy_norm": {"interval"},
+    "named_pair": {"amplitude", "beta", "t", "seed"},
+    "track_modulation": {"interval"},
+    "rho_rate_check": {"eps"},
+    "ReportBundle.check": {"provenance", "expected", "larger_ok"},
+    "svg_line_plot": {"title", "xlabel", "ylabel"},
 }
 
 
-@pytest.mark.parametrize("solver", list(_SOLVER_OPTIONS), ids=lambda f: f.__name__)
-def test_solver_options_are_the_ones_callers_set(solver):
-    params = inspect.signature(solver).parameters.values()
-    assert {p.name for p in params if p.default is not p.empty} == _SOLVER_OPTIONS[solver]
+def _public_functions():
+    """(name, function) for the module functions and class methods of every
+    sglab module, methods named Class.method, private classes included."""
+    found = {}
+    for path in sorted(Path(sglab.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"sglab.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) and not name.startswith("_"):
+                members = {name: obj}
+            elif inspect.isclass(obj):
+                members = {f"{name}.{attr}": getattr(member, "__func__", member)
+                           for attr, member in vars(obj).items() if not attr.startswith("_")}
+            else:
+                continue
+            for key, func in members.items():
+                if inspect.isfunction(func):
+                    assert key not in found, f"two public functions named {key}"
+                    found[key] = func
+    return found
+
+
+_PUBLIC_FUNCTIONS = _public_functions()
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_FUNCTIONS))
+def test_solver_options_are_the_ones_callers_set(name):
+    params = inspect.signature(_PUBLIC_FUNCTIONS[name]).parameters.values()
+    assert {p.name for p in params if p.default is not p.empty} == _OPTIONS.get(name, set())
+
+
+def test_options_pin_names_live_functions():
+    assert set(_OPTIONS) <= set(_PUBLIC_FUNCTIONS)
+    assert sum(map(len, _OPTIONS.values())) == 23

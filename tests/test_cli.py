@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sglab
-from sglab.cli import _COMMANDS, PROBE_HEADER, _sweep_cell, main
+from sglab.cli import _COMMANDS, PROBE_HEADER, main
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import SPECTRA, linear_transform_cases, spectrum_ladder, wobbler_orbit
 from sglab.grids import SINE_GORDON, GridSpec, WeightSpec, local_energy_norm, weighted_norm_sq
@@ -194,6 +194,10 @@ class TestCliCommands:
         ("sweep", {"kind": "three-soliton-limit", "speeds": [0.1]}),
         ("stability", {"etas": [0.02, 0.02]}),
         ("sweep", {"kind": "energy-drift", "t_end": 0.0}),
+        ("evolve", {"t_end": float("inf")}),
+        ("evolve", {"t_end": 1.0, "snapshot_every": float("inf")}),
+        ("stability", {"experiment": "wobbler", "t_end": float("inf")}),
+        ("sweep", {"kind": "energy-drift", "t_end": float("inf")}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -209,7 +213,8 @@ class TestCliCommands:
             "input-file-without-x-max", "unknown-model", "number-model", "zero-eta",
             "negative-eta", "empty-etas", "zero-in-etas", "negative-in-etas", "empty-deltas",
             "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed",
-            "repeated-etas", "zero-sweep-t-end"])
+            "repeated-etas", "zero-sweep-t-end", "infinite-t-end", "infinite-snapshot-every",
+            "infinite-stability-t-end", "infinite-sweep-t-end"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, payload):
         # the input_file cases name files in the working directory
@@ -271,22 +276,8 @@ class TestCliCommands:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
-    def test_sweep_workers(self, tmp_path):
-        # the pooled sweep writes exactly what its cells return run serially
-        grid = GridSpec(-40.0, 40.0, 2001)
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "kind": "three-soliton-limit", "speeds": [0.1, 0.01],
-            "grid": {"n_points": 2001}})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        cells = [_sweep_cell({"kind": "three-soliton-limit", "v": v, "beta": 0.5, "t": 0.7,
-                              "grid": grid}) for v in (0.1, 0.01)]
-        write_csv(tmp_path / "serial.csv", ["v", "sup_gap"],
-                  [(c["v"], c["sup_gap"]) for c in cells])
-        assert ((tmp_path / "o" / "sweep.csv").read_bytes()
-                == (tmp_path / "serial.csv").read_bytes())
-
     def test_workers_is_no_flag(self, tmp_path):
-        # the sweep pool sizes itself, so no command takes --workers
+        # every command runs its cells in-process, so none takes --workers
         for command in _COMMANDS:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--workers", "2", "--out", str(tmp_path / "o")])

@@ -3,7 +3,7 @@ import pytest
 
 from sglab.cli import cmd_evolve
 from sglab.conserved import energy, momentum
-from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab.evolution import EvolveConfig, KinkFrame, _kink_frame_force, evolve
 from sglab.grids import (
     ContractError,
     FieldState,
@@ -41,6 +41,14 @@ def test_cfl_violation_refused(grid40):
     st = kink(KinkParams(0.0)).sample(grid40, 0.0)
     with pytest.raises(ParameterError, match="CFL"):
         evolve(st, SINE_GORDON, EvolveConfig(dt=0.05, t_end=1.0))
+
+
+@pytest.mark.parametrize("times", [{"t_end": np.inf}, {"t_end": 1.0, "snapshot_every": np.inf},
+                                   {"t_end": np.nan}, {"t_end": 1.0, "dt": np.inf}])
+def test_times_must_be_finite(times):
+    # an infinite t_end or snapshot_every once overflowed int(round(...)) in evolve
+    with pytest.raises(ParameterError, match="finite"):
+        EvolveConfig(**{"dt": 0.01, **times})
 
 
 def test_static_kink_is_stationary(grid40):
@@ -213,7 +221,8 @@ def test_probe_modulation_is_padded_after_tube_exit():
 
 def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
     """The kick-drift-kick loop with the kink rebuilt and the perturbation force
-    recomputed from Q on every step, as ``evolve`` did before it cached them."""
+    recomputed from its closed-form sin Q and cos Q on every step, as ``evolve``
+    did before it cached them."""
     grid = initial.grid
     x = grid.x
 
@@ -226,7 +235,11 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
         if frame is None:
             a[1:-1] -= model.nonlinearity(u[1:-1])
         else:
-            a[1:-1] -= model.perturbation_force(background(t).q(x[1:-1]), u[1:-1])
+            x_in = x[1:-1]
+            terms = background(t).sin_cos_q(x_in, (np.empty_like(x_in), np.empty_like(x_in)),
+                                            np.empty_like(x_in))
+            a[1:-1] -= _kink_frame_force(*terms, u[1:-1], np.empty_like(x_in),
+                                         np.empty_like(x_in))
         return a
 
     def conserved(u, v, t):
@@ -258,14 +271,14 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
 
 class TestAgainstReferenceLeapfrog:
     CASES = [
-        ("sg-static-frame", SINE_GORDON, KinkFrame(), 0.0),
-        ("sg-offset-frame", SINE_GORDON, KinkFrame(x0=0.3), 0.0),
-        ("sg-plain", SINE_GORDON, None, 0.0),
-        ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3), 1e-10),
+        ("sg-static-frame", SINE_GORDON, KinkFrame()),
+        ("sg-offset-frame", SINE_GORDON, KinkFrame(x0=0.3)),
+        ("sg-plain", SINE_GORDON, None),
+        ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3)),
     ]
 
-    @pytest.mark.parametrize("name,model,frame,tol", CASES, ids=[c[0] for c in CASES])
-    def test_matches_reference(self, name, model, frame, tol):
+    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
+    def test_matches_reference(self, name, model, frame):
         grid = GridSpec(-20.0, 20.0, 801)
         rng = np.random.default_rng(7)
         if frame is None:
@@ -281,10 +294,7 @@ class TestAgainstReferenceLeapfrog:
         assert len(traj) == len(ref)
         for i, (u, v, e, p) in enumerate(ref):
             got = (traj.u_snaps[i], traj.v_snaps[i], traj.energies[i], traj.momenta[i])
-            if tol == 0.0:
-                assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
-            else:
-                assert max(float(np.max(np.abs(g - r))) for g, r in zip(got, (u, v, e, p))) < tol
+            assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
 
 
 @pytest.mark.parametrize("model,frame", [
@@ -305,15 +315,16 @@ def test_closed_form_sin_cos_of_kink():
     for beta, x0 in ((0.0, 0.0), (0.3, -0.5), (-0.6, 1.7)):
         prof = kink_profile(KinkParams(beta, x0))
         q = prof.q(x)
-        sin_q, cos_q = prof.sin_cos_q(x)
+        sin_q, cos_q = prof.sin_cos_q(x, (np.empty_like(x), np.empty_like(x)),
+                                      np.empty_like(x))
         assert np.max(np.abs(sin_q - np.sin(q))) <= 1e-15
         assert np.max(np.abs(cos_q - np.cos(q))) <= 1e-15
 
 
 @pytest.mark.parametrize("beta,x0", [(0.0, 0.0), (0.3, -0.5), (-0.6, 1.7)])
 def test_sin_cos_q_into_buffers_is_bitwise(beta, x0):
-    # the evolver's moving frame passes preallocated buffers; the result is the
-    # closed form -2 sech(a) tanh(a), 1 - 2 sech(a)^2 in its written order
+    # the evolver passes preallocated buffers; the result is the closed form
+    # -2 sech(a) tanh(a), 1 - 2 sech(a)^2 in its written order
     x = np.linspace(-40.0, 40.0, 8001)
     prof = kink_profile(KinkParams(beta, x0))
     a = prof.gamma * (x - x0)
@@ -321,8 +332,7 @@ def test_sin_cos_q_into_buffers_is_bitwise(beta, x0):
     ref = -2.0 * s * np.tanh(a), 1.0 - 2.0 * s * s
     pair = np.empty_like(x), np.empty_like(x)
     assert prof.sin_cos_q(x, pair, np.empty_like(x)) is pair
-    for got in (pair, prof.sin_cos_q(x)):
-        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    assert all(np.array_equal(g, r) for g, r in zip(pair, ref))
 
 
 def test_kink_on_its_frame_starts_with_zero_perturbation():

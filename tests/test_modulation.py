@@ -3,6 +3,7 @@ import pytest
 
 from sglab.backlund import lift_zero_to_kink, zero_momentum_manifold_data
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
+from sglab import modulation
 from sglab.experiments import manifold_run
 from sglab.grids import (
     FieldState,
@@ -41,14 +42,14 @@ class TestSolveShift:
     def test_exact_shifted_kink(self, grid40):
         prof = kink_profile(KinkParams(0.0, 0.37))
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
-        assert _fit_shift(st, 0.0, 0.0, 0.5)[0] == pytest.approx(0.37, abs=1e-9)
+        assert _fit_shift(st, 0.0, 0.0)[0] == pytest.approx(0.37, abs=1e-9)
 
     def test_odd_perturbation_keeps_zero_shift(self, grid40):
         prof = kink_profile(KinkParams(0.0))
         u0 = 0.05 * np.tanh(grid40.x) * np.exp(-((grid40.x / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(grid40.x) + u0, np.zeros(grid40.n_points))
         for guess in (-0.2, 0.0, 0.4):
-            assert abs(_fit_shift(st, 0.0, guess, 0.5)[0]) < 1e-9
+            assert abs(_fit_shift(st, 0.0, guess)[0]) < 1e-9
 
     def test_translation_equivariance(self, grid40):
         x = grid40.x
@@ -56,17 +57,17 @@ class TestSolveShift:
         prof = kink_profile(KinkParams(0.0, shift))
         u = 0.05 * np.tanh(x - shift) * np.exp(-(((x - shift) / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(x) + u, np.zeros(grid40.n_points))
-        assert _fit_shift(st, 0.0, 1.0, 0.5)[0] == pytest.approx(shift, abs=1e-9)
+        assert _fit_shift(st, 0.0, 1.0)[0] == pytest.approx(shift, abs=1e-9)
 
     def test_tube_exit_raises(self, grid40):
         st = FieldState(0.0, grid40, np.zeros(grid40.n_points), np.zeros(grid40.n_points))
         with pytest.raises(TubeExitError):
-            _fit_shift(st, 0.0, 0.0, 0.5)
+            _fit_shift(st, 0.0, 0.0)
 
     def test_speed_guard(self, grid40):
         st = kink(KinkParams(0.0)).sample(grid40, 0.0)
         with pytest.raises(ParameterError):
-            _fit_shift(st, 1.5, 0.0, 0.5)
+            _fit_shift(st, 1.5, 0.0)
 
 
     @pytest.mark.parametrize("beta,t,rho", [(0.0, 0.0, 0.2), (0.3, 1.5, -0.4)])
@@ -92,16 +93,18 @@ class TestDecompose:
     def test_exact_kink_gives_zero_pair(self, grid40):
         prof = kink_profile(KinkParams(0.0, 0.2))
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
-        rho, _, pair = _fit_shift(st, 0.0, 0.2, 0.5)
+        rho, _, pair = _fit_shift(st, 0.0, 0.2)
         assert rho == 0.2
         assert np.max(np.abs(pair.first)) == 0.0
         assert np.max(np.abs(pair.second)) == 0.0
 
-    def test_wobbler_decomposes_at_zero_shift(self, grid40):
+    def test_wobbler_decomposes_at_zero_shift(self, grid40, monkeypatch):
+        # the wobbler's remainder norm, 1.84, lies outside the stock tube
+        monkeypatch.setattr(modulation, "TUBE_RADIUS", 3.0)
         beta = 0.1
         w = wobbler(WobblerParams(beta))
         st = w.sample(grid40, 0.0)
-        rho, _, pair = _fit_shift(st, 0.0, 0.0, 3.0)
+        rho, _, pair = _fit_shift(st, 0.0, 0.0)
         assert abs(rho) < 1e-9
         k0 = kink(KinkParams(0.0))
         assert np.max(np.abs(pair.first
@@ -113,7 +116,7 @@ class TestDecompose:
         rep, _ = zero_momentum_manifold_data(grid40, smooth_random(grid40, "odd", 0.05, rng))
         st = FieldState(0.0, grid40, kink_profile(KinkParams(0.0)).q(grid40.x)
                         + rep.result.first, rep.result.second)
-        rho, _, pair = _fit_shift(st, 0.0, 0.0, 0.5)
+        rho, _, pair = _fit_shift(st, 0.0, 0.0)
         prof = kink_profile(KinkParams(0.0, rho))
         assert np.all(prof.q(grid40.x) + pair.first == st.u)
 
@@ -163,7 +166,7 @@ class TestTracking:
         slope = np.polyfit(np.log(etas), np.log(peaks), 1)[0]
         assert slope > 1.7
 
-    def test_tube_exit_shortens_run_and_warns(self, caplog):
+    def test_tube_exit_shortens_run_and_warns(self, caplog, monkeypatch):
         # a strong velocity kick beside the kink creates a kink-antikink pair;
         # the remainder norm grows from 6.7 past the tube radius 8 at t = 1.5
         grid = GridSpec(-20.0, 20.0, 2001)
@@ -173,8 +176,9 @@ class TestTracking:
         traj = evolve(st, SINE_GORDON,
                       EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
                                    snapshot_every=0.5))
+        monkeypatch.setattr(modulation, "TUBE_RADIUS", 8.0)
         with caplog.at_level("WARNING", logger="sglab.modulation"):
-            records = track_modulation(traj, 0.0, tube_radius=8.0)
+            records = track_modulation(traj, 0.0)
         assert type(records) is list
         assert 0 < len(records) < len(traj)
         assert records[-1].t < 1.5
@@ -272,7 +276,7 @@ class TestClassifier:
         assert out["kind"] == "bounded-converging"
         assert abs(out["rho_bar"]) < 1e-8
 
-    def test_moving_family_reports_excursion(self, grid40):
+    def test_moving_family_reports_excursion(self, grid40, monkeypatch):
         # the kink-plus-moving-breather data carries momentum and shifts the
         # kink position during the collision
         s = three_soliton(ThreeSolitonParams(0.5, 0.4))
@@ -281,7 +285,8 @@ class TestClassifier:
         traj = evolve(st, SINE_GORDON,
                       EvolveConfig(dt=0.01, t_end=40.0, background=KinkFrame(),
                                    snapshot_every=0.5))
-        records = track_modulation(traj, 0.0, tube_radius=5.0)
+        monkeypatch.setattr(modulation, "TUBE_RADIUS", 5.0)
+        records = track_modulation(traj, 0.0)
         out = convergence_classifier(records)
         spread = max(r.rho for r in records) - min(r.rho for r in records)
         assert spread > 0.05
