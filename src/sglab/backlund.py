@@ -50,7 +50,6 @@ from .solutions import (
     WobblerParams,
     _log_cosh,
     breather,
-    kink_profile,
     wobbler,
 )
 
@@ -73,14 +72,15 @@ __all__ = [
 _MAX_LOG_SPAN = 600.0  # integrating factors stay inside double range below this
 _TOL = 1e-11  # Newton residual every map converges to
 _PARITY_TOL = 1e-9  # input parity defect the maps accept
+_COMPAT_TOL = 1e-10  # compatibility integral the vacuum-side solves accept
 
 
 @dataclass(frozen=True)
 class BtParameter:
-    """Backlund parameter a, with the speed and offset views attached.
+    """Backlund parameter a, with the speed view attached.
 
     beta = (a^2 - 1)/(a^2 + 1) and a(beta) = sqrt((1 + beta)/(1 - beta)) invert
-    each other; delta = a - 1 is the offset from the static-kink value.
+    each other.
     """
 
     a: float
@@ -99,10 +99,6 @@ class BtParameter:
     def beta(self) -> float:
         a_sq = self.a * self.a
         return (a_sq - 1.0) / (a_sq + 1.0)
-
-    @property
-    def delta(self) -> float:
-        return self.a - 1.0
 
 
 @dataclass
@@ -150,9 +146,8 @@ class _Background:
     @classmethod
     def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
         """The kink `kinkp` (static by default) over the vacuum, with multiplier a."""
-        prof = kink_profile(kinkp)
         x = grid.x
-        return cls(prof.q_tilde(x), prof.q_x(x), prof.q_t(x), 0.0, 0.0, 0.0, a)
+        return cls(kinkp.q_tilde(x), kinkp.q_x(x), kinkp.q_t(x), 0.0, 0.0, 0.0, a)
 
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
@@ -256,21 +251,22 @@ def _solve_outward(c, f, grid, m):
     return w
 
 
-def _solve_inward(c, f, grid, m, compat_tol):
+def _solve_inward(c, f, grid, m):
     """Solve w' - c w = f where e^{-lw}, lw = int_{x_m}^x c, decays at both ends.
 
     w(x) = e^{lw(x)} int_{-inf}^x e^{-lw} f, integrated inward from each
     boundary; requires the compatibility integral int e^{-lw} f = 0, which is
-    checked (in the max-normalized weight) before integrating.
+    checked against _COMPAT_TOL (in the max-normalized weight) before
+    integrating.
     """
     h = grid.h
     lw = _log_factor(c, grid, m)
     base = lw.min()
     weight = np.exp(-(lw - base))
     total = _trapezoid(weight * f, h)
-    if abs(total) > compat_tol:
+    if abs(total) > _COMPAT_TOL:
         raise ContractError(
-            f"compatibility integral {total:.3e} exceeds {compat_tol:.1e}; "
+            f"compatibility integral {total:.3e} exceeds {_COMPAT_TOL:.1e}; "
             f"inputs have lost the required parity"
         )
     w = np.empty_like(f)
@@ -377,8 +373,8 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
     return LiftReport(pair, iters, rmax, nu0, history, status=status)
 
 
-def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter, stall_tol,
-                       compat_tol=1e-10) -> LiftReport:
+def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter,
+                       stall_tol) -> LiftReport:
     """Solve F2 = 0 for the vacuum-side y given (u, s), then read off
     v = F1(u, u_x, y, 0); the result must be (even, even).
 
@@ -391,7 +387,7 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter, stall
         return bg.f2(u, s, y, derivative(y, grid))
 
     def step(y, r):
-        return _solve_inward(bg.coeff(u, y), r, grid, m, compat_tol)
+        return _solve_inward(bg.coeff(u, y), r, grid, m)
 
     y, iters, rmax, history, status = _newton(residual, step, grid.n_points, _TOL,
                                               max_iter, stall_tol)
@@ -421,19 +417,17 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
                             max_iter=50, stall_tol=1e-10)
 
 
-def lift_zero_to_kink(grid: GridSpec, y, v, *, tol: float = _TOL,
-                      max_iter: int = 50) -> LiftReport:
+def lift_zero_to_kink(grid: GridSpec, y, v, *, max_iter: int = 50) -> LiftReport:
     """Map a small (even, even) vacuum perturbation to the unique (odd, odd)
     perturbation of the static kink (transform parameter fixed at 1)."""
     grid.require_symmetric()
     y = _require_parity(y, grid, "even", _PARITY_TOL, "y")
     v = _require_parity(v, grid, "even", _PARITY_TOL, "v")
     return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
-                            "odd-odd", 1.0, tol=tol, max_iter=max_iter, stall_tol=1e-10)
+                            "odd-odd", 1.0, tol=_TOL, max_iter=max_iter, stall_tol=1e-10)
 
 
-def descend_kink_to_zero(grid: GridSpec, u, s, *,
-                         parity_tol: float = _PARITY_TOL) -> LiftReport:
+def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
     """Map a small (odd, odd) perturbation of the static kink to the unique
     (even, even) vacuum perturbation (transform parameter 1).
 
@@ -442,8 +436,8 @@ def descend_kink_to_zero(grid: GridSpec, u, s, *,
     parity and is checked.
     """
     grid.require_symmetric()
-    u = _require_parity(u, grid, "odd", parity_tol, "u")
-    s = _require_parity(s, grid, "odd", parity_tol, "s")
+    u = _require_parity(u, grid, "odd", _PARITY_TOL, "u")
+    s = _require_parity(s, grid, "odd", _PARITY_TOL, "s")
     return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, max_iter=50,
                               stall_tol=1e-10)
 
@@ -468,23 +462,21 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
                             stall_tol=1e-9)
 
 
-def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float, *,
-                                parity_tol: float = _PARITY_TOL,
-                                compat_tol: float = 1e-10) -> LiftReport:
+def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> LiftReport:
     """Map a small (odd, odd) wobbler perturbation to the unique (even, even)
     breather perturbation at time t.
 
     The decaying integrating factor is integrated inward from the boundaries;
-    a compatibility integral above `compat_tol` signals parity corruption of
+    a compatibility integral above _COMPAT_TOL signals parity corruption of
     the inputs and raises.
     """
     grid.require_symmetric()
     if beta == 0 or not abs(beta) < 1:
         raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    u = _require_parity(u, grid, "odd", parity_tol, "u")
-    s = _require_parity(s, grid, "odd", parity_tol, "s")
+    u = _require_parity(u, grid, "odd", _PARITY_TOL, "u")
+    s = _require_parity(s, grid, "odd", _PARITY_TOL, "s")
     return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, max_iter=60,
-                              stall_tol=1e-9, compat_tol=compat_tol)
+                              stall_tol=1e-9)
 
 
 # --- lifting with an orthogonality constraint ----------------------------------
@@ -498,26 +490,23 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     decaying homogeneous solution cosh^{-nu0}(gamma (x - center)) is free); the
     constant is chosen so that int (u Q_x + s Q_tx) dx = 0.
     """
-    if not abs(beta) < 1:
-        raise ParameterError(f"|beta| < 1 required, got {beta}")
+    kinkp = KinkParams(beta, rho).at(t)
     mult = _offset_multiplier(delta)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    center = beta * t + rho
+    center = kinkp.x0
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
-    kinkp = KinkParams(beta, center)
-    prof = kink_profile(kinkp)
     x = grid.x
-    gamma = prof.gamma
+    gamma = kinkp.gamma
     coeff_scale = 0.5 * (1.0 / mult + mult)
     nu0 = coeff_scale / gamma
     xi = gamma * (x - center)
     lw = nu0 * _log_cosh(xi)
     m = _center_index(grid, center)
     hom = np.exp(-(lw - lw[m]))
-    q_x = prof.q_x(x)
-    q_tx = prof.q_tx(x)
+    q_x = kinkp.q_x(x)
+    q_tx = kinkp.q_tx(x)
     norm_sq = quadrature(q_x ** 2 + q_tx ** 2, grid)
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
@@ -567,7 +556,7 @@ def zero_momentum_manifold_data(grid: GridSpec, y0):
     Returns (LiftReport, delta).
     """
     y0 = np.asarray(y0, dtype=float)
-    q = kink_profile(KinkParams()).q(grid.x)
+    q = KinkParams().q(grid.x)
     zero = np.zeros_like(y0)
     delta = 0.0
     rep = None

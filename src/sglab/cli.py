@@ -31,7 +31,7 @@ from .backlund import (
     lift_zero_to_kink,
 )
 from .conserved import kink_profile_momentum, manifold_momentum, momentum
-from .evolution import EvolveConfig, KinkFrame, evolve
+from .evolution import EvolveConfig, evolve
 from .experiments import (
     EXACT_FAMILIES,
     SPECTRA,
@@ -48,7 +48,6 @@ from .grids import (
     ContractError,
     FieldState,
     GridSpec,
-    Model,
     ParameterError,
     SINE_GORDON,
     PHI4,
@@ -68,7 +67,6 @@ from .solutions import (
     WobblerParams,
     breather,
     kink,
-    kink_profile,
     phi4_kink,
     three_soliton,
     two_kink,
@@ -87,21 +85,22 @@ _PROVENANCE = {"kink-from-vacuum identity": "kink as transform of the vacuum",
                "phi4 dual": "dual resonance pair"}
 
 
-_KINDS = {bool: "a boolean", numbers.Integral: "an integer", numbers.Real: "a real number",
-          str: "a string", dict: "a JSON object"}
+_KINDS = {bool: "a boolean", numbers.Integral: "an integer",
+          numbers.Real: "a finite real number", str: "a string", dict: "a JSON object"}
 
 
 def _like(value, template) -> bool:
     """Whether `value` has the kind of `template`: a list of items like its first
     item, a sequence like a tuple position by position, or a scalar of its kind
-    (never a bool in place of a number)."""
+    (never a bool in place of a number, and never an infinite or nan real)."""
     if isinstance(template, tuple):
         return (isinstance(value, (list, tuple)) and len(value) == len(template)
                 and all(map(_like, value, template)))
     if isinstance(template, list):
         return isinstance(value, list) and all(_like(v, template[0]) for v in value)
     kind = next(k for k in _KINDS if isinstance(template, k))
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            and (kind is not numbers.Real or math.isfinite(value)))
 
 
 def _describe(template) -> str:
@@ -266,8 +265,7 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
     elif kind == "manifold":
         delta = _get(cfg, "delta", 0.0)
         rep = construct_manifold_data(grid, pair.first, pair.second, delta)
-        st = FieldState(0.0, grid,
-                        kink_profile(KinkParams(0.0, 0.0)).q(grid.x) + rep.result.first,
+        st = FieldState(0.0, grid, KinkParams().q(grid.x) + rep.result.first,
                         rep.result.second)
         bundle.check("momentum matches closed form",
                      momentum(st), 1e-6 * tol_scale,
@@ -322,13 +320,12 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("evolve")
     grid = _grid_from(cfg)
     sampler, model = _sampler_from(cfg)
-    model = Model(_get(cfg, "model", model.kind))
     background = None
     bg = cfg.get("background")
     if bg == "static-kink":
-        background = KinkFrame()
+        background = KinkParams()
     elif isinstance(bg, dict):
-        background = KinkFrame(_get(cfg, "background.beta", 0.0), _get(cfg, "background.x0", 0.0))
+        background = KinkParams(_get(cfg, "background.beta", 0.0), _get(cfg, "background.x0", 0.0))
     elif bg is not None:
         raise ParameterError(f'background must be "static-kink" or an object, got {bg!r}')
     ecfg = EvolveConfig(dt=_get(cfg, "dt", 0.005), t_end=_get(cfg, "t_end", 10.0),
@@ -452,69 +449,62 @@ def cmd_stability(cfg, tol_scale) -> ReportBundle:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_cell(payload):
-    """One sweep cell, run on values cmd_sweep has checked."""
-    kind = payload["kind"]
-    if kind == "final-speed":
-        delta = payload["delta"]
-        b2 = final_speed_from_delta(delta)
-        b1 = final_speed_from_momentum(manifold_momentum(delta))
-        return {"delta": delta, "beta_momentum": b1, "beta_transform": b2, "gap": abs(b1 - b2)}
-    if kind == "energy-drift":
-        n = payload["n_points"]
-        grid = GridSpec(-40.0, 40.0, n)
-        st = breather(0.5).sample(grid, 0.0)
-        traj = evolve(st, SINE_GORDON, EvolveConfig(dt=payload["dt"], t_end=payload["t_end"]))
-        return {"n_points": n, "dt": payload["dt"], "drift": relative_drift(traj.energies)}
-    v, beta, grid, t = payload["v"], payload["beta"], payload["grid"], payload["t"]
-    w = wobbler(WobblerParams(beta)).sample(grid, t)  # three-soliton-limit
-    s = three_soliton(ThreeSolitonParams(beta, v)).sample(grid, t)
-    return {"v": v, "sup_gap": float(np.max(np.abs(s.u - w.u)))}
+def _enough(items, key, least, kind):
+    """`items`, the `key` list of a `kind` sweep, when it has the `least`
+    items the sweep needs to judge anything."""
+    if len(items) < least:
+        raise ParameterError(f"{key} must have at least {least} item{'s' * (least > 1)} "
+                             f"for a {kind} sweep, got {len(items)}")
+    return items
 
 
 def cmd_sweep(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("sweep")
     kind = _get(cfg, "kind", "final-speed")
+    rows = []
     if kind == "final-speed":
-        key, least = "deltas", 1
-        payloads = [{"kind": kind, "delta": d}
-                    for d in _get(cfg, "deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0])]
+        header = ["delta", "beta_momentum", "beta_transform", "gap"]
+        for delta in _enough(_get(cfg, "deltas", [-0.5, -0.2, 0.0, 0.1, 0.5, 1.0, 3.0]),
+                             "deltas", 1, kind):
+            b2 = final_speed_from_delta(delta)
+            b1 = final_speed_from_momentum(manifold_momentum(delta))
+            rows.append((delta, b1, b2, abs(b1 - b2)))
+        bundle.check("final-speed identity", max(r[3] for r in rows), 1e-12 * tol_scale,
+                     "momentum- and transform-defined speeds agree")
     elif kind == "energy-drift":
-        key, least, t_end = "resolutions", 2, _get(cfg, "t_end", 10.0)
+        t_end = _get(cfg, "t_end", 10.0)
         if not t_end > 0:
             raise ParameterError(f"t_end must be > 0 for an energy-drift sweep, got {t_end!r}")
-        payloads = [{"kind": kind, "n_points": n, "dt": dt, "t_end": t_end} for n, dt in
-                    _get(cfg, "resolutions", [(2001, 0.02), (4001, 0.01), (8001, 0.005)])]
-        if any(a["dt"] == b["dt"] for a, b in zip(payloads, payloads[1:])):
+        resolutions = _enough(_get(cfg, "resolutions",
+                                   [(2001, 0.02), (4001, 0.01), (8001, 0.005)]),
+                              "resolutions", 2, kind)
+        if any(a[1] == b[1] for a, b in zip(resolutions, resolutions[1:])):
             raise ParameterError("consecutive resolutions need distinct dt")
-    elif kind == "three-soliton-limit":
-        grid, beta, t = _grid_from(cfg), _get(cfg, "beta", 0.5), _get(cfg, "t", 0.7)
-        key, least = "speeds", 2
-        payloads = [{"kind": kind, "v": v, "beta": beta, "t": t, "grid": grid}
-                    for v in _get(cfg, "speeds", [0.1, 0.01, 0.001])]
-    else:
-        raise ParameterError(f"unknown sweep kind {kind!r}")
-    if len(payloads) < least:
-        raise ParameterError(f"{key} must have at least {least} item{'s' * (least > 1)} "
-                             f"for a {kind} sweep, got {len(payloads)}")
-    results = list(map(_sweep_cell, payloads))
-    header = list(results[0].keys())
-    bundle.tables["sweep"] = (header, [tuple(r[k] for k in header) for r in results])
-    if kind == "final-speed":
-        worst = max(r["gap"] for r in results)
-        bundle.check("final-speed identity", worst, 1e-12 * tol_scale,
-                     "momentum- and transform-defined speeds agree")
-    if kind == "energy-drift":
-        drift, dt = np.array([(r["drift"], r["dt"]) for r in results]).T
+        header = ["n_points", "dt", "drift"]
+        for n, dt in resolutions:
+            st = breather(0.5).sample(GridSpec(-40.0, 40.0, n), 0.0)
+            traj = evolve(st, SINE_GORDON, EvolveConfig(dt=dt, t_end=t_end))
+            rows.append((n, dt, relative_drift(traj.energies)))
+        dt, drift = np.array([r[1:] for r in rows]).T
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero drift has no order
             orders = np.log(drift[:-1] / drift[1:]) / np.log(dt[:-1] / dt[1:])
         bundle.check("energy-drift order in dt", float(np.min(orders)), 1.9,
                      "leapfrog energy error is second order in dt", larger_ok=True)
-    if kind == "three-soliton-limit":
-        gaps = [r["sup_gap"] for r in results]
+    elif kind == "three-soliton-limit":
+        grid, beta, t = _grid_from(cfg), _get(cfg, "beta", 0.5), _get(cfg, "t", 0.7)
+        speeds = _enough(_get(cfg, "speeds", [0.1, 0.01, 0.001]), "speeds", 2, kind)
+        header = ["v", "sup_gap"]
+        w = wobbler(WobblerParams(beta)).sample(grid, t)
+        for v in speeds:
+            s = three_soliton(ThreeSolitonParams(beta, v)).sample(grid, t)
+            rows.append((v, float(np.max(np.abs(s.u - w.u)))))
+        gaps = [r[1] for r in rows]
         bundle.check("limit is monotone", float(all(gaps[i] > gaps[i + 1]
                                                     for i in range(len(gaps) - 1))),
                      0.5, "three-soliton approaches the wobbler", expected=1.0)
+    else:
+        raise ParameterError(f"unknown sweep kind {kind!r}")
+    bundle.tables["sweep"] = (header, rows)
     return bundle
 
 

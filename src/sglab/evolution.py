@@ -26,24 +26,13 @@ from .grids import (
     SINE_GORDON,
     PerturbationPair,
 )
-from .solutions import KinkParams, KinkProfile, kink_profile
+from .solutions import KinkParams
 
 __all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve"]
 
 
-@dataclass(frozen=True)
-class KinkFrame:
-    """Background kink frame: static for beta = 0, translating otherwise."""
-
-    beta: float = 0.0
-    x0: float = 0.0
-
-    def center(self, t: float) -> float:
-        return self.x0 + self.beta * t
-
-    def profile(self, t: float) -> KinkProfile:
-        """The frame's sine-Gordon kink at time t."""
-        return kink_profile(KinkParams(self.beta, self.center(t)))
+#: a background kink frame, static for beta = 0 and translating otherwise
+KinkFrame = KinkParams
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,8 @@ class Trajectory:
         if frame is None:
             fields = np.zeros_like(x), np.zeros_like(x)
         else:
-            prof = frame.profile(t)
-            fields = prof.q(x), prof.q_t(x)
+            kink = frame.at(t)
+            fields = kink.q(x), kink.q_t(x)
         for arr in fields:
             arr.setflags(write=False)
         if frame is None or frame.beta == 0:
@@ -180,8 +169,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
     if frame is not None:
-        terms = frame.profile(t0).sin_cos_q(x_in, (np.empty_like(u_in), np.empty_like(u_in)),
-                                            work)
+        terms = frame.at(t0).sin_cos_q(x_in, (np.empty_like(u_in), np.empty_like(u_in)), work)
 
     def half_kick(t):
         # kick = a dt/2 with a = u_xx - force, built in place with the
@@ -194,7 +182,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
             model.nonlinearity(u_in, out=force)
         else:
             if frame.beta != 0:
-                frame.profile(t).sin_cos_q(x_in, terms, work)
+                frame.at(t).sin_cos_q(x_in, terms, work)
             _kink_frame_force(*terms, u_in, force, work)
         np.subtract(kick, force, out=kick)
         np.multiply(kick, half_dt, out=kick)

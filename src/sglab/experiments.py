@@ -12,14 +12,14 @@ import math
 import numpy as np
 
 from .backlund import BtParameter, bt_pair_residual, zero_momentum_manifold_data
-from .evolution import EvolveConfig, KinkFrame, evolve
+from .evolution import EvolveConfig, evolve
 from .grids import (PHI4, SINE_GORDON, FieldState, GridSpec, ParameterError,
                     PerturbationPair, local_energy_norm, pde_residual)
 from .inputs import smooth_random
 from .modulation import rho_rate_check, track_modulation
 from .solutions import (KinkParams, ThreeSolitonParams, WobblerParams, breather, kink,
-                        kink_profile, linear_mode, phi4_kink, three_soliton, two_kink,
-                        wobbler, zero_sampler)
+                        linear_mode, phi4_kink, three_soliton, two_kink, wobbler,
+                        zero_sampler)
 from .spectra import (discrete_spectrum, kink_phi4_dual_operator, kink_phi4_operator,
                       kink_sg_operator, lbt_residual_phi4, lbt_residual_phi4_dual,
                       lbt_residual_sg)
@@ -123,7 +123,7 @@ def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
     w = wobbler(WobblerParams(beta))
     start = w.sample(grid, 0.0)
     noisy = FieldState(0.0, grid, start.u + smooth_random(grid, "odd", eta, rng), start.v)
-    traj = evolve(noisy, SINE_GORDON, EvolveConfig(dt=dt, t_end=t_end, background=KinkFrame(),
+    traj = evolve(noisy, SINE_GORDON, EvolveConfig(dt=dt, t_end=t_end, background=KinkParams(),
                                                    snapshot_every=snapshot_every))
     period = 2.0 * math.pi / math.sqrt(1.0 - beta ** 2)
     distances = []
@@ -153,10 +153,9 @@ def manifold_run(grid, y0, dt, t_end, snapshot_every, interval):
     odd vacuum data y0 in the kink frame.  Returns the trajectory and its
     tracker records (local norm on `interval`), which stop at a tube exit."""
     rep, _delta = zero_momentum_manifold_data(grid, y0)
-    state = FieldState(0.0, grid, kink_profile(KinkParams(0.0, 0.0)).q(grid.x)
-                       + rep.result.first, rep.result.second)
+    state = FieldState(0.0, grid, KinkParams().q(grid.x) + rep.result.first, rep.result.second)
     traj = evolve(state, SINE_GORDON, EvolveConfig(
-        dt=dt, t_end=t_end, background=KinkFrame(), snapshot_every=snapshot_every))
+        dt=dt, t_end=t_end, background=KinkParams(), snapshot_every=snapshot_every))
     return traj, track_modulation(traj, 0.0, interval)
 
 

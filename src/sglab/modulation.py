@@ -28,7 +28,7 @@ from .grids import (
     quadrature,
     weighted_norm_sq,
 )
-from .solutions import KinkParams, _arctan_exp, _sech, kink_profile
+from .solutions import KinkParams, _arctan_exp, _sech
 
 __all__ = [
     "TubeExitError",
@@ -65,12 +65,13 @@ def _mismatch(state: FieldState, beta: float, rho: float):
     """Orthogonality functional at shift rho, its rho-derivative and the
     remainder (field minus kink), from one evaluation of the kink profile.
 
-    The profile terms are ``KinkProfile``'s q, q_t, q_x, q_tx, q_xx and q_txx
-    with the same operations, so their values are bitwise equal, built from a
-    single evaluation of the argument a, sech a, tanh a and arctan(e^a).
+    The profile terms are ``KinkParams``' q, q_t, q_x and q_tx with the same
+    operations, so their values are bitwise equal, plus the x-derivatives of
+    q_x and q_tx, all built from a single evaluation of the argument a,
+    sech a, tanh a and arctan(e^a).
     """
     grid = state.grid
-    p = KinkParams(beta, beta * state.t + rho)
+    p = KinkParams(beta, rho).at(state.t)
     g = p.gamma
     a = g * (grid.x - p.x0)
     sech, tanh = _sech(a), np.tanh(a)
@@ -79,10 +80,10 @@ def _mismatch(state: FieldState, beta: float, rho: float):
     dv = state.v - q_t
     q_x = 2.0 * g * sech
     q_tx = 2.0 * beta * g ** 2 * sech * tanh
-    q_xx = -2.0 * g ** 2 * sech * tanh
-    q_txx = 2.0 * beta * g ** 3 * sech * (1.0 - 2.0 * tanh ** 2)
+    q_x_x = -2.0 * g ** 2 * sech * tanh
+    q_tx_x = 2.0 * beta * g ** 3 * sech * (1.0 - 2.0 * tanh ** 2)
     value = quadrature(du * q_x + dv * q_tx, grid)
-    dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * q_xx - dv * q_txx, grid)
+    dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * q_x_x - dv * q_tx_x, grid)
     return value, dvalue, du, dv
 
 
@@ -189,10 +190,10 @@ def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair) -> dict:
     x = grid.x
     u, s = pair.first, pair.second
     y, v = y_v.first, y_v.second
-    prof = kink_profile(KinkParams())
+    kink = KinkParams()
     y_x = derivative(y, grid)
-    predicted = y_x - 2.0 * (prof.cos_half_tilde(x) * np.sin(0.5 * u)
-                             + prof.sin_half_tilde(x) * np.cos(0.5 * u)) * np.sin(0.5 * y)
+    predicted = y_x - 2.0 * (kink.cos_half_tilde(x) * np.sin(0.5 * u)
+                             + kink.sin_half_tilde(x) * np.cos(0.5 * u)) * np.sin(0.5 * y)
     identity_residual = float(np.max(np.abs(s - predicted)))
     denom = np.abs(y_x) + np.abs(y)
     mask = denom > 1e-10 * max(1.0, float(denom.max()))

@@ -21,7 +21,6 @@ __all__ = [
     "KinkParams",
     "WobblerParams",
     "ThreeSolitonParams",
-    "KinkProfile",
     "kink",
     "kink_profile",
     "breather",
@@ -146,7 +145,14 @@ def zero_sampler() -> SolutionSampler:
 
 @dataclass(frozen=True)
 class KinkParams:
-    """Speed and shift of a sine-Gordon kink; |beta| < 1."""
+    """The sine-Gordon kink of speed beta centered at x0 (|beta| < 1); the one
+    place the kink's closed forms are written.
+
+    Q(x) = 4 arctan(e^{gamma (x - x0)}),  Q_x = 2 gamma sech(gamma (x - x0)),
+    Q_t = -2 beta gamma sech(gamma (x - x0)).  The shifted profile
+    Q - pi is odd about the center, and its half-angle satisfies
+    sin((Q - pi)/2) = tanh(gamma (x - x0)), cos((Q - pi)/2) = sech(gamma (x - x0)).
+    """
 
     beta: float = 0.0
     x0: float = 0.0
@@ -159,32 +165,9 @@ class KinkParams:
     def gamma(self) -> float:
         return 1.0 / math.sqrt(1.0 - self.beta ** 2)
 
-
-def kink(p: KinkParams) -> SolutionSampler:
-    """Moving kink 4 arctan(e^{gamma (x - x0 - beta t)}), an exact solution: the
-    ``kink_profile`` centered at x0 + beta t, so x0 is the center at t = 0."""
-    def at(t):
-        return kink_profile(KinkParams(p.beta, p.x0 + p.beta * t))
-
-    return SolutionSampler(f"kink(beta={p.beta}, x0={p.x0})",
-                           lambda t, x: at(t).q(x), lambda t, x: at(t).q_t(x),
-                           lambda t, x: at(t).q_x(x))
-
-
-@dataclass(frozen=True)
-class KinkProfile:
-    """Static-in-time kink profile family centered at x0, with speed tag beta;
-    the one place the sine-Gordon kink's closed forms are written.
-
-    Q(x) = 4 arctan(e^{gamma (x - x0)}),  Q_x = 2 gamma sech(gamma (x - x0)),
-    Q_t = -2 beta gamma sech(gamma (x - x0)).  The shifted profile
-    Q - pi is odd about the center, and its half-angle satisfies
-    sin((Q - pi)/2) = tanh(gamma (x - x0)), cos((Q - pi)/2) = sech(gamma (x - x0)).
-    """
-
-    beta: float
-    x0: float
-    gamma: float
+    def at(self, t: float) -> "KinkParams":
+        """The kink at time t: centered at x0 + beta t, so x0 is the center at t = 0."""
+        return KinkParams(self.beta, self.x0 + self.beta * t)
 
     def _arg(self, x):
         return self.gamma * (np.asarray(x, dtype=float) - self.x0)
@@ -204,14 +187,6 @@ class KinkProfile:
     def q_tx(self, x):
         a = self._arg(x)
         return 2.0 * self.beta * self.gamma ** 2 * _sech(a) * np.tanh(a)
-
-    def q_xx(self, x):
-        a = self._arg(x)
-        return -2.0 * self.gamma ** 2 * _sech(a) * np.tanh(a)
-
-    def q_txx(self, x):
-        a = self._arg(x)
-        return 2.0 * self.beta * self.gamma ** 3 * _sech(a) * (1.0 - 2.0 * np.tanh(a) ** 2)
 
     def sin_cos_q(self, x, out, work):
         """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan.
@@ -240,9 +215,17 @@ class KinkProfile:
         return _sech(self._arg(x))
 
 
-def kink_profile(p: KinkParams) -> KinkProfile:
-    """Profile family (Q, Q_x, Q_t) centered at p.x0 for speed tag p.beta."""
-    return KinkProfile(p.beta, p.x0, p.gamma)
+def kink(p: KinkParams) -> SolutionSampler:
+    """Moving kink 4 arctan(e^{gamma (x - x0 - beta t)}), an exact solution:
+    the profile ``p.at(t)`` at each time t."""
+    return SolutionSampler(f"kink(beta={p.beta}, x0={p.x0})",
+                           lambda t, x: p.at(t).q(x), lambda t, x: p.at(t).q_t(x),
+                           lambda t, x: p.at(t).q_x(x))
+
+
+def kink_profile(p: KinkParams) -> KinkParams:
+    """The kink p itself: ``KinkParams`` carries the closed forms (Q, Q_x, Q_t)."""
+    return p
 
 
 # --- breather ---------------------------------------------------------------

@@ -52,7 +52,6 @@ from sglab.solutions import (
     WobblerParams,
     breather,
     kink,
-    kink_profile,
     linear_mode,
     phi4_kink,
     three_soliton,
@@ -147,17 +146,17 @@ def test_criterion_05_manifold_constructor():
     family_err = 0.0
     gf = GridSpec(-40.0, 40.0, 400001)
     for beta in (0.1, 0.2):
-        delta = BtParameter.from_beta(beta).delta
+        delta = BtParameter.from_beta(beta).a - 1.0
         rep = construct_manifold_data(gf, np.zeros(gf.n_points),
                                       np.zeros(gf.n_points), delta)
-        pb, p0 = kink_profile(KinkParams(beta, 0.0)), kink_profile(KinkParams(0.0, 0.0))
+        pb, p0 = KinkParams(beta, 0.0), KinkParams(0.0, 0.0)
         family_err = max(family_err,
                          float(np.max(np.abs(rep.result.first - (pb.q(gf.x) - p0.q(gf.x))))),
                          float(np.max(np.abs(rep.result.second - pb.q_t(gf.x)))))
 
     gm = GridSpec(-40.0, 40.0, 48001)
     y0 = 0.05 * np.tanh(gm.x) / np.cosh(gm.x)
-    p0 = kink_profile(KinkParams(0.0, 0.0))
+    p0 = KinkParams(0.0, 0.0)
     momentum_err = 0.0
     for delta in (-0.2, 0.0, 0.1, 0.5):
         rep = construct_manifold_data(gm, y0, np.zeros(gm.n_points), delta)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sglab
+from sglab import backlund
 from sglab.backlund import (
     BtParameter,
     _Background,
@@ -43,7 +44,6 @@ from sglab.solutions import (
     WobblerParams,
     breather,
     kink,
-    kink_profile,
     wobbler,
     zero_sampler,
 )
@@ -57,7 +57,6 @@ class TestBtParameter:
     def test_views(self):
         p = BtParameter.from_beta(0.6)
         assert p.a == pytest.approx(2.0, abs=1e-14)
-        assert p.delta == pytest.approx(1.0, abs=1e-14)
 
     @given(beta=st.floats(-0.999, 0.999))
     @settings(max_examples=60, deadline=None)
@@ -124,7 +123,7 @@ class TestTildeResidual:
         x = grid40.x
         u0 = 0.05 * np.tanh(x) * np.exp(-(x / 3) ** 2)
         y0 = 0.04 * np.tanh(x) * np.exp(-(x / 2.5) ** 2)
-        qt = kink_profile(KinkParams(0.0, 0.0)).q_tilde(x)
+        qt = KinkParams(0.0, 0.0).q_tilde(x)
         for sign in (1.0, -1.0):
             vals = np.cos(0.5 * (qt + u0 + sign * y0))
             assert max(abs(vals[0]), abs(vals[-1])) < 1e-6
@@ -143,10 +142,10 @@ class TestManifoldConstructor:
         # the offset a(beta) - 1 with no perturbation reproduces the
         # moving-kink profile relative to the static one
         g = GridSpec(-40.0, 40.0, 400001)
-        delta = BtParameter.from_beta(beta).delta
+        delta = BtParameter.from_beta(beta).a - 1.0
         rep = construct_manifold_data(g, np.zeros(g.n_points), np.zeros(g.n_points), delta)
-        pb = kink_profile(KinkParams(beta, 0.0))
-        p0 = kink_profile(KinkParams(0.0, 0.0))
+        pb = KinkParams(beta, 0.0)
+        p0 = KinkParams(0.0, 0.0)
         assert np.max(np.abs(rep.result.first - (pb.q(g.x) - p0.q(g.x)))) < 1e-8
         assert np.max(np.abs(rep.result.second - pb.q_t(g.x))) < 1e-8
 
@@ -154,7 +153,7 @@ class TestManifoldConstructor:
         g = GridSpec(-40.0, 40.0, 48001)
         y0 = 0.05 / np.cosh(g.x) * np.tanh(g.x)
         rep = construct_manifold_data(g, y0, np.zeros(g.n_points), 0.1)
-        p0 = kink_profile(KinkParams(0.0, 0.0))
+        p0 = KinkParams(0.0, 0.0)
         state = FieldState(0.0, g, p0.q(g.x) + rep.result.first, rep.result.second)
         assert momentum(state) == pytest.approx(manifold_momentum(0.1), abs=1e-6)
 
@@ -188,7 +187,7 @@ class TestManifoldConstructor:
     def test_zero_momentum_projection(self, grid40, rng):
         y0 = smooth_random(grid40, "odd", 0.05, rng)
         rep, delta = zero_momentum_manifold_data(grid40, y0)
-        p0 = kink_profile(KinkParams(0.0, 0.0))
+        p0 = KinkParams(0.0, 0.0)
         state = FieldState(0.0, grid40, p0.q(grid40.x) + rep.result.first, rep.result.second)
         assert abs(momentum(state)) < 1e-12
         assert abs(delta) < 1e-4
@@ -248,7 +247,7 @@ class TestZeroKinkMaps:
                      EvolveConfig(dt=0.005, t_end=T, snapshot_every=T))
         lift_after = lift_zero_to_kink(grid40, vac.u_snaps[-1], vac.v_snaps[-1])
         first = lift_zero_to_kink(grid40, y, v)
-        prof = kink_profile(KinkParams(0.0, 0.0))
+        prof = KinkParams(0.0, 0.0)
         state = FieldState(0.0, grid40, prof.q(grid40.x) + first.result.first,
                            first.result.second)
         kinkrun = evolve(state, SINE_GORDON,
@@ -271,11 +270,13 @@ class TestZeroKinkMaps:
             lift_zero_to_kink(grid40, wild, zeros_like_grid(grid40), max_iter=4)
         assert len(err.value.residual_history) > 0
 
-    def test_status_reports_stall(self, grid40, rng):
+    def test_status_reports_stall(self, grid40, rng, monkeypatch):
         y = smooth_random(grid40, "even", 0.04, rng)
         v = smooth_random(grid40, "even", 0.04, rng)
         assert lift_zero_to_kink(grid40, y, v).status == "converged"
-        rep = lift_zero_to_kink(grid40, y, v, tol=1e-16)
+        # a Newton target below round-off: the solve stalls under stall_tol
+        monkeypatch.setattr(backlund, "_TOL", 1e-16)
+        rep = lift_zero_to_kink(grid40, y, v)
         assert rep.status == "stalled"
         assert 1e-16 < rep.final_residual <= 1e-10
 
@@ -352,12 +353,16 @@ class TestWobblerMaps:
                                 PerturbationPair(grid40, y, v))
         assert max(np.max(np.abs(f1)), np.max(np.abs(f2))) <= rep.final_residual + 1e-15
 
-    @pytest.mark.parametrize("descend", [
-        lambda g, u, s: descend_wobbler_to_breather(g, u, s, 0.4, 1.1, parity_tol=1e-6,
-                                                    compat_tol=1e-12),
-        lambda g, u, s: descend_kink_to_zero(g, u, s, parity_tol=1e-6),
+    @pytest.mark.parametrize("descend,compat_tol", [
+        (lambda g, u, s: descend_wobbler_to_breather(g, u, s, 0.4, 1.1), 1e-12),
+        (descend_kink_to_zero, backlund._COMPAT_TOL),
     ], ids=["wobbler", "kink"])
-    def test_compatibility_violation_signals_parity_loss(self, grid40, descend):
+    def test_compatibility_violation_signals_parity_loss(self, grid40, monkeypatch, descend,
+                                                         compat_tol):
+        # a parity defect under a looser parity check must still fail the
+        # compatibility integral
+        monkeypatch.setattr(backlund, "_PARITY_TOL", 1e-6)
+        monkeypatch.setattr(backlund, "_COMPAT_TOL", compat_tol)
         u = 0.02 * np.tanh(grid40.x) * np.exp(-(grid40.x / 3) ** 2)
         s = u.copy()
         s += 1e-7 * np.exp(-((grid40.x - 1) / 2) ** 2)  # break oddness slightly
@@ -407,8 +412,8 @@ class TestOrthogonalLift:
         y0 = 0.05 * np.tanh(g.x) * np.exp(-(g.x / 2.5) ** 2)
         base = construct_manifold_data(g, y0, np.zeros(g.n_points), delta)
         rep = lift_with_orthogonality(g, y0, np.zeros(g.n_points), delta, beta, 0.0, 0.0)
-        p0 = kink_profile(KinkParams(0.0, 0.0))
-        pb = kink_profile(KinkParams(beta, 0.0))
+        p0 = KinkParams(0.0, 0.0)
+        pb = KinkParams(beta, 0.0)
         u_expected = p0.q(g.x) - pb.q(g.x) + base.result.first
         s_expected = -pb.q_t(g.x) + base.result.second
         assert np.max(np.abs(rep.result.first - u_expected)) < 1e-7
@@ -454,10 +459,8 @@ class TestFinalSpeeds:
 # test or the CLI, a knob that no caller sets is a literal instead, and a new
 # option must be added here
 _OPTIONS = {
-    "lift_zero_to_kink": {"tol", "max_iter"},
-    "descend_kink_to_zero": {"parity_tol"},
+    "lift_zero_to_kink": {"max_iter"},
     "lift_breather_to_wobbler": {"max_iter"},
-    "descend_wobbler_to_breather": {"parity_tol", "compat_tol"},
     "_Background.kink": {"kinkp"},
     "main": {"argv"},
     "GridSpec.refined": {"factor"},
@@ -505,4 +508,4 @@ def test_solver_options_are_the_ones_callers_set(name):
 
 def test_options_pin_names_live_functions():
     assert set(_OPTIONS) <= set(_PUBLIC_FUNCTIONS)
-    assert sum(map(len, _OPTIONS.values())) == 23
+    assert sum(map(len, _OPTIONS.values())) == 19

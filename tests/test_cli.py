@@ -182,7 +182,6 @@ class TestCliCommands:
         ("sweep", {"kind": "three-soliton-limit", "grid": {"n_points": "801"}}),
         ("lift", {"input_file": "missing.json"}), ("lift", {"input_file": "not-json.txt"}),
         ("lift", {"input_file": "no-x-max.json"}),
-        ("evolve", {"model": "foo", "t_end": 1}), ("evolve", {"model": 4, "t_end": 1}),
         ("stability", {"experiment": "wobbler", "eta": 0}),
         ("stability", {"experiment": "wobbler", "eta": -0.001}),
         ("stability", {"etas": []}), ("stability", {"etas": [0.02, 0.0]}),
@@ -198,6 +197,10 @@ class TestCliCommands:
         ("evolve", {"t_end": 1.0, "snapshot_every": float("inf")}),
         ("stability", {"experiment": "wobbler", "t_end": float("inf")}),
         ("sweep", {"kind": "energy-drift", "t_end": float("inf")}),
+        ("verify-exact", {"t": float("inf")}), ("sweep", {"deltas": [float("inf")]}),
+        ("stability", {"etas": [float("inf")]}), ("lift", {"amplitude": float("inf")}),
+        ("evolve", {"weight_rate": float("inf"), "t_end": 0.5}),
+        ("evolve", {"weight_rate": float("nan"), "t_end": 0.5}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -210,11 +213,13 @@ class TestCliCommands:
             "string-descend-t", "string-seed", "negative-seed", "string-wobbler-beta",
             "string-sweep-t-end", "cfl-violating-resolution", "string-sweep-beta",
             "string-sweep-n-points", "missing-input-file", "input-file-not-json",
-            "input-file-without-x-max", "unknown-model", "number-model", "zero-eta",
+            "input-file-without-x-max", "zero-eta",
             "negative-eta", "empty-etas", "zero-in-etas", "negative-in-etas", "empty-deltas",
             "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed",
             "repeated-etas", "zero-sweep-t-end", "infinite-t-end", "infinite-snapshot-every",
-            "infinite-stability-t-end", "infinite-sweep-t-end"])
+            "infinite-stability-t-end", "infinite-sweep-t-end", "infinite-exact-t",
+            "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
+            "infinite-weight-rate", "nan-weight-rate"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, payload):
         # the input_file cases name files in the working directory
@@ -355,7 +360,7 @@ class TestCliCommands:
 
     def test_evolve_tracking_a_phi4_run_is_a_configuration_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "solution": "phi4-kink", "model": "phi4",
+            "version": 1, "solution": "phi4-kink",
             "track_modulation": True, "t_end": 1.0, "dt": 0.01,
             "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -25,7 +25,6 @@ from sglab.solutions import (
     WobblerParams,
     breather,
     kink,
-    kink_profile,
     phi4_kink,
     three_soliton,
     two_kink,
@@ -133,9 +132,7 @@ def test_breather_returns_after_one_period():
 
 class TestParityPreservation:
     def test_odd_odd_around_kink(self, grid40, rng):
-        from sglab.solutions import kink_profile
-
-        prof = kink_profile(KinkParams(0.0))
+        prof = KinkParams(0.0)
         u0 = smooth_random(grid40, "odd", 0.02, rng)
         v0 = smooth_random(grid40, "odd", 0.02, rng)
         st = FieldState(0.0, grid40, prof.q(grid40.x) + u0, v0)
@@ -227,7 +224,7 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
     x = grid.x
 
     def background(t):
-        return kink_profile(KinkParams(frame.beta, frame.center(t)))
+        return KinkParams(frame.beta, frame.x0 + frame.beta * t)
 
     def accel(u, t):
         a = np.zeros_like(u)
@@ -313,7 +310,7 @@ def test_logs_are_the_conserved_functionals_of_each_snapshot(model, frame):
 def test_closed_form_sin_cos_of_kink():
     x = np.linspace(-40.0, 40.0, 8001)
     for beta, x0 in ((0.0, 0.0), (0.3, -0.5), (-0.6, 1.7)):
-        prof = kink_profile(KinkParams(beta, x0))
+        prof = KinkParams(beta, x0)
         q = prof.q(x)
         sin_q, cos_q = prof.sin_cos_q(x, (np.empty_like(x), np.empty_like(x)),
                                       np.empty_like(x))
@@ -326,7 +323,7 @@ def test_sin_cos_q_into_buffers_is_bitwise(beta, x0):
     # the evolver passes preallocated buffers; the result is the closed form
     # -2 sech(a) tanh(a), 1 - 2 sech(a)^2 in its written order
     x = np.linspace(-40.0, 40.0, 8001)
-    prof = kink_profile(KinkParams(beta, x0))
+    prof = KinkParams(beta, x0)
     a = prof.gamma * (x - x0)
     s = 1.0 / np.cosh(a)
     ref = -2.0 * s * np.tanh(a), 1.0 - 2.0 * s * s
@@ -367,7 +364,7 @@ class TestBackgroundFields:
         for t in traj.times[1:]:
             q2, q2_t = traj.background_fields(t)
             assert q2 is q and q2_t is q_t
-        expected = (frame.profile(0.0).q(traj.grid.x) if frame
+        expected = (frame.at(0.0).q(traj.grid.x) if frame
                     else np.zeros(traj.grid.n_points))
         assert np.array_equal(q, expected)
         for arr in (q, q_t):
@@ -380,7 +377,7 @@ class TestBackgroundFields:
         traj = self.run(frame)
         for t in traj.times:
             q, q_t = traj.background_fields(t)
-            prof = frame.profile(t)
+            prof = frame.at(t)
             assert np.array_equal(q, prof.q(traj.grid.x))
             assert np.array_equal(q_t, prof.q_t(traj.grid.x))
             assert not q.flags.writeable and not q_t.flags.writeable

@@ -22,13 +22,12 @@ from sglab.grids import (
     weighted_norm_sq,
 )
 from sglab.evolution import _kink_frame_force
-from sglab.solutions import KinkParams, kink, kink_profile, zero_sampler
+from sglab.solutions import KinkParams, kink, zero_sampler
 
 
 def kink_terms(x):
     """The evolver's force terms (sin Q, cos Q) of the kink at 0, in closed form."""
-    return kink_profile(KinkParams()).sin_cos_q(x, (np.empty_like(x), np.empty_like(x)),
-                                                np.empty_like(x))
+    return KinkParams().sin_cos_q(x, (np.empty_like(x), np.empty_like(x)), np.empty_like(x))
 
 
 def kink_frame_force(terms, u):

@@ -48,11 +48,11 @@ def test_probe_modulation_channel(grid40):
     from sglab.evolution import EvolveConfig, KinkFrame, evolve
     from sglab.grids import FieldState, SINE_GORDON
     from sglab.modulation import track_modulation
-    from sglab.solutions import KinkParams, kink_profile
+    from sglab.solutions import KinkParams
 
     y0 = 0.04 * np.tanh(grid40.x) * np.exp(-((grid40.x / 2.5) ** 2))
     rep, _ = zero_momentum_manifold_data(grid40, y0)
-    prof = kink_profile(KinkParams(0.0))
+    prof = KinkParams(0.0)
     st = FieldState(0.0, grid40, prof.q(grid40.x) + rep.result.first, rep.result.second)
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=3.0, background=KinkFrame(),
                                                 snapshot_every=1.0))

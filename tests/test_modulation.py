@@ -31,7 +31,6 @@ from sglab.solutions import (
     ThreeSolitonParams,
     WobblerParams,
     kink,
-    kink_profile,
     phi4_kink,
     three_soliton,
     wobbler,
@@ -40,12 +39,12 @@ from sglab.solutions import (
 
 class TestSolveShift:
     def test_exact_shifted_kink(self, grid40):
-        prof = kink_profile(KinkParams(0.0, 0.37))
+        prof = KinkParams(0.0, 0.37)
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
         assert _fit_shift(st, 0.0, 0.0)[0] == pytest.approx(0.37, abs=1e-9)
 
     def test_odd_perturbation_keeps_zero_shift(self, grid40):
-        prof = kink_profile(KinkParams(0.0))
+        prof = KinkParams(0.0)
         u0 = 0.05 * np.tanh(grid40.x) * np.exp(-((grid40.x / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(grid40.x) + u0, np.zeros(grid40.n_points))
         for guess in (-0.2, 0.0, 0.4):
@@ -54,7 +53,7 @@ class TestSolveShift:
     def test_translation_equivariance(self, grid40):
         x = grid40.x
         shift = 1.3
-        prof = kink_profile(KinkParams(0.0, shift))
+        prof = KinkParams(0.0, shift)
         u = 0.05 * np.tanh(x - shift) * np.exp(-(((x - shift) / 3) ** 2))
         st = FieldState(0.0, grid40, prof.q(x) + u, np.zeros(grid40.n_points))
         assert _fit_shift(st, 0.0, 1.0)[0] == pytest.approx(shift, abs=1e-9)
@@ -72,26 +71,26 @@ class TestSolveShift:
 
     @pytest.mark.parametrize("beta,t,rho", [(0.0, 0.0, 0.2), (0.3, 1.5, -0.4)])
     def test_mismatch_matches_profile_methods(self, grid40, rng, beta, t, rho):
-        # one sech/tanh/arctan evaluation must reproduce KinkProfile's
-        # per-term methods bitwise, so tracking records do not move
+        # one sech/tanh/arctan evaluation must reproduce the kink's per-term
+        # methods bitwise, so tracking records do not move; the Newton slope
+        # is the derivative of the orthogonality value in rho
         x = grid40.x
-        prof = kink_profile(KinkParams(beta, beta * t + rho))
+        prof = KinkParams(beta, rho).at(t)
         st = FieldState(t, grid40, prof.q(x) + smooth_random(grid40, "odd", 0.05, rng),
                         prof.q_t(x) + smooth_random(grid40, "even", 0.05, rng))
         du, dv = st.u - prof.q(x), st.v - prof.q_t(x)
-        q_x, q_tx = prof.q_x(x), prof.q_tx(x)
-        value = quadrature(du * q_x + dv * q_tx, grid40)
-        dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * prof.q_xx(x) - dv * prof.q_txx(x),
-                            grid40)
-        got = _mismatch(st, beta, rho)
-        assert got[:2] == (value, dvalue)
-        assert np.array_equal(got[2], du) and np.array_equal(got[3], dv)
+        value, dvalue, got_du, got_dv = _mismatch(st, beta, rho)
+        assert value == quadrature(du * prof.q_x(x) + dv * prof.q_tx(x), grid40)
+        assert np.array_equal(got_du, du) and np.array_equal(got_dv, dv)
+        eps = 1e-5
+        slope = (_mismatch(st, beta, rho + eps)[0] - _mismatch(st, beta, rho - eps)[0]) / (2 * eps)
+        assert dvalue == pytest.approx(slope, rel=1e-8)
 
 
 class TestDecompose:
     # the remainder is the pair the tracker records: ``_fit_shift``'s, at its root
     def test_exact_kink_gives_zero_pair(self, grid40):
-        prof = kink_profile(KinkParams(0.0, 0.2))
+        prof = KinkParams(0.0, 0.2)
         st = FieldState(0.0, grid40, prof.q(grid40.x), prof.q_t(grid40.x))
         rho, _, pair = _fit_shift(st, 0.0, 0.2)
         assert rho == 0.2
@@ -114,10 +113,10 @@ class TestDecompose:
 
     def test_reconstruction_is_bitwise(self, grid40, rng):
         rep, _ = zero_momentum_manifold_data(grid40, smooth_random(grid40, "odd", 0.05, rng))
-        st = FieldState(0.0, grid40, kink_profile(KinkParams(0.0)).q(grid40.x)
+        st = FieldState(0.0, grid40, KinkParams(0.0).q(grid40.x)
                         + rep.result.first, rep.result.second)
         rho, _, pair = _fit_shift(st, 0.0, 0.0)
-        prof = kink_profile(KinkParams(0.0, rho))
+        prof = KinkParams(0.0, rho)
         assert np.all(prof.q(grid40.x) + pair.first == st.u)
 
 
@@ -171,7 +170,7 @@ class TestTracking:
         # the remainder norm grows from 6.7 past the tube radius 8 at t = 1.5
         grid = GridSpec(-20.0, 20.0, 2001)
         x = grid.x
-        st = FieldState(0.0, grid, kink_profile(KinkParams(0.0)).q(x),
+        st = FieldState(0.0, grid, KinkParams(0.0).q(x),
                         6.0 * np.exp(-(x - 3.0) ** 2))
         traj = evolve(st, SINE_GORDON,
                       EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
@@ -260,10 +259,8 @@ class TestSecondComponentIdentity:
 
 class TestClassifier:
     def test_symmetric_run_converges_to_zero(self, grid40, rng):
-        from sglab.solutions import kink_profile
-
         # odd-odd data keeps the shift pinned at zero for all time
-        prof = kink_profile(KinkParams(0.0))
+        prof = KinkParams(0.0)
         u0 = smooth_random(grid40, "odd", 0.04, rng)
         v0 = smooth_random(grid40, "odd", 0.04, rng)
         st = FieldState(0.0, grid40, prof.q(grid40.x) + u0, v0)

@@ -85,10 +85,11 @@ class TestKink:
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     @pytest.mark.parametrize("x0", [0.0, 0.3])
     def test_is_the_profile_at_the_moving_center(self, grid40, beta, x0):
-        # x0 is the center at t = 0 for kink() as for kink_profile() and KinkFrame
+        # x0 is the center at t = 0 for kink() as for KinkParams.at and a frame
         s = kink(KinkParams(beta, x0))
         for t in (0.0, 0.7, -1.3, 5.0):
-            prof = kink_profile(KinkParams(beta, x0 + beta * t))
+            prof = KinkParams(beta, x0 + beta * t)
+            assert KinkParams(beta, x0).at(t) == prof
             assert np.array_equal(s.value(t, grid40.x), prof.q(grid40.x))
             assert np.array_equal(s.dvalue_dt(t, grid40.x), prof.q_t(grid40.x))
             assert np.array_equal(s.dvalue_dx(t, grid40.x), prof.q_x(grid40.x))
@@ -103,34 +104,43 @@ class TestKink:
 class TestKinkProfile:
     def test_half_angle_identities(self, grid40):
         x = grid40.x
-        p = kink_profile(KinkParams(0.0, 0.0))
+        p = KinkParams(0.0, 0.0)
         assert np.max(np.abs(p.sin_half_tilde(x) - np.tanh(x))) < 1e-14
         assert np.max(np.abs(np.sin(p.q_tilde(x) / 2) - np.tanh(x))) < 1e-13
         assert np.max(np.abs(np.cos(p.q_tilde(x) / 2) - 1 / np.cosh(x))) < 1e-13
 
     def test_parity(self, grid40):
-        p = kink_profile(KinkParams(0.0, 0.0))
+        p = KinkParams(0.0, 0.0)
         assert parity_check(p.q_tilde(grid40.x), grid40, "odd") < 1e-12
         assert parity_check(p.q_x(grid40.x), grid40, "even") < 1e-12
 
     @pytest.mark.parametrize("beta,gamma", BETA_GAMMA_CASES)
     def test_time_derivative_peak(self, beta, gamma):
-        p = kink_profile(KinkParams(beta, 0.0))
+        p = KinkParams(beta, 0.0)
         assert p.q_t(0.0) == pytest.approx(-2 * beta * gamma, abs=1e-12)
         assert p.q_x(0.0) == pytest.approx(2 * gamma, abs=1e-12)
 
     def test_profile_derivatives_consistent(self, grid40):
+        # q_x and q_tx against differences in x, q_t and q_tx against
+        # differences in t of the moving kink p.at(t)
         x = grid40.x
-        p = kink_profile(KinkParams(0.4, 0.7))
+        p = KinkParams(0.4, 0.7)
         eps = 1e-5
         fd = (p.q(x + eps) - p.q(x - eps)) / (2 * eps)
         assert np.max(np.abs(fd - p.q_x(x))) < 1e-9
-        fd2 = (p.q_x(x + eps) - p.q_x(x - eps)) / (2 * eps)
-        assert np.max(np.abs(fd2 - p.q_xx(x))) < 1e-8
+        fd2 = (p.at(eps).q(x) - p.at(-eps).q(x)) / (2 * eps)
+        assert np.max(np.abs(fd2 - p.q_t(x))) < 1e-9
         fd3 = (p.q_t(x + eps) - p.q_t(x - eps)) / (2 * eps)
         assert np.max(np.abs(fd3 - p.q_tx(x))) < 1e-8
-        fd4 = (p.q_tx(x + eps) - p.q_tx(x - eps)) / (2 * eps)
-        assert np.max(np.abs(fd4 - p.q_txx(x))) < 1e-7
+        fd4 = (p.at(eps).q_x(x) - p.at(-eps).q_x(x)) / (2 * eps)
+        assert np.max(np.abs(fd4 - p.q_tx(x))) < 1e-8
+
+    def test_one_kink_type(self):
+        # the profile and the evolver's frame are the kink parameters themselves
+        from sglab.evolution import KinkFrame
+        p = KinkParams(0.2, 0.1)
+        assert kink_profile(p) is p
+        assert KinkFrame is KinkParams
 
 
 class TestBreather:
