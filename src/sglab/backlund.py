@@ -114,10 +114,6 @@ class LiftReport:
     status: str = "converged"  # or "stalled": accepted under the looser stall_tol
 
 
-def _a_value(a) -> float:
-    return (a if isinstance(a, BtParameter) else BtParameter(float(a))).a
-
-
 # --- the transform background -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ class _Background:
     def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
         """The kink `kinkp` (static by default) over the vacuum, with multiplier a."""
         x = grid.x
-        return cls(kinkp.q_tilde(x), kinkp.q_x(x), kinkp.q_t(x), 0.0, 0.0, 0.0, a)
+        return cls(kinkp.q(x) - np.pi, kinkp.q_x(x), kinkp.q_t(x), 0.0, 0.0, 0.0, a)
 
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
@@ -193,7 +189,7 @@ def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
     return _pair_residual(_Background.kink(utilde_stilde.grid, mult, kinkp), utilde_stilde, y_v)
 
 
-def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
+def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a: float, t: float,
                      grid: GridSpec) -> tuple:
     """Transform residuals (F1, F2) for two samplers, using analytic derivatives.
 
@@ -208,7 +204,7 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a, t: float,
     grid spacing.
     """
     psi_u, psi_x, psi_t = psi.fields(grid, t)
-    bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi.fields(grid, t), _a_value(a))
+    bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi.fields(grid, t), a)
     return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
 
 
@@ -292,7 +288,7 @@ def _fix_boundary_rows(w, r, c, h):
     w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
 
 
-def _newton(residual_fn, step_fn, n, tol, max_iter, stall_tol, start=None):
+def _newton(residual_fn, step_fn, n, max_iter, stall_tol, start=None):
     """Damped Newton with integrating-factor linear solves.
 
     ``step_fn(u, r)`` returns the correction for residual r, re-linearizing at
@@ -303,7 +299,7 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, stall_tol, start=None):
     one-sided end stencils shed only gradually).
 
     Returns (u, iterations, residual, history, status), status "converged"
-    (residual <= tol) or "stalled" (accepted under stall_tol).
+    (residual <= _TOL) or "stalled" (accepted under stall_tol).
     """
     u = np.zeros(n) if start is None else start.copy()
     r = residual_fn(u)
@@ -312,7 +308,7 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, stall_tol, start=None):
     for k in range(max_iter):
         if not math.isfinite(rmax):
             raise SolverError("residual became non-finite", history)
-        if rmax <= tol:
+        if rmax <= _TOL:
             return u, k, rmax, history, "converged"
         if rmax <= stall_tol and k >= 3 and history[-2] - rmax < 0.02 * rmax:
             return u, k, rmax, history, "stalled"
@@ -327,7 +323,7 @@ def _newton(residual_fn, step_fn, n, tol, max_iter, stall_tol, start=None):
             lam *= 0.5
         u, r, rmax = u_new, r_new, r_new_max
         history.append(rmax)
-    if rmax <= tol:
+    if rmax <= _TOL:
         return u, max_iter, rmax, history, "converged"
     if rmax <= stall_tol:
         return u, max_iter, rmax, history, "stalled"
@@ -341,19 +337,19 @@ def _center_index(grid: GridSpec, center: float = 0.0) -> int:
     return int(np.argmin(np.abs(grid.x - center)))
 
 
-def _require_parity(values, grid, kind, tol, what):
+def _require_parity(values, grid, kind, what):
     """Return `values` as a float array, raising unless it has parity `kind`."""
     values = np.asarray(values, dtype=float)
     defect = parity_check(values, grid, kind)
-    if defect > tol:
-        raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {tol:.1e})")
+    if defect > _PARITY_TOL:
+        raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {_PARITY_TOL:.1e})")
     return values
 
 
 # --- the two Newton solvers -----------------------------------------------------
 
 def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
-                     nu0: float, *, tol, max_iter, stall_tol, start=None) -> LiftReport:
+                     nu0: float, *, max_iter, stall_tol, start=None) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
     s = -F2(u, 0, y, y_x); the result pair is tagged `kind`.
 
@@ -366,8 +362,8 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
     def step(u, r):
         return -_solve_outward(bg.coeff(u, y), r, grid, m)
 
-    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, tol,
-                                              max_iter, stall_tol, start)
+    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, max_iter,
+                                              stall_tol, start)
     s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
     pair = PerturbationPair(grid, u, s, kind, parity_tol=1e-8)
     return LiftReport(pair, iters, rmax, nu0, history, status=status)
@@ -389,8 +385,8 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter,
     def step(y, r):
         return _solve_inward(bg.coeff(u, y), r, grid, m)
 
-    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, _TOL,
-                                              max_iter, stall_tol)
+    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, max_iter,
+                                              stall_tol)
     v = bg.f1(u, derivative(u, grid), y, 0.0)
     pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
     return LiftReport(pair, iters, rmax, 1.0, history, status=status)
@@ -406,25 +402,25 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
     nu0 = (1/(1+delta) + (1+delta))/2, integrated outward from the center.
     """
     grid.require_symmetric()
-    y0 = _require_parity(y0, grid, "odd", _PARITY_TOL, "y0")
-    v0 = _require_parity(v0, grid, "even", _PARITY_TOL, "v0")
+    y0 = _require_parity(y0, grid, "odd", "y0")
+    v0 = _require_parity(v0, grid, "even", "v0")
     guard = local_energy_norm(PerturbationPair(grid, y0, v0))
     if guard >= 0.5:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
     mult = _offset_multiplier(delta)
     return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
-                            "odd-even", 0.5 * (1.0 / mult + mult), tol=_TOL,
-                            max_iter=50, stall_tol=1e-10)
+                            "odd-even", 0.5 * (1.0 / mult + mult), max_iter=50,
+                            stall_tol=1e-10)
 
 
-def lift_zero_to_kink(grid: GridSpec, y, v, *, max_iter: int = 50) -> LiftReport:
+def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
     """Map a small (even, even) vacuum perturbation to the unique (odd, odd)
     perturbation of the static kink (transform parameter fixed at 1)."""
     grid.require_symmetric()
-    y = _require_parity(y, grid, "even", _PARITY_TOL, "y")
-    v = _require_parity(v, grid, "even", _PARITY_TOL, "v")
+    y = _require_parity(y, grid, "even", "y")
+    v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
-                            "odd-odd", 1.0, tol=_TOL, max_iter=max_iter, stall_tol=1e-10)
+                            "odd-odd", 1.0, max_iter=50, stall_tol=1e-10)
 
 
 def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
@@ -436,16 +432,15 @@ def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
     parity and is checked.
     """
     grid.require_symmetric()
-    u = _require_parity(u, grid, "odd", _PARITY_TOL, "u")
-    s = _require_parity(s, grid, "odd", _PARITY_TOL, "s")
+    u = _require_parity(u, grid, "odd", "u")
+    s = _require_parity(s, grid, "odd", "s")
     return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, max_iter=50,
                               stall_tol=1e-10)
 
 
 # --- the wobbler-side maps ----------------------------------------------------
 
-def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
-                             max_iter: int = 60) -> LiftReport:
+def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float) -> LiftReport:
     """Map a small (even, even) breather perturbation to the unique (odd, odd)
     wobbler perturbation at time t.
 
@@ -453,13 +448,10 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float, *,
     trapezoid quadrature of sin(W_tilde/2) cos(B/2) and applied in log form.
     """
     grid.require_symmetric()
-    if beta == 0 or not abs(beta) < 1:
-        raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    y = _require_parity(y, grid, "even", _PARITY_TOL, "y")
-    v = _require_parity(v, grid, "even", _PARITY_TOL, "v")
+    y = _require_parity(y, grid, "even", "y")
+    v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
-                            y, v, "odd-odd", 1.0, tol=_TOL, max_iter=max_iter,
-                            stall_tol=1e-9)
+                            y, v, "odd-odd", 1.0, max_iter=60, stall_tol=1e-9)
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> LiftReport:
@@ -471,10 +463,8 @@ def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> 
     the inputs and raises.
     """
     grid.require_symmetric()
-    if beta == 0 or not abs(beta) < 1:
-        raise ParameterError(f"wobbler maps need 0 < |beta| < 1, got {beta}")
-    u = _require_parity(u, grid, "odd", _PARITY_TOL, "u")
-    s = _require_parity(s, grid, "odd", _PARITY_TOL, "s")
+    u = _require_parity(u, grid, "odd", "u")
+    s = _require_parity(s, grid, "odd", "s")
     return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, max_iter=60,
                               stall_tol=1e-9)
 
@@ -514,8 +504,8 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
 
     def solve_at(a0, start):
         guess = a0 * hom if start is None else start + (a0 - start[m]) * hom
-        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, tol=_TOL, max_iter=50,
-                               stall_tol=1e-9, start=guess)
+        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, max_iter=50, stall_tol=1e-9,
+                               start=guess)
         return rep, quadrature(rep.result.first * q_x + rep.result.second * q_tx, grid)
 
     # scalar secant on the center value a0; the orthogonality functional is
@@ -551,7 +541,8 @@ def zero_momentum_manifold_data(grid: GridSpec, y0):
     The construction at offset delta = 0 has zero momentum in the continuum;
     on the grid a residue of order h^2 survives, which would mask the
     quadratic smallness of the tracked shift rate.  A scalar Newton iteration
-    on delta (slope -4 at delta = 0) removes it.
+    on delta (slope -4 at delta = 0) removes it; after 12 steps with
+    |P| > 1e-12 it raises ``SolverError`` with the momentum of each step.
 
     Returns (LiftReport, delta).
     """
@@ -559,14 +550,15 @@ def zero_momentum_manifold_data(grid: GridSpec, y0):
     q = KinkParams().q(grid.x)
     zero = np.zeros_like(y0)
     delta = 0.0
-    rep = None
+    history = []
     for _ in range(12):
         rep = construct_manifold_data(grid, y0, zero, delta)
         p = momentum(FieldState(0.0, grid, q + rep.result.first, rep.result.second))
+        history.append(p)
         if abs(p) <= 1e-12:
-            break
+            return rep, delta
         delta += p / 4.0
-    return rep, delta
+    raise SolverError(f"momentum {p:.3e} still above 1e-12 after 12 offset steps", history)
 
 
 # --- final speeds ---------------------------------------------------------------

@@ -64,7 +64,7 @@ def transform_identity_cases(grid, betas, times):
     cases = []
     for beta in betas:
         f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(beta, 0.0)),
-                                  BtParameter.from_beta(beta), 0.0, grid)
+                                  BtParameter.from_beta(beta).a, 0.0, grid)
         cases.append((f"kink-from-vacuum identity beta={beta}",
                       float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))))
         for t in times:
@@ -159,13 +159,13 @@ def manifold_run(grid, y0, dt, t_end, snapshot_every, interval):
     return traj, track_modulation(traj, 0.0, interval)
 
 
-def vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every, eps):
-    """Evolve the vacuum twin (y0, 0) and run ``rho_rate_check`` against it,
-    which fills each record's ``rhs_bound``.  The records must sit at the
-    twin's first snapshot times, as a ``manifold_run`` with the same dt,
-    t_end and snapshot_every gives them."""
+def vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every):
+    """Evolve the vacuum twin (y0, 0) and return ``rho_rate_check`` of the
+    records against it.  The records must sit at the twin's first snapshot
+    times, as a ``manifold_run`` with the same dt, t_end and snapshot_every
+    gives them."""
     vacuum = evolve(FieldState(0.0, grid, y0, np.zeros_like(grid.x)), SINE_GORDON,
                     EvolveConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every))
     if [r.t for r in records] != vacuum.times[:len(records)]:
         raise ParameterError("records are not aligned with the vacuum snapshots")
-    return rho_rate_check(records, [vacuum.perturbation(i) for i in range(len(records))], eps)
+    return rho_rate_check(records, [vacuum.perturbation(i) for i in range(len(records))])

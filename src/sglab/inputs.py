@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridSpec, ParameterError, PerturbationPair
-from .solutions import WobblerParams, breather, kink, KinkParams, wobbler
+from .solutions import KinkParams, WobblerParams, breather, wobbler
 
 __all__ = ["smooth_random", "named_pair", "load_pair", "save_pair"]
 
@@ -66,8 +66,7 @@ def named_pair(name: str, grid: GridSpec, *, amplitude: float = 0.05,
         return PerturbationPair(grid, b.u, b.v, "even-even", parity_tol=1e-8)
     if name == "wobbler-perturbation":
         w = wobbler(WobblerParams(beta)).sample(grid, t)
-        return PerturbationPair(grid, w.u - kink(KinkParams(0.0)).sample(grid, t).u, w.v,
-                                "odd-odd", parity_tol=1e-8)
+        return PerturbationPair(grid, w.u - KinkParams().q(x), w.v, "odd-odd", parity_tol=1e-8)
     raise ParameterError(f"unknown input generator {name!r}")
 
 

@@ -116,7 +116,6 @@ class SolutionSampler:
     never through the derivative callables.
     """
 
-    label: str
     value: Callable
     dvalue_dt: Callable
     dvalue_dx: Optional[Callable] = None
@@ -138,7 +137,7 @@ class SolutionSampler:
 
 def zero_sampler() -> SolutionSampler:
     z = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    return SolutionSampler("zero", z, z, z)
+    return SolutionSampler(z, z, z)
 
 
 # --- kinks ------------------------------------------------------------------
@@ -174,9 +173,6 @@ class KinkParams:
 
     def q(self, x):
         return 4.0 * _arctan_exp(self._arg(x))
-
-    def q_tilde(self, x):
-        return self.q(x) - np.pi
 
     def q_x(self, x):
         return 2.0 * self.gamma * _sech(self._arg(x))
@@ -218,8 +214,7 @@ class KinkParams:
 def kink(p: KinkParams) -> SolutionSampler:
     """Moving kink 4 arctan(e^{gamma (x - x0 - beta t)}), an exact solution:
     the profile ``p.at(t)`` at each time t."""
-    return SolutionSampler(f"kink(beta={p.beta}, x0={p.x0})",
-                           lambda t, x: p.at(t).q(x), lambda t, x: p.at(t).q_t(x),
+    return SolutionSampler(lambda t, x: p.at(t).q(x), lambda t, x: p.at(t).q_t(x),
                            lambda t, x: p.at(t).q_x(x))
 
 
@@ -230,14 +225,10 @@ def kink_profile(p: KinkParams) -> KinkParams:
 
 # --- breather ---------------------------------------------------------------
 
-def _check_breather_beta(beta):
-    if beta == 0 or not abs(beta) < 1:
-        raise ParameterError(f"breather frequency needs 0 < |beta| < 1, got {beta}")
-
-
 def breather(beta: float) -> SolutionSampler:
     """Even, time-periodic breather 4 arctan(beta sin(alpha t)/(alpha cosh(beta x)))."""
-    _check_breather_beta(beta)
+    if beta == 0 or not abs(beta) < 1:
+        raise ParameterError(f"breather frequency needs 0 < |beta| < 1, got {beta}")
     alpha = math.sqrt(1.0 - beta ** 2)
 
     def value(t, x):
@@ -254,7 +245,7 @@ def breather(beta: float) -> SolutionSampler:
         den = alpha ** 2 + (beta * np.sin(alpha * t) * s) ** 2
         return -4.0 * alpha * beta ** 2 * np.sin(alpha * t) * np.tanh(xb) * s / den
 
-    return SolutionSampler(f"breather(beta={beta})", value, d_dt, d_dx)
+    return SolutionSampler(value, d_dt, d_dx)
 
 
 # --- wobbling kink ----------------------------------------------------------
@@ -299,11 +290,11 @@ def wobbler(p: WobblerParams) -> SolutionSampler:
     arctan; h > 0 for |beta| < 1 so the angle itself is already principal.
     """
     beta = p.beta
-    base = kink(KinkParams(0.0, 0.0))
+    base = KinkParams()
 
     def value(t, x):
         g, h, *_ = _wobbler_gh(beta, t, x)
-        return base.value(t, x) + 4.0 * np.arctan2(g, h)
+        return base.q(x) + 4.0 * np.arctan2(g, h)
 
     def d_dt(t, x):
         g, h, g_t, h_t, _, _ = _wobbler_gh(beta, t, x)
@@ -311,9 +302,9 @@ def wobbler(p: WobblerParams) -> SolutionSampler:
 
     def d_dx(t, x):
         g, h, _, _, g_x, h_x = _wobbler_gh(beta, t, x)
-        return base.dvalue_dx(t, x) + 4.0 * (g_x * h - g * h_x) / (g * g + h * h)
+        return base.q_x(x) + 4.0 * (g_x * h - g * h_x) / (g * g + h * h)
 
-    return SolutionSampler(f"wobbler(beta={beta})", value, d_dt, d_dx)
+    return SolutionSampler(value, d_dt, d_dx)
 
 
 # --- two-kink ---------------------------------------------------------------
@@ -350,7 +341,7 @@ def two_kink(beta: float) -> SolutionSampler:
                       _sc_mul(_sc_const(beta ** 2, x), _sc_sinh(gamma * x), _sc_sinh(gamma * x)))
         return _sc_ratio(num, den)
 
-    return SolutionSampler(f"two_kink(beta={beta})", value, d_dt, d_dx)
+    return SolutionSampler(value, d_dt, d_dx)
 
 
 # --- three-soliton (kink + attached moving breather) ------------------------
@@ -416,12 +407,12 @@ def _three_soliton_parts(p: ThreeSolitonParams, t, x):
 
 def three_soliton(p: ThreeSolitonParams) -> SolutionSampler:
     """Kink with an attached breather moving at speed v; v = 0 is the wobbler."""
-    base = kink(KinkParams(0.0, 0.0))
+    base = KinkParams()
     r = p.beta / p.alpha
 
     def value(t, x):
         P, _, A2, _ = _three_soliton_parts(p, t, x)
-        return base.value(t, x) - 4.0 * _sc_arctan_of_ratio(_sc_mul(_sc_const(r, np.asarray(x, dtype=float)), P), A2)
+        return base.q(x) - 4.0 * _sc_arctan_of_ratio(_sc_mul(_sc_const(r, np.asarray(x, dtype=float)), P), A2)
 
     def d_dt(t, x):
         x = np.asarray(x, dtype=float)
@@ -430,7 +421,7 @@ def three_soliton(p: ThreeSolitonParams) -> SolutionSampler:
         den = _sc_add(_sc_mul(A2, A2), _sc_mul(_sc_const(r * r, x), P, P))
         return -4.0 * r * _sc_ratio(num, den)
 
-    return SolutionSampler(f"three_soliton(beta={p.beta}, v={p.v})", value, d_dt, None)
+    return SolutionSampler(value, d_dt, None)
 
 
 # --- phi^4 kink -------------------------------------------------------------
@@ -450,7 +441,7 @@ def phi4_kink() -> SolutionSampler:
     def d_dx(t, x):
         return _sech(np.asarray(x, dtype=float) / _SQRT2) ** 2 / _SQRT2
 
-    return SolutionSampler("phi4_kink", value, d_dt, d_dx)
+    return SolutionSampler(value, d_dt, d_dx)
 
 
 # --- linear modes -----------------------------------------------------------
@@ -493,37 +484,34 @@ _MODE_PROFILES = {
     "N4-minus": (lambda x: np.full_like(x, 2.0 - _SQRT3), np.zeros_like),
 }
 
-# mode name -> components (label, profile, omega, k), each p(x) cos(omega t - k pi/2)
+# mode name -> components (profile, omega, k), each p(x) cos(omega t - k pi/2)
 _LINEAR_MODES = {
-    "L": (("L", "tanh", 1.0, 0),),
-    "M": (("M", "one", 1.0, 1),),
-    "L-alt": (("L-alt", "tanh", 1.0, 3),),
-    "M-alt": (("M-alt", "one", 1.0, 0),),
-    "Y0": (("Y0", "Y0", 0.0, 0),),
-    "Y1": (("Y1", "Y1", 0.0, 0),),
-    "Q-slope": (("Q-slope", "Q-slope", 0.0, 0),),
-    "H-slope": (("H-slope", "H-slope", 0.0, 0),),
-    "Y1-sin-pair": (("Y1-sin", "Y1", _OMEGA_INTERNAL, 1),
-                    ("Y0-cos", "Y0", _OMEGA_INTERNAL, 0)),
-    "Y1-cos-pair": (("Y1-cos", "Y1", _OMEGA_INTERNAL, 0),
-                    ("Y0-sin", "Y0", _OMEGA_INTERNAL, 3)),
-    "L4": (("L4", "resonance", _SQRT2, 3),),
-    "M4": (("M4", "tanh_s", _SQRT2, 0),),
-    "L4-alt": (("L4-alt", "resonance", _SQRT2, 2),),
-    "M4-alt": (("M4-alt", "tanh_s", _SQRT2, 3),),
-    "M4-complex": (("M4-re", "tanh_s", _SQRT2, 0), ("M4-im", "tanh_s", _SQRT2, 1)),
-    "N4-plus": (("N4-re", "N4-plus", _SQRT2, 1), ("N4-im", "N4-plus", _SQRT2, 2)),
-    "N4-minus": (("N4-re", "N4-minus", _SQRT2, 1), ("N4-im", "N4-minus", _SQRT2, 2)),
+    "L": (("tanh", 1.0, 0),),
+    "M": (("one", 1.0, 1),),
+    "L-alt": (("tanh", 1.0, 3),),
+    "M-alt": (("one", 1.0, 0),),
+    "Y0": (("Y0", 0.0, 0),),
+    "Y1": (("Y1", 0.0, 0),),
+    "Q-slope": (("Q-slope", 0.0, 0),),
+    "H-slope": (("H-slope", 0.0, 0),),
+    "Y1-sin-pair": (("Y1", _OMEGA_INTERNAL, 1), ("Y0", _OMEGA_INTERNAL, 0)),
+    "Y1-cos-pair": (("Y1", _OMEGA_INTERNAL, 0), ("Y0", _OMEGA_INTERNAL, 3)),
+    "L4": (("resonance", _SQRT2, 3),),
+    "M4": (("tanh_s", _SQRT2, 0),),
+    "L4-alt": (("resonance", _SQRT2, 2),),
+    "M4-alt": (("tanh_s", _SQRT2, 3),),
+    "M4-complex": (("tanh_s", _SQRT2, 0), ("tanh_s", _SQRT2, 1)),
+    "N4-plus": (("N4-plus", _SQRT2, 1), ("N4-plus", _SQRT2, 2)),
+    "N4-minus": (("N4-minus", _SQRT2, 1), ("N4-minus", _SQRT2, 2)),
 }
 
 LINEAR_MODE_NAMES = tuple(_LINEAR_MODES)
 
 
-def _table_mode(label, profile, omega, k):
+def _table_mode(profile, omega, k):
     p, p_x = _MODE_PROFILES[profile]
     x_ = lambda x: np.asarray(x, dtype=float)
-    return SolutionSampler(label,
-                           lambda t, x: p(x_(x)) * _quarter(k, omega * t),
+    return SolutionSampler(lambda t, x: p(x_(x)) * _quarter(k, omega * t),
                            lambda t, x: (omega * p(x_(x))) * _quarter(k - 1, omega * t),
                            lambda t, x: p_x(x_(x)) * _quarter(k, omega * t))
 

@@ -78,7 +78,7 @@ class TestBtResidual:
 
     def test_pair_residual_uses_analytic_derivatives(self, grid40):
         f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(0.5, 0.0)),
-                                  BtParameter.from_beta(0.5), 0.0, grid40)
+                                  BtParameter.from_beta(0.5).a, 0.0, grid40)
         assert np.max(np.abs(f1)) < 1e-13
         assert np.max(np.abs(f2)) < 1e-13
 
@@ -123,7 +123,7 @@ class TestTildeResidual:
         x = grid40.x
         u0 = 0.05 * np.tanh(x) * np.exp(-(x / 3) ** 2)
         y0 = 0.04 * np.tanh(x) * np.exp(-(x / 2.5) ** 2)
-        qt = KinkParams(0.0, 0.0).q_tilde(x)
+        qt = KinkParams(0.0, 0.0).q(x) - np.pi
         for sign in (1.0, -1.0):
             vals = np.cos(0.5 * (qt + u0 + sign * y0))
             assert max(abs(vals[0]), abs(vals[-1])) < 1e-6
@@ -191,6 +191,14 @@ class TestManifoldConstructor:
         state = FieldState(0.0, grid40, p0.q(grid40.x) + rep.result.first, rep.result.second)
         assert abs(momentum(state)) < 1e-12
         assert abs(delta) < 1e-4
+
+    def test_zero_momentum_failure_is_a_solver_error(self, grid40, rng, monkeypatch):
+        # a momentum that never drops to 1e-12 ends in an error carrying the
+        # momentum of each of the 12 offset steps, not in data one step behind
+        monkeypatch.setattr(backlund, "momentum", lambda state: 1e-6)
+        with pytest.raises(SolverError) as err:
+            zero_momentum_manifold_data(grid40, smooth_random(grid40, "odd", 0.05, rng))
+        assert err.value.residual_history == [1e-6] * 12
 
 
 class TestZeroKinkMaps:
@@ -265,10 +273,14 @@ class TestZeroKinkMaps:
             descend_kink_to_zero(grid40, even, zeros_like_grid(grid40))
 
     def test_nonconvergence_reports_history(self, grid40):
+        # the maps' caps are constants, so the cap is reached through the solver
         wild = 3.0 * np.exp(-(grid40.x / 2) ** 2)
-        with pytest.raises(SolverError) as err:
-            lift_zero_to_kink(grid40, wild, zeros_like_grid(grid40), max_iter=4)
-        assert len(err.value.residual_history) > 0
+        with pytest.raises(SolverError, match="after 4 iterations") as err:
+            backlund._solve_kink_side(_Background.kink(grid40, 1.0), grid40,
+                                      backlund._center_index(grid40), wild,
+                                      zeros_like_grid(grid40), "odd-odd", 1.0, max_iter=4,
+                                      stall_tol=1e-10)
+        assert len(err.value.residual_history) == 5
 
     def test_status_reports_stall(self, grid40, rng, monkeypatch):
         y = smooth_random(grid40, "even", 0.04, rng)
@@ -459,8 +471,6 @@ class TestFinalSpeeds:
 # test or the CLI, a knob that no caller sets is a literal instead, and a new
 # option must be added here
 _OPTIONS = {
-    "lift_zero_to_kink": {"max_iter"},
-    "lift_breather_to_wobbler": {"max_iter"},
     "_Background.kink": {"kinkp"},
     "main": {"argv"},
     "GridSpec.refined": {"factor"},
@@ -508,4 +518,4 @@ def test_solver_options_are_the_ones_callers_set(name):
 
 def test_options_pin_names_live_functions():
     assert set(_OPTIONS) <= set(_PUBLIC_FUNCTIONS)
-    assert sum(map(len, _OPTIONS.values())) == 19
+    assert sum(map(len, _OPTIONS.values())) == 17

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sglab
+from sglab import backlund, modulation
 from sglab.cli import _COMMANDS, PROBE_HEADER, main
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import SPECTRA, linear_transform_cases, spectrum_ladder, wobbler_orbit
@@ -163,7 +164,7 @@ class TestCliCommands:
         ("sweep", {"kind": "energy-drift", "resolutions": [2001]}),
         ("sweep", {"kind": "three-soliton-limit", "speeds": "0.1"}),
         ("evolve", {"params": {"beta": "0.5"}}), ("evolve", {"weight_rate": "0.5"}),
-        ("lift", {"amplitude": "0.05"}), ("lift", {"max_iter": "5"}),
+        ("lift", {"amplitude": "0.05"}), ("evolve", {"background": "static-kink"}),
         ("stability", {"experiment": "wobbler", "eta": "0.001"}),
         ("evolve", {"snapshot_every": -1, "t_end": 1}),
         ("evolve", {"snapshot_every": 0, "t_end": 1}),
@@ -206,7 +207,7 @@ class TestCliCommands:
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
             "string-levels", "one-level", "wobbler-betas-number", "betas-number", "string-times",
             "deltas-number", "flat-resolutions", "string-speeds", "string-params-beta",
-            "string-weight-rate", "string-amplitude", "string-max-iter", "string-eta",
+            "string-weight-rate", "string-amplitude", "string-background", "string-eta",
             "negative-snapshot-every", "zero-snapshot-every", "string-exact-t",
             "string-exact-dt", "string-background-beta", "string-track-modulation",
             "string-lift-beta", "string-delta", "string-rho", "number-input-file",
@@ -265,11 +266,14 @@ class TestCliCommands:
         (row,) = [c for c in checks if c["name"] == "relative energy drift"]
         assert row["tolerance"] == 1e-5 and not row["passed"]
 
-    def test_solver_failure_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "map": "zero-to-kink", "input": "even-bump",
-            "amplitude": 0.5, "max_iter": 2})
-        assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a momentum that never drops to 1e-12 stops the zero-momentum
+        # manifold data after 12 offset steps
+        monkeypatch.setattr(backlund, "momentum", lambda state: 1e-6)
+        cfg = write_config(tmp_path, "c.json", {**self._SMALL_MANIFOLD, "etas": [0.02]})
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("solver failure: momentum")
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -337,11 +341,12 @@ class TestCliCommands:
             csv[name] = (tmp_path / name / "wobbler_distance.csv").read_bytes()
         assert csv["config"] == csv["flag"] != csv["other"]
 
+    _SMALL_MANIFOLD = {"version": 1, "experiment": "kink-manifold", "t_end": 2.0, "dt": 0.02,
+                       "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 1001},
+                       "seeds": 1, "etas": [0.02, 0.04], "snapshot_every": 1.0}
+
     def test_stability_manifold_reports_untracked_snapshots(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "experiment": "kink-manifold", "t_end": 2.0, "dt": 0.02,
-            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 1001},
-            "seeds": 1, "etas": [0.02, 0.04], "snapshot_every": 1.0})
+        cfg = write_config(tmp_path, "c.json", self._SMALL_MANIFOLD)
         main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
         checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
         untracked = [c for c in checks if c["name"].startswith("untracked snapshots")]
@@ -349,9 +354,22 @@ class TestCliCommands:
             "untracked snapshots (seed 0, eta 0.02)", "untracked snapshots (seed 0, eta 0.04)"]
         assert all(c["measured"] == 0 and c["tolerance"] == 0 and c["passed"] for c in untracked)
 
+    def test_stability_manifold_run_never_tracked_fails_its_row(self, tmp_path, monkeypatch):
+        # with a tube this narrow the tracker follows no snapshot: each run
+        # keeps its failing untracked row and leaves no table row, plot or slope
+        monkeypatch.setattr(modulation, "TUBE_RADIUS", 1e-4)
+        cfg = write_config(tmp_path, "c.json", self._SMALL_MANIFOLD)
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+        untracked = [c for c in checks if c["name"].startswith("untracked snapshots")]
+        assert [(c["measured"], c["passed"]) for c in untracked] == [(3, False), (3, False)]
+        assert not any(c["name"] == "rho-rate scaling slope" for c in checks)
+        assert (tmp_path / "o" / "manifold_runs.csv").read_text().count("\n") == 1
+        assert not list((tmp_path / "o").glob("*.svg"))
+
     def test_evolve_phi4_in_a_kink_frame_is_a_configuration_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
-            "version": 1, "solution": "phi4-kink", "background": "static-kink",
+            "version": 1, "solution": "phi4-kink", "background": {},
             "t_end": 1.0, "dt": 0.01,
             "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -373,7 +391,7 @@ class TestCliCommands:
         # 0.58 (mostly its velocity), outside the tracker's radius-0.5 tube
         cfg = write_config(tmp_path, "c.json", {
             "version": 1, "solution": "kink", "params": {"beta": speed},
-            "background": "static-kink", "track_modulation": True,
+            "background": {}, "track_modulation": True,
             "t_end": 4.0, "dt": 0.01, "snapshot_every": 0.5,
             "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}})
         code = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -394,10 +412,10 @@ class TestCliCommands:
 def _config_keys_read_by_cli():
     """Every key the CLI reads from a config through its typed reader ``_get``,
     with nested objects written as ``grid.n_points`` and listed themselves,
-    plus ``version`` and ``background``, the two keys read directly. Any other
-    direct read of a config object fails, so no value bypasses the reader."""
+    plus ``version``, the one key read directly. Any other direct read of a
+    config object fails, so no value bypasses the reader."""
     tree = ast.parse(Path(sglab.__file__).with_name("cli.py").read_text())
-    keys = {"version", "background"}
+    keys = {"version"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
             key = node.args[1]
@@ -412,7 +430,7 @@ def _config_keys_read_by_cli():
         else:
             continue
         if getattr(obj, "id", None) in ("cfg", "g", "params", "bg"):
-            assert getattr(key, "value", None) in ("version", "background"), ast.unparse(node)
+            assert getattr(key, "value", None) == "version", ast.unparse(node)
     return keys
 
 

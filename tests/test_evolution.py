@@ -207,7 +207,7 @@ def test_probe_modulation_is_padded_after_tube_exit():
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=4.0, background=KinkFrame()))
     assert len(traj) == 9 and track_modulation(traj, 0.0) == []
     bundle = cmd_evolve({"solution": "kink", "params": {"beta": 0.2}, "grid": grid,
-                         "background": "static-kink", "track_modulation": True,
+                         "background": {}, "track_modulation": True,
                          "t_end": 4.0, "dt": 0.01}, 1.0)
     header, rows = bundle.tables["run"]
     assert len(rows) == 9

@@ -79,15 +79,15 @@ def test_manifold_run_tracks_every_snapshot(small_manifold_run):
 
 def test_vacuum_rate_check_fills_bounds_and_rejects_misaligned_records(small_manifold_run):
     grid, y0, _, records = small_manifold_run
-    check = vacuum_rate_check(grid, y0, records, 0.005, 2.0, 0.5, 0.1)
-    assert all(r.rhs_bound > 0 for r in records)
-    assert len(check["rate_ratios"]) == len(records)
+    check = vacuum_rate_check(grid, y0, records, 0.005, 2.0, 0.5)
+    assert len(check["bounds"]) == len(check["rate_ratios"]) == len(records)
+    assert min(check["bounds"]) > 0
     # a twin snapshotted every 1.0 puts its second snapshot at t = 1, not 0.5
     with pytest.raises(ParameterError, match="not aligned"):
-        vacuum_rate_check(grid, y0, records, 0.005, 2.0, 1.0, 0.1)
+        vacuum_rate_check(grid, y0, records, 0.005, 2.0, 1.0)
     # more records than the twin has snapshots
     with pytest.raises(ParameterError, match="not aligned"):
-        vacuum_rate_check(grid, y0, records, 0.005, 1.0, 0.5, 0.1)
+        vacuum_rate_check(grid, y0, records, 0.005, 1.0, 0.5)
 
 
 def test_package_import_does_not_load_experiments():

@@ -149,7 +149,6 @@ class TestPdeResidual:
         from sglab.solutions import SolutionSampler
 
         bad = SolutionSampler(
-            "bad",
             lambda t, x: np.where(np.abs(x) < 0.01, np.nan, 0.0),
             lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         )

@@ -148,7 +148,7 @@ class TestTracking:
         report = rho_rate_check(records, zero_pairs, 0.1)
         # regression bound: the measured ratio is far below this pin
         assert report["max_rate_ratio"] < 5.0
-        assert all(r.rhs_bound is not None for r in records)
+        assert len(report["bounds"]) == len(records) and min(report["bounds"]) > 0
 
     def test_rate_scaling_is_superlinear(self):
         # the quadratic upper bound is respected with room to spare: the
@@ -205,7 +205,7 @@ def test_rate_check_zero_run(grid40):
     zero = PerturbationPair(grid40, np.zeros(grid40.n_points), np.zeros(grid40.n_points))
     out = rho_rate_check(records, [zero] * 5, 0.1)
     assert out["max_rate_ratio"] == 0.0
-    assert all(r.rhs_bound == 0.0 for r in records)
+    assert out["bounds"] == [0.0] * 5 and out["rate_ratios"] == []
 
 
 def test_rate_check_bound_is_the_weighted_norm(grid40):
@@ -216,10 +216,25 @@ def test_rate_check_bound_is_the_weighted_norm(grid40):
     bump = np.exp(-grid40.x ** 2)
     pair = PerturbationPair(grid40, 0.05 * bump, 0.02 * bump)
     record = ModulationRecord(t=0.0, rho=0.3, rho_rate=1e-4)
-    rho_rate_check([record], [pair], 0.1)
-    assert record.rhs_bound == weighted_norm_sq(pair, WeightSpec(0.9, 0.3))
+    out = rho_rate_check([record], [pair], 0.1)
+    assert out["bounds"] == [weighted_norm_sq(pair, WeightSpec(0.9, 0.3))]
     with pytest.raises(ParameterError, match="weight rate"):
         rho_rate_check([record], [pair], 1.0)
+
+
+def test_rate_check_floors_the_bound_at_a_thousandth_of_its_peak(grid40):
+    # a bound below 1e-3 of the run's peak bound is replaced by that floor
+    from sglab.modulation import ModulationRecord
+
+    bump = np.exp(-grid40.x ** 2)
+    pairs = [PerturbationPair(grid40, scale * 0.05 * bump, scale * 0.02 * bump)
+             for scale in (1.0, 1e-3)]
+    records = [ModulationRecord(t=float(k), rho=0.0, rho_rate=1e-4) for k in range(2)]
+    out = rho_rate_check(records, pairs)
+    peak = out["bounds"][0]
+    assert out["bounds"][1] < 1e-3 * peak
+    assert out["rate_ratios"] == [1e-4 / peak, 1e-4 / (1e-3 * peak)]
+    assert out["max_rate_ratio"] == 1e-4 / (1e-3 * peak)
 
 
 class TestSecondComponentIdentity:

@@ -40,7 +40,6 @@ def boost(sampler, beta):
     at = lambda t, x: (gamma * (t - beta * x), gamma * (x - beta * t))
     d_t, d_x = sampler.dvalue_dt, sampler.dvalue_dx
     return SolutionSampler(
-        "boost",
         lambda t, x: sampler.value(*at(t, x)),
         lambda t, x: gamma * (d_t(*at(t, x)) - beta * d_x(*at(t, x))),
         lambda t, x: gamma * (d_x(*at(t, x)) - beta * d_t(*at(t, x))))
@@ -106,12 +105,12 @@ class TestKinkProfile:
         x = grid40.x
         p = KinkParams(0.0, 0.0)
         assert np.max(np.abs(p.sin_half_tilde(x) - np.tanh(x))) < 1e-14
-        assert np.max(np.abs(np.sin(p.q_tilde(x) / 2) - np.tanh(x))) < 1e-13
-        assert np.max(np.abs(np.cos(p.q_tilde(x) / 2) - 1 / np.cosh(x))) < 1e-13
+        assert np.max(np.abs(np.sin((p.q(x) - np.pi) / 2) - np.tanh(x))) < 1e-13
+        assert np.max(np.abs(np.cos((p.q(x) - np.pi) / 2) - 1 / np.cosh(x))) < 1e-13
 
     def test_parity(self, grid40):
         p = KinkParams(0.0, 0.0)
-        assert parity_check(p.q_tilde(grid40.x), grid40, "odd") < 1e-12
+        assert parity_check(p.q(grid40.x) - np.pi, grid40, "odd") < 1e-12
         assert parity_check(p.q_x(grid40.x), grid40, "even") < 1e-12
 
     @pytest.mark.parametrize("beta,gamma", BETA_GAMMA_CASES)

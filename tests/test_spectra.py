@@ -34,7 +34,6 @@ def sech(x):
 def kink_slope_sampler():
     """The static sine-Gordon kink's translation mode 2 sech x."""
     return SolutionSampler(
-        "Q-slope",
         lambda t, x: 2.0 * sech(np.asarray(x, dtype=float)),
         lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         lambda t, x: -2.0 * sech(np.asarray(x, dtype=float)) * np.tanh(np.asarray(x, dtype=float)),
@@ -50,8 +49,8 @@ def phi4_slope_sampler():
         x = np.asarray(x, dtype=float)
         return -np.tanh(x / SQRT2) * sech(x / SQRT2) ** 2
 
-    return SolutionSampler("H-slope", slope,
-                           lambda t, x: np.zeros_like(np.asarray(x, dtype=float)), slope_x)
+    return SolutionSampler(slope, lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+                           slope_x)
 
 
 class TestApplyOperator:
@@ -235,13 +234,11 @@ class TestWaveResidual:
         g = GridSpec(-30.0, 30.0, 12001)
         for a, b, c in combos:
             phi = SolutionSampler(
-                "combo-phi",
                 lambda t, x, a=a, b=b, c=c: a * np.asarray(L.value(t, x)) + b * np.asarray(La.value(t, x)) + c * np.asarray(Qs.value(t, x)),
                 lambda t, x, a=a, b=b, c=c: a * np.asarray(L.dvalue_dt(t, x)) + b * np.asarray(La.dvalue_dt(t, x)) + c * np.asarray(Qs.dvalue_dt(t, x)),
                 lambda t, x, a=a, b=b, c=c: a * np.asarray(L.dvalue_dx(t, x)) + b * np.asarray(La.dvalue_dx(t, x)) + c * np.asarray(Qs.dvalue_dx(t, x)),
             )
             psi = SolutionSampler(
-                "combo-psi",
                 lambda t, x, a=a, b=b: a * np.asarray(M.value(t, x)) + b * np.asarray(Ma.value(t, x)),
                 lambda t, x, a=a, b=b: a * np.asarray(M.dvalue_dt(t, x)) + b * np.asarray(Ma.dvalue_dt(t, x)),
                 lambda t, x, a=a, b=b: a * np.asarray(M.dvalue_dx(t, x)) + b * np.asarray(Ma.dvalue_dx(t, x)),
