@@ -13,7 +13,8 @@ linearized at the current iterate:
   boundaries, after checking the compatibility integral that parity must
   annihilate.
 
-The public maps wrap them with their guards and parity contracts.  Background
+The public maps check the parity of what enters and the solvers check the
+parity of what leaves, so each map's contract holds both ways.  Background
 profiles always enter residuals through their analytic derivatives; only the
 unknown perturbations are differentiated discretely.  This keeps fixed points
 of the solvers exact at the discrete level, so forward and backward maps
@@ -72,6 +73,7 @@ __all__ = [
 _MAX_LOG_SPAN = 600.0  # integrating factors stay inside double range below this
 _TOL = 1e-11  # Newton residual every map converges to
 _PARITY_TOL = 1e-9  # input parity defect the maps accept
+_RESULT_PARITY_TOL = 1e-8  # parity defect of the results the maps guarantee
 _COMPAT_TOL = 1e-10  # compatibility integral the vacuum-side solves accept
 
 
@@ -109,9 +111,10 @@ class LiftReport:
     iterations: int
     final_residual: float
     nu0: float
+    parity: Optional[str]  # "odd-odd", "odd-even" or "even-even" as checked; None unchecked
     residual_history: list = field(default_factory=list)
     ortho_residual: Optional[float] = None
-    status: str = "converged"  # or "stalled": accepted under the looser stall_tol
+    status: str = "converged"  # or "stalled": accepted under the background's stall_tol
 
 
 # --- the transform background -------------------------------------------------
@@ -119,7 +122,8 @@ class LiftReport:
 @dataclass(frozen=True)
 class _Background:
     """One background of the transform: the kink side (Psi - pi, Psi_x, Psi_t),
-    the vacuum side (Phi, Phi_x, Phi_t), all analytic, and the multiplier a.
+    the vacuum side (Phi, Phi_x, Phi_t), all analytic, the multiplier a, and
+    the stopping rule (iteration cap, stall tolerance) of every solve on it.
 
     Perturbations (u, s) ride on the kink side and (y, v) on the vacuum side,
     with discrete u_x, y_x.  With p = (Psi + u + Phi + y)/2 and
@@ -138,6 +142,8 @@ class _Background:
     phi_x: object
     phi_t: object
     a: float
+    max_iter: int = 50  # the kink background's rule
+    stall_tol: float = 1e-10
 
     @classmethod
     def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
@@ -147,9 +153,10 @@ class _Background:
 
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
-        """The wobbler over the breather at time t, with multiplier 1."""
+        """The wobbler over the breather at time t, with multiplier 1 and a
+        looser stopping rule: 60 iterations, stalling under 1e-9."""
         w_u, w_x, w_t = wobbler(WobblerParams(beta)).fields(grid, t)
-        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0)
+        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0, 60, 1e-9)
 
     def _half_angles(self, u, y):
         kink_side = self.psi + u
@@ -337,21 +344,23 @@ def _center_index(grid: GridSpec, center: float = 0.0) -> int:
     return int(np.argmin(np.abs(grid.x - center)))
 
 
-def _require_parity(values, grid, kind, what):
-    """Return `values` as a float array, raising unless it has parity `kind`."""
+def _require_parity(values, grid, kind, what, tol=None):
+    """Return `values` as a float array, raising unless it has parity `kind`
+    to `tol` (default: _PARITY_TOL as it is at the call)."""
     values = np.asarray(values, dtype=float)
+    tol = _PARITY_TOL if tol is None else tol
     defect = parity_check(values, grid, kind)
-    if defect > _PARITY_TOL:
-        raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {_PARITY_TOL:.1e})")
+    if defect > tol:
+        raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {tol:.1e})")
     return values
 
 
 # --- the two Newton solvers -----------------------------------------------------
 
-def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
-                     nu0: float, *, max_iter, stall_tol, start=None) -> LiftReport:
+def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, parity: Optional[str],
+                     nu0: float, start=None) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
-    s = -F2(u, 0, y, y_x); the result pair is tagged `kind`.
+    s = -F2(u, 0, y, y_x); the result (u, s) must have `parity` (None: any).
 
     Newton starts from `start` (default zero); each step integrates the growing
     factor exp(int coeff) outward from node m, the kink center.
@@ -362,17 +371,19 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, kind: str,
     def step(u, r):
         return -_solve_outward(bg.coeff(u, y), r, grid, m)
 
-    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, max_iter,
-                                              stall_tol, start)
+    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
+                                              bg.stall_tol, start)
     s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
-    pair = PerturbationPair(grid, u, s, kind, parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, nu0, history, status=status)
+    if parity is not None:
+        for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
+            _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
+    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, nu0, parity, history,
+                      status=status)
 
 
-def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter,
-                       stall_tol) -> LiftReport:
+def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s) -> LiftReport:
     """Solve F2 = 0 for the vacuum-side y given (u, s), then read off
-    v = F1(u, u_x, y, 0); the result must be (even, even).
+    v = F1(u, u_x, y, 0); the result (y, v) must be (even, even).
 
     Each Newton step integrates the decaying factor exp(-int coeff) inward
     from the boundaries, after checking the compatibility integral.
@@ -385,11 +396,13 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s, *, max_iter,
     def step(y, r):
         return _solve_inward(bg.coeff(u, y), r, grid, m)
 
-    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, max_iter,
-                                              stall_tol)
+    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
+                                              bg.stall_tol)
     v = bg.f1(u, derivative(u, grid), y, 0.0)
-    pair = PerturbationPair(grid, y, v, "even-even", parity_tol=1e-8)
-    return LiftReport(pair, iters, rmax, 1.0, history, status=status)
+    _require_parity(y, grid, "even", "y", _RESULT_PARITY_TOL)
+    _require_parity(v, grid, "even", "v", _RESULT_PARITY_TOL)
+    return LiftReport(PerturbationPair(grid, y, v), iters, rmax, 1.0, "even-even", history,
+                      status=status)
 
 
 # --- the kink-side maps -------------------------------------------------------
@@ -401,7 +414,6 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
     The Newton linear steps use the integrating factor cosh^{nu0} with
     nu0 = (1/(1+delta) + (1+delta))/2, integrated outward from the center.
     """
-    grid.require_symmetric()
     y0 = _require_parity(y0, grid, "odd", "y0")
     v0 = _require_parity(v0, grid, "even", "v0")
     guard = local_energy_norm(PerturbationPair(grid, y0, v0))
@@ -409,18 +421,16 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
     mult = _offset_multiplier(delta)
     return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
-                            "odd-even", 0.5 * (1.0 / mult + mult), max_iter=50,
-                            stall_tol=1e-10)
+                            "odd-even", 0.5 * (1.0 / mult + mult))
 
 
 def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
     """Map a small (even, even) vacuum perturbation to the unique (odd, odd)
     perturbation of the static kink (transform parameter fixed at 1)."""
-    grid.require_symmetric()
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
-                            "odd-odd", 1.0, max_iter=50, stall_tol=1e-10)
+                            "odd-odd", 1.0)
 
 
 def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
@@ -431,11 +441,9 @@ def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
     factor sech x, integrating inward; the compatibility integral vanishes by
     parity and is checked.
     """
-    grid.require_symmetric()
     u = _require_parity(u, grid, "odd", "u")
     s = _require_parity(s, grid, "odd", "s")
-    return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s, max_iter=50,
-                              stall_tol=1e-10)
+    return _solve_vacuum_side(_Background.kink(grid, 1.0), grid, u, s)
 
 
 # --- the wobbler-side maps ----------------------------------------------------
@@ -447,11 +455,10 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float) -> Lif
     The integrating factor has no closed form; its logarithm is accumulated by
     trapezoid quadrature of sin(W_tilde/2) cos(B/2) and applied in log form.
     """
-    grid.require_symmetric()
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
-                            y, v, "odd-odd", 1.0, max_iter=60, stall_tol=1e-9)
+                            y, v, "odd-odd", 1.0)
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> LiftReport:
@@ -462,11 +469,9 @@ def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> 
     a compatibility integral above _COMPAT_TOL signals parity corruption of
     the inputs and raises.
     """
-    grid.require_symmetric()
     u = _require_parity(u, grid, "odd", "u")
     s = _require_parity(s, grid, "odd", "s")
-    return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s, max_iter=60,
-                              stall_tol=1e-9)
+    return _solve_vacuum_side(_Background.wobbler(grid, beta, t), grid, u, s)
 
 
 # --- lifting with an orthogonality constraint ----------------------------------
@@ -504,8 +509,7 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
 
     def solve_at(a0, start):
         guess = a0 * hom if start is None else start + (a0 - start[m]) * hom
-        rep = _solve_kink_side(bg, grid, m, y, v, "none", nu0, max_iter=50, stall_tol=1e-9,
-                               start=guess)
+        rep = _solve_kink_side(bg, grid, m, y, v, None, nu0, guess)
         return rep, quadrature(rep.result.first * q_x + rep.result.second * q_tx, grid)
 
     # scalar secant on the center value a0; the orthogonality functional is

@@ -200,7 +200,8 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
 
 def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
-    grid = _grid_from(cfg, half_width=30.0)
+    # spectrum_ladder also solves on the grid halved, which needs 2001 points
+    grid = _grid_from(cfg, n_points=_get(cfg, "grid.n_points", 4001, 4001), half_width=30.0)
     table = []
     for name, op, expected in SPECTRA:
         values, orders = spectrum_ladder(op, grid, expected)
@@ -229,13 +230,13 @@ def _input_pair(cfg, grid, default_input):
 
 
 def _transform_rows(bundle, name, kind, rep, tol_scale):
-    """The final-residual row, one row per component whose parity the result's
-    tag declares, and the `<name>_result` table."""
+    """The final-residual row, one row per component whose parity the map
+    guarantees, and the `<name>_result` table."""
     out = rep.result
     bundle.check("final residual", rep.final_residual, 1e-9 * tol_scale,
                  f"{kind} transform residual")
-    if out.parity_tag != "none":
-        for which, parity, values in zip(("first", "second"), out.parity_tag.split("-"),
+    if rep.parity is not None:
+        for which, parity, values in zip(("first", "second"), rep.parity.split("-"),
                                          (out.first, out.second)):
             bundle.check(f"output parity ({which})", parity_check(values, out.grid, parity),
                          1e-9 * tol_scale, f"{parity} component")

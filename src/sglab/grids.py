@@ -32,8 +32,6 @@ __all__ = [
     "parity_check",
 ]
 
-PARITY_TAGS = ("odd-odd", "odd-even", "even-even", "even-odd", "none")
-
 
 class ParameterError(ValueError):
     """A constructor or operation received an out-of-range parameter."""
@@ -123,34 +121,16 @@ class FieldState:
 
 @dataclass
 class PerturbationPair:
-    """A (first, second) pair of grid functions with a declared spatial parity.
-
-    The tag is one of ``odd-odd``, ``odd-even``, ``even-even``, ``even-odd`` or
-    ``none``; a non-``none`` tag is verified on construction against
-    ``parity_tol`` (absolute, node-wise).
-    """
+    """A (first, second) pair of grid functions: a perturbation and its time
+    derivative.  The transform maps that need a parity check it themselves."""
 
     grid: GridSpec
     first: np.ndarray
     second: np.ndarray
-    parity_tag: str = "none"
-    parity_tol: float = 1e-9
 
     def __post_init__(self):
         self.first = _as_field(self.first, self.grid, "first")
         self.second = _as_field(self.second, self.grid, "second")
-        if self.parity_tag not in PARITY_TAGS:
-            raise ParameterError(f"unknown parity tag {self.parity_tag!r}")
-        if self.parity_tag != "none":
-            kinds = self.parity_tag.split("-")
-            for values, kind, name in ((self.first, kinds[0], "first"),
-                                       (self.second, kinds[1], "second")):
-                defect = parity_check(values, self.grid, kind)
-                if defect > self.parity_tol:
-                    raise ContractError(
-                        f"{name} component fails {kind} parity: defect {defect:.3e} "
-                        f"> {self.parity_tol:.1e}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -235,17 +215,16 @@ def derivative(values, grid: GridSpec) -> np.ndarray:
 
 
 def second_derivative(values, grid: GridSpec) -> np.ndarray:
-    """Second derivative: centered inside, one-sided second order at the ends."""
+    """Second derivative: centered inside, one-sided second order at the ends,
+    whose four-point stencils need n_points >= 4."""
+    if grid.n_points < 4:
+        raise ContractError(f"second derivative needs n_points >= 4, got {grid.n_points}")
     f = _as_field(values, grid, "values")
     h2 = grid.h ** 2
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    if grid.n_points >= 4:
-        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
-        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    else:
-        out[0] = out[1]
-        out[-1] = out[1]
+    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
+    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
     return out
 
 

@@ -50,23 +50,21 @@ def named_pair(name: str, grid: GridSpec, *, amplitude: float = 0.05,
         return PerturbationPair(grid, zero, zero.copy())
     if name == "even-bump":
         f = amplitude * np.exp(-((x / 3.0) ** 2))
-        return PerturbationPair(grid, f, zero, "even-even")
+        return PerturbationPair(grid, f, zero)
     if name == "odd-bump":
         f = amplitude * np.tanh(x) * np.exp(-((x / 3.0) ** 2))
-        return PerturbationPair(grid, f, zero, "odd-even")
+        return PerturbationPair(grid, f, zero)
     if name in ("random-even", "random-odd"):
         parity = name.split("-")[1]
         rng = np.random.default_rng(seed)
         first = smooth_random(grid, parity, amplitude, rng)
-        second = smooth_random(grid, parity, amplitude, rng)
-        tag = f"{parity}-{parity}"
-        return PerturbationPair(grid, first, second, tag)
+        return PerturbationPair(grid, first, smooth_random(grid, parity, amplitude, rng))
     if name == "breather-state":
         b = breather(beta).sample(grid, t)
-        return PerturbationPair(grid, b.u, b.v, "even-even", parity_tol=1e-8)
+        return PerturbationPair(grid, b.u, b.v)
     if name == "wobbler-perturbation":
         w = wobbler(WobblerParams(beta)).sample(grid, t)
-        return PerturbationPair(grid, w.u - KinkParams().q(x), w.v, "odd-odd", parity_tol=1e-8)
+        return PerturbationPair(grid, w.u - KinkParams().q(x), w.v)
     raise ParameterError(f"unknown input generator {name!r}")
 
 

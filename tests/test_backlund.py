@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,9 +95,9 @@ class TestTildeResidual:
         # (odd, even) on both sides makes both residuals even
         x = grid40.x
         us = PerturbationPair(grid40, 0.05 * np.tanh(x) * np.exp(-(x / 3) ** 2),
-                              0.03 * np.exp(-(x / 2) ** 2), "odd-even")
+                              0.03 * np.exp(-(x / 2) ** 2))
         yv = PerturbationPair(grid40, 0.04 * np.tanh(x) * np.exp(-(x / 2.5) ** 2),
-                              0.02 * np.exp(-(x / 2.2) ** 2), "odd-even")
+                              0.02 * np.exp(-(x / 2.2) ** 2))
         f1, f2 = tilde_residual(us, yv, 0.1, KinkParams(0.0, 0.0))
         assert parity_check(f1, grid40, "even") < 1e-12
         assert parity_check(f2, grid40, "even") < 1e-12
@@ -106,9 +107,9 @@ class TestTildeResidual:
         # first residual even, second odd
         x = grid40.x
         us = PerturbationPair(grid40, 0.05 * np.tanh(x) * np.exp(-(x / 3) ** 2),
-                              0.03 * np.tanh(x) * np.exp(-(x / 2) ** 2), "odd-odd")
+                              0.03 * np.tanh(x) * np.exp(-(x / 2) ** 2))
         yv = PerturbationPair(grid40, 0.04 * np.exp(-(x / 2.5) ** 2),
-                              0.02 * np.exp(-(x / 2.2) ** 2), "even-even")
+                              0.02 * np.exp(-(x / 2.2) ** 2))
         f1, f2 = tilde_residual(us, yv, 0.0, KinkParams(0.0, 0.0))
         assert parity_check(f1, grid40, "even") < 1e-12
         assert parity_check(f2, grid40, "odd") < 1e-12
@@ -272,14 +273,23 @@ class TestZeroKinkMaps:
         with pytest.raises(ContractError):
             descend_kink_to_zero(grid40, even, zeros_like_grid(grid40))
 
+    def test_result_parity_verified(self, grid40, monkeypatch):
+        # a kink 1e-3 off center lifts an even input to a u that is not odd:
+        # the map's output check refuses what its contract does not cover
+        kink_at = _Background.kink
+        monkeypatch.setattr(_Background, "kink", staticmethod(
+            lambda grid, a: kink_at(grid, a, KinkParams(0.0, 1e-3))))
+        y = 0.05 * np.exp(-(grid40.x / 3) ** 2)
+        with pytest.raises(ContractError, match="u must be odd"):
+            lift_zero_to_kink(grid40, y, zeros_like_grid(grid40))
+
     def test_nonconvergence_reports_history(self, grid40):
-        # the maps' caps are constants, so the cap is reached through the solver
+        # each background owns its cap, so the cap is reached through a background
         wild = 3.0 * np.exp(-(grid40.x / 2) ** 2)
         with pytest.raises(SolverError, match="after 4 iterations") as err:
-            backlund._solve_kink_side(_Background.kink(grid40, 1.0), grid40,
-                                      backlund._center_index(grid40), wild,
-                                      zeros_like_grid(grid40), "odd-odd", 1.0, max_iter=4,
-                                      stall_tol=1e-10)
+            backlund._solve_kink_side(replace(_Background.kink(grid40, 1.0), max_iter=4),
+                                      grid40, backlund._center_index(grid40), wild,
+                                      zeros_like_grid(grid40), "odd-odd", 1.0)
         assert len(err.value.residual_history) == 5
 
     def test_status_reports_stall(self, grid40, rng, monkeypatch):

@@ -97,15 +97,32 @@ class TestCliCommands:
         assert main(["lift", "--out", str(tmp_path / "l")]) == 0
         assert main(["descend", "--out", str(tmp_path / "d")]) == 0
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_lift_manifold_defaults_pass(self, tmp_path, strict):
-        # odd-bump input on criterion 5's n = 48001 grid
-        cfg = write_config(tmp_path, "c.json", {"version": 1, "map": "manifold"})
+    @pytest.mark.parametrize("command,payload,strict,parity", [
+        ("lift", {"map": "manifold"}, False, "odd-even"),
+        ("lift", {"map": "manifold"}, True, "odd-even"),
+        ("lift", {"map": "breather-to-wobbler"}, False, "odd-odd"),
+        ("lift", {"map": "orthogonal"}, False, None),
+        ("descend", {"map": "wobbler-to-breather"}, False, "even-even"),
+        ("sweep", {"kind": "energy-drift"}, False, None),
+        ("sweep", {"kind": "three-soliton-limit"}, False, None),
+        ("evolve", {"solution": "two-kink"}, False, None),
+    ], ids=["lift-manifold", "lift-manifold-strict", "lift-breather-to-wobbler",
+            "lift-orthogonal", "descend-wobbler-to-breather", "sweep-energy-drift",
+            "sweep-three-soliton-limit", "evolve-two-kink"])
+    def test_recipe_defaults_pass(self, tmp_path, command, payload, strict, parity):
+        # every row passes at the recipe's defaults (the manifold lift takes
+        # odd-bump input on criterion 5's n = 48001 grid), with one output
+        # parity row per component whose parity the map guarantees
+        cfg = write_config(tmp_path, "c.json", {"version": 1, **payload})
         flags = ["--strict"] if strict else []
-        assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 0
         checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
-        (row,) = [c for c in checks if c["name"] == "momentum matches closed form"]
-        assert row["tolerance"] == (1e-7 if strict else 1e-6) and row["passed"]
+        assert all(c["passed"] for c in checks)
+        assert [c["provenance"] for c in checks if c["name"].startswith("output parity")] == (
+            [f"{kind} component" for kind in parity.split("-")] if parity else [])
+        if payload.get("map") == "manifold":
+            (row,) = [c for c in checks if c["name"] == "momentum matches closed form"]
+            assert row["tolerance"] == (1e-7 if strict else 1e-6)
 
     def test_evolve_probe_csv_header(self, tmp_path):
         # the README's configuration and the probe rows it shows; compared as
@@ -144,6 +161,11 @@ class TestCliCommands:
             local_energy_norm(p, (-3.0, 4.0)) for p in pairs]
         assert [r[header.index("weighted_norm")] for r in rows] == [
             weighted_norm_sq(p, WeightSpec(0.7)) for p in pairs]
+
+    # the message a config error must carry besides its prefix, by case id
+    _CONFIG_MESSAGES = {
+        "three-point-exact-grid": "needs n_points >= 4, got 3",
+        "small-spectrum-grid": "grid.n_points must be an integer >= 4001, got 2001"}
 
     @pytest.mark.parametrize("command,payload", [
         ("evolve", [1, 2]),
@@ -202,6 +224,7 @@ class TestCliCommands:
         ("stability", {"etas": [float("inf")]}), ("lift", {"amplitude": float("inf")}),
         ("evolve", {"weight_rate": float("inf"), "t_end": 0.5}),
         ("evolve", {"weight_rate": float("nan"), "t_end": 0.5}),
+        ("verify-exact", {"grid": {"n_points": 3}}), ("spectrum", {"grid": {"n_points": 2001}}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -220,8 +243,9 @@ class TestCliCommands:
             "repeated-etas", "zero-sweep-t-end", "infinite-t-end", "infinite-snapshot-every",
             "infinite-stability-t-end", "infinite-sweep-t-end", "infinite-exact-t",
             "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
-            "infinite-weight-rate", "nan-weight-rate"])
-    def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys,
+            "infinite-weight-rate", "nan-weight-rate", "three-point-exact-grid",
+            "small-spectrum-grid"])
+    def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys, request,
                                               command, payload):
         # the input_file cases name files in the working directory
         monkeypatch.chdir(tmp_path)
@@ -231,7 +255,9 @@ class TestCliCommands:
         cfg = write_config(tmp_path, "c.json", payload)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert self._CONFIG_MESSAGES.get(request.node.callspec.id, "") in err
         assert not (tmp_path / "o").exists()
 
     def test_corrupted_speed_is_config_error(self, tmp_path):

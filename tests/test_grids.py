@@ -223,15 +223,6 @@ class TestParity:
         if np.max(np.abs(values)) > 0:
             assert parity_check(values, g, "odd") + parity_check(values, g, "even") > 0
 
-    def test_pair_tag_verified(self, grid40):
-        odd = np.tanh(grid40.x) / np.cosh(grid40.x)
-        even = 1.0 / np.cosh(grid40.x)
-        PerturbationPair(grid40, odd, even, "odd-even")
-        with pytest.raises(ContractError):
-            PerturbationPair(grid40, even, odd, "odd-even")
-        with pytest.raises(ParameterError):
-            PerturbationPair(grid40, odd, even, "odd-weird")
-
 
 class TestModel:
     def test_nonlinearities(self):
