@@ -201,7 +201,12 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
 def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
     # spectrum_ladder also solves on the grid halved, which needs 2001 points
-    grid = _grid_from(cfg, n_points=_get(cfg, "grid.n_points", 4001, 4001), half_width=30.0)
+    # and, like every grid discrete_spectrum solves on, an odd count
+    n_points = _get(cfg, "grid.n_points", 4001, 4001)
+    if n_points % 4 != 1:
+        raise ParameterError(f"grid.n_points must be 1 mod 4 (the halved grid needs an odd "
+                             f"count), got {n_points}")
+    grid = _grid_from(cfg, n_points=n_points, half_width=30.0)
     table = []
     for name, op, expected in SPECTRA:
         values, orders = spectrum_ladder(op, grid, expected)

@@ -3,8 +3,8 @@
 Full fields evolve with their end values held fixed (all catalogued data is
 flat at the truncated boundaries); runs around a kink evolve the perturbation
 in the background frame with zero Dirichlet ends, which keeps topological
-sectors exact.  The scheme is kick-drift-kick leapfrog: symplectic, second
-order, and time-reversible.
+sectors exact.  The scheme is leapfrog in drift-kick form, carrying
+p = dt v at half steps: symplectic, second order, and time-reversible.
 """
 
 from __future__ import annotations
@@ -106,25 +106,41 @@ class Trajectory:
         return len(self.times)
 
 
-def _kink_frame_force(sin_q, cos_q, u, out, work):
-    """The sine-Gordon force on a perturbation u of the kink Q,
-    sin(Q + u) - sin Q = sin Q (cos u - 1) + cos Q sin u, written into ``out``;
-    ``work`` is a scratch array of u's shape.
+def _half_sin(u, out, work):
+    """Write t = tan(u/2) into ``work`` and half of sin u, t / (1 + t^2), into
+    ``out``; callers fold the factor 2 into the scale they apply anyway.
 
-    One transcendental, t = tan(u/2): then sin u = 2t / (1 + t^2) and
-    cos u - 1 = -t sin u, so the force is sin u (cos Q - t sin Q).  This holds
-    for every finite u (u/2 is never exactly an odd multiple of pi/2 in
-    floating point), is exactly zero at u = 0, avoids the cancellation of
-    cos u - 1 for small u, and keeps odd parity of u around the kink.
+    On an AVX-512 Xeon with numpy 2.4, float64 ``np.sin`` costs more as |u|
+    grows (about 8, 12 to 14 and 17 to 19 ns per point for u uniform in
+    [-a, a] at a = 0.05, 1 and 3), while ``np.tan`` plus four cheap ufuncs
+    costs 5 to 6 ns at each of them.  Without AVX-512 numpy's ``np.tan`` has
+    no fast loop, and this form is slower than ``np.sin`` (ROADMAP, closed
+    items).  The form holds for every finite u (u/2 is never exactly an odd
+    multiple of pi/2 in floating point), is bitwise odd and keeps the sign of
+    zero.
     """
-    np.multiply(u, 0.5, out=work)
-    np.tan(work, out=work)
-    np.multiply(work, work, out=out)
+    np.multiply(u, 0.5, work)
+    np.tan(work, work)
+    np.multiply(work, work, out)
     out += 1.0
-    np.divide(work, out, out=out)
-    out *= 2.0
-    work *= sin_q
-    np.subtract(cos_q, work, out=work)
+    np.divide(work, out, out)
+    return out
+
+
+def _kink_frame_force(sin_q2, cos_q2, u, out, work):
+    """Given the kink's terms scaled by 2c, sin_q2 = 2c sin Q and
+    cos_q2 = 2c cos Q, write c times the sine-Gordon force on a perturbation
+    u of the kink Q, sin(Q + u) - sin Q = sin Q (cos u - 1) + cos Q sin u,
+    into ``out``; ``work`` is a scratch array of u's shape.
+
+    With t = tan(u/2), cos u - 1 = -t sin u, so the force is
+    (sin u / 2)(2 cos Q - t 2 sin Q): one transcendental per point, exactly
+    zero at u = 0, no cancellation of cos u - 1 for small u, and odd parity
+    of u around the kink kept.
+    """
+    _half_sin(u, out, work)
+    work *= sin_q2
+    np.subtract(cos_q2, work, work)
     out *= work
     return out
 
@@ -137,7 +153,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     Dirichlet ends, and snapshots record the perturbation.  A frame carries
     the sine-Gordon kink, so other models refuse one.  The force terms sin Q
     and cos Q come from the kink's closed form: once for a static frame, and
-    on every step for a translating one.  The step loop allocates no array.
+    on every step for a translating one.  The step loop allocates no array,
+    and v is formed from p = dt v only at snapshots.
     """
     grid = initial.grid
     h = grid.h
@@ -157,35 +174,50 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     q0, q0_t = traj.background_fields(t0)
     u = initial.u - q0
     v = initial.v - q0_t
-    inv_h2 = 1.0 / h ** 2
-    half_dt = 0.5 * dt
+    dt2 = dt * dt
+    lap_scale = dt2 / h ** 2
+    # the sine-Gordon forces are built from half of sin u
+    force_scale = 2.0 * dt2 if model == SINE_GORDON else dt2
+    moving = frame is not None and frame.beta != 0
+    plain_sine = frame is None and model == SINE_GORDON
     # interior views: the end values of u stay fixed and those of v are zeroed
     u_in, v_in = u[1:-1], v[1:-1]
     x_in = grid.x[1:-1]
     # every buffer of the step is allocated here, so the loop allocates no
     # array: the C heap may hand a freed temporary back to the kernel, and
     # the next step would page-fault it in again
-    kick = np.empty_like(u_in)
+    p = np.empty_like(u_in)
+    acc = np.empty_like(u_in)
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
+    slope = np.empty(grid.n_points - 1)
+    u_hi, u_lo = u[1:], u[:-1]
+    slope_hi, slope_lo = slope[1:], slope[:-1]
     if frame is not None:
         terms = frame.at(t0).sin_cos_q(x_in, (np.empty_like(u_in), np.empty_like(u_in)), work)
+        if not moving:
+            # scaled once, these terms give the static frame's dt^2 N
+            for term in terms:
+                term *= force_scale
 
-    def half_kick(t):
-        # kick = a dt/2 with a = u_xx - force, built in place with the
-        # operations of (u[2:] - 2 u + u[:-2]) / h^2 - force in the same order
-        np.multiply(u_in, 2.0, out=kick)
-        np.subtract(u[2:], kick, out=kick)
-        np.add(kick, u[:-2], out=kick)
-        np.multiply(kick, inv_h2, out=kick)
-        if frame is None:
+    def accelerate(t):
+        # acc = dt^2 (u_xx - N), built in place from the forward differences
+        # slope = u[j+1] - u[j] as (slope[j] - slope[j-1]) dt^2/h^2 - dt^2 N;
+        # out= is passed by position, the cheapest ufunc call
+        np.subtract(u_hi, u_lo, slope)
+        np.subtract(slope_hi, slope_lo, acc)
+        np.multiply(acc, lap_scale, acc)
+        if plain_sine:
+            _half_sin(u_in, force, work)
+        elif frame is None:
             model.nonlinearity(u_in, out=force)
         else:
-            if frame.beta != 0:
+            if moving:
                 frame.at(t).sin_cos_q(x_in, terms, work)
             _kink_frame_force(*terms, u_in, force, work)
-        np.subtract(kick, force, out=kick)
-        np.multiply(kick, half_dt, out=kick)
+        if frame is None or moving:
+            np.multiply(force, force_scale, force)
+        np.subtract(acc, force, acc)
 
     def record(t):
         traj.times.append(t)
@@ -198,23 +230,27 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         traj.momenta.append(momentum(full))
 
     record(t0)
-    half_kick(t0)
-    t = t0
-    # a step's closing kick and the next step's opening kick share one a
+    v[0] = 0.0
+    v[-1] = 0.0
+    # p = dt v at the half step: dt v + acc/2 to start, then u += p and
+    # p += acc per step; v = (p + acc/2) / dt is formed only to record it
+    accelerate(t0)
+    np.multiply(acc, 0.5, p)
+    np.multiply(v_in, dt, work)
+    p += work
     for step in range(1, n_steps + 1):
-        v_in += kick
-        np.multiply(v_in, dt, out=work)
-        u_in += work
+        u_in += p
         t = t0 + step * dt
-        half_kick(t)
-        v_in += kick
-        v[0] = 0.0
-        v[-1] = 0.0
+        accelerate(t)
         if not math.isfinite(u[grid.n_points // 2]):
             raise ContractError(f"evolution became non-finite at t = {t:.6g}")
         if step % snap_stride == 0 or step == n_steps:
             if not np.all(np.isfinite(u)):
                 raise ContractError(f"evolution became non-finite at t = {t:.6g}")
+            np.multiply(acc, 0.5, v_in)
+            v_in += p
+            v_in /= dt
             record(t)
+        p += acc
     return traj
 

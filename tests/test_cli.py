@@ -165,7 +165,9 @@ class TestCliCommands:
     # the message a config error must carry besides its prefix, by case id
     _CONFIG_MESSAGES = {
         "three-point-exact-grid": "needs n_points >= 4, got 3",
-        "small-spectrum-grid": "grid.n_points must be an integer >= 4001, got 2001"}
+        "small-spectrum-grid": "grid.n_points must be an integer >= 4001, got 2001",
+        "spectrum-grid-3-mod-4": "grid.n_points must be 1 mod 4 (the halved grid needs an odd "
+                                 "count), got 4003"}
 
     @pytest.mark.parametrize("command,payload", [
         ("evolve", [1, 2]),
@@ -225,6 +227,7 @@ class TestCliCommands:
         ("evolve", {"weight_rate": float("inf"), "t_end": 0.5}),
         ("evolve", {"weight_rate": float("nan"), "t_end": 0.5}),
         ("verify-exact", {"grid": {"n_points": 3}}), ("spectrum", {"grid": {"n_points": 2001}}),
+        ("spectrum", {"grid": {"n_points": 4003}}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -244,7 +247,7 @@ class TestCliCommands:
             "infinite-stability-t-end", "infinite-sweep-t-end", "infinite-exact-t",
             "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
             "infinite-weight-rate", "nan-weight-rate", "three-point-exact-grid",
-            "small-spectrum-grid"])
+            "small-spectrum-grid", "spectrum-grid-3-mod-4"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys, request,
                                               command, payload):
         # the input_file cases name files in the working directory

@@ -3,7 +3,7 @@ import pytest
 
 from sglab.cli import cmd_evolve
 from sglab.conserved import energy, momentum
-from sglab.evolution import EvolveConfig, KinkFrame, _kink_frame_force, evolve
+from sglab.evolution import EvolveConfig, KinkFrame, _half_sin, _kink_frame_force, evolve
 from sglab.grids import (
     ContractError,
     FieldState,
@@ -217,9 +217,71 @@ def test_probe_modulation_is_padded_after_tube_exit():
 
 
 def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
-    """The kick-drift-kick loop with the kink rebuilt and the perturbation force
-    recomputed from its closed-form sin Q and cos Q on every step, as ``evolve``
-    did before it cached them."""
+    """The scaled drift-kick loop of ``evolve`` in fresh arrays, with the kink
+    rebuilt and its closed-form sin Q and cos Q recomputed on every step.
+
+    It carries p = dt v at half steps: u += p, then acc = dt^2 (u_xx - N) and
+    p += acc, with v = (p + acc/2) / dt formed at snapshots; h^2 u_xx is the
+    difference of the forward differences.  The sine-Gordon force is
+    (sin u / 2)(2 cos Q - t 2 sin Q) with t = tan(u/2) and
+    sin u / 2 = t / (1 + t^2); a static frame scales 2 sin Q and 2 cos Q by
+    dt^2, every other run scales the force, so each rounds as ``evolve``
+    does."""
+    grid = initial.grid
+    x = grid.x
+    dt2 = dt * dt
+
+    def background(t):
+        return KinkParams(frame.beta, frame.x0 + frame.beta * t)
+
+    def scaled_accel(u, t):
+        u_in = u[1:-1]
+        lap = ((u[2:] - u_in) - (u_in - u[:-2])) * (dt2 / grid.h ** 2)
+        if model == PHI4:
+            return lap - model.nonlinearity(u_in) * dt2
+        tan_half = np.tan(0.5 * u_in)
+        half_sin_u = tan_half / (tan_half * tan_half + 1.0)
+        if frame is None:
+            return lap - half_sin_u * (2.0 * dt2)
+        sin_q, cos_q = background(t).sin_cos_q(
+            x[1:-1], (np.empty_like(u_in), np.empty_like(u_in)), np.empty_like(u_in))
+        if frame.beta == 0:
+            sin_q2, cos_q2 = sin_q * (2.0 * dt2), cos_q * (2.0 * dt2)
+            return lap - half_sin_u * (cos_q2 - tan_half * sin_q2)
+        return lap - half_sin_u * (cos_q - tan_half * sin_q) * (2.0 * dt2)
+
+    def conserved(u, v, t):
+        if frame is not None:
+            u, v = u + background(t).q(x), v + background(t).q_t(x)
+        ux = derivative(u, grid)
+        return (quadrature(0.5 * (ux ** 2 + v ** 2) + model.potential(u), grid),
+                0.5 * quadrature(v * ux, grid))
+
+    t = initial.t
+    u, v = initial.u.copy(), initial.v.copy()
+    if frame is not None:
+        u, v = u - background(t).q(x), v - background(t).q_t(x)
+    snaps = [(u.copy(), v.copy(), *conserved(u, v, t))]
+    acc = scaled_accel(u, t)
+    p = 0.5 * acc + dt * v[1:-1]
+    for step in range(1, n_steps + 1):
+        u = u.copy()
+        u[1:-1] = u[1:-1] + p
+        t = initial.t + step * dt
+        acc = scaled_accel(u, t)
+        if step % snap_stride == 0:
+            v = np.zeros_like(u)
+            v[1:-1] = (p + 0.5 * acc) / dt
+            snaps.append((u.copy(), v, *conserved(u, v, t)))
+        p = p + acc
+    return snaps
+
+
+def kdk_reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
+    """The kick-drift-kick loop that ``evolve`` ran before its drift-kick form,
+    with the kink rebuilt and the perturbation force recomputed from its
+    closed-form sin Q and cos Q on every step; the plain sine-Gordon force is
+    ``np.sin``.  Same scheme, other rounding."""
     grid = initial.grid
     x = grid.x
 
@@ -235,8 +297,10 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
             x_in = x[1:-1]
             terms = background(t).sin_cos_q(x_in, (np.empty_like(x_in), np.empty_like(x_in)),
                                             np.empty_like(x_in))
-            a[1:-1] -= _kink_frame_force(*terms, u[1:-1], np.empty_like(x_in),
-                                         np.empty_like(x_in))
+            # doubled terms give exactly the force the old helper computed
+            # from sin u = 2t / (1 + t^2): scaling by 2 rounds nothing
+            a[1:-1] -= _kink_frame_force(*(2.0 * term for term in terms), u[1:-1],
+                                         np.empty_like(x_in), np.empty_like(x_in))
         return a
 
     def conserved(u, v, t):
@@ -272,26 +336,51 @@ class TestAgainstReferenceLeapfrog:
         ("sg-offset-frame", SINE_GORDON, KinkFrame(x0=0.3)),
         ("sg-plain", SINE_GORDON, None),
         ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3)),
+        ("phi4-plain", PHI4, None),
     ]
+    DT, N_STEPS, STRIDE = 0.02, 250, 25
 
-    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
-    def test_matches_reference(self, name, model, frame):
+    def run(self, model, frame):
+        """The odd-perturbed breather, kink or phi^4 kink, its evolution and
+        the initial state."""
         grid = GridSpec(-20.0, 20.0, 801)
         rng = np.random.default_rng(7)
-        if frame is None:
+        if model == PHI4:
+            base = phi4_kink().sample(grid, 0.0)
+        elif frame is None:
             base = breather(0.5).sample(grid, 0.0)
         else:
             base = kink(KinkParams(frame.beta, frame.x0)).sample(grid, 0.0)
         st = FieldState(0.0, grid, base.u + smooth_random(grid, "odd", 0.05, rng),
                         base.v + smooth_random(grid, "odd", 0.05, rng))
-        dt, n_steps, stride = 0.02, 250, 25
-        traj = evolve(st, model, EvolveConfig(dt=dt, t_end=n_steps * dt, background=frame,
-                                              snapshot_every=stride * dt))
-        ref = reference_leapfrog(st, model, frame, dt, n_steps, stride)
+        traj = evolve(st, model, EvolveConfig(dt=self.DT, t_end=self.N_STEPS * self.DT,
+                                              background=frame,
+                                              snapshot_every=self.STRIDE * self.DT))
+        return traj, st
+
+    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
+    def test_matches_reference(self, name, model, frame):
+        traj, st = self.run(model, frame)
+        ref = reference_leapfrog(st, model, frame, self.DT, self.N_STEPS, self.STRIDE)
         assert len(traj) == len(ref)
         for i, (u, v, e, p) in enumerate(ref):
             got = (traj.u_snaps[i], traj.v_snaps[i], traj.energies[i], traj.momenta[i])
             assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
+
+    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
+    def test_matches_kick_drift_kick_to_round_off(self, name, model, frame):
+        # bounds on |du|, |dv|, |dE|, |dP| over all snapshots, about 4x the
+        # largest deviation measured: 8.9e-17, 1.6e-15, 1.8e-15, 2.2e-16 in the
+        # frames; 3.1e-15, 6.8e-14, 3.6e-15, 2.7e-16 for the plain runs, where
+        # the reference's np.sin and the evolver's half-angle sine also differ
+        bounds = (4e-16, 8e-15, 8e-15, 1e-15) if frame else (1.2e-14, 3e-13, 1.5e-14, 1.2e-15)
+        traj, st = self.run(model, frame)
+        ref = kdk_reference_leapfrog(st, model, frame, self.DT, self.N_STEPS, self.STRIDE)
+        assert len(traj) == len(ref)
+        for i, (u, v, e, p) in enumerate(ref):
+            deviations = (np.max(np.abs(traj.u_snaps[i] - u)), np.max(np.abs(traj.v_snaps[i] - v)),
+                          abs(traj.energies[i] - e), abs(traj.momenta[i] - p))
+            assert all(d <= b for d, b in zip(deviations, bounds)), (i, deviations)
 
 
 @pytest.mark.parametrize("model,frame", [
@@ -305,6 +394,23 @@ def test_logs_are_the_conserved_functionals_of_each_snapshot(model, frame):
     traj = evolve(base, model, EvolveConfig(dt=0.02, t_end=2.0, background=frame))
     assert traj.energies == [energy(traj.state(i), model) for i in range(len(traj))]
     assert traj.momenta == [momentum(traj.state(i)) for i in range(len(traj))]
+
+
+def test_half_angle_sine_matches_np_sin():
+    # the evolver's sin u = 2t / (1 + t^2), t = tan(u/2), on a dense grid and
+    # at the points where tan(u/2) is 0, +/-1, huge or +/-tiny
+    special = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300]
+    u = np.concatenate([np.linspace(-50.0, 50.0, 400001), special])
+
+    def half_angle_sin(values):
+        # twice the helper's half of sin u; doubling rounds nothing
+        return 2.0 * _half_sin(values, np.empty_like(values), np.empty_like(values))
+
+    got = half_angle_sin(u)
+    assert np.max(np.abs(got - np.sin(u))) <= 4.5e-16
+    assert np.array_equal(half_angle_sin(-u), -got)
+    zeros = half_angle_sin(np.array([0.0, -0.0]))
+    assert np.array_equal(zeros, [0.0, 0.0]) and list(np.signbit(zeros)) == [False, True]
 
 
 def test_closed_form_sin_cos_of_kink():

@@ -31,7 +31,10 @@ def kink_terms(x):
 
 
 def kink_frame_force(terms, u):
-    return _kink_frame_force(*terms, u, np.empty_like(u), np.empty_like(u))
+    """sin(Q + u) - sin Q: the evolver's helper takes the terms scaled by 2c
+    and returns c times the force."""
+    return _kink_frame_force(*(2.0 * term for term in terms), u, np.empty_like(u),
+                             np.empty_like(u))
 
 
 class TestGridSpec:
