@@ -157,7 +157,10 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
     betas = _get(cfg, "wobbler_betas", [0.1, 0.3, 0.5, 0.7, 0.9])
     table = []
     for name, sampler, model in EXACT_FAMILIES:
-        residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
+        try:
+            residuals, orders = residual_study(sampler, model, grid, t, dt, levels)
+        except ParameterError as exc:
+            raise ParameterError(f"{name}: {exc}") from exc
         bundle.check(f"{name} refinement order", min(orders), 1.9,
                      "closed-form solution under (h, dt) halving", larger_ok=True)
         bundle.check(f"{name} finest residual", residuals[-1], 1e-5 * tol_scale,

@@ -51,8 +51,10 @@ def residual_study(sampler, model, grid, t, dt, levels):
     orders log2(r_i / r_{i+1})."""
     residuals = []
     g, step = grid, dt
-    for _ in range(levels):
+    for level in range(levels):
         residuals.append(float(np.max(np.abs(pde_residual(sampler, model, t, g, step)))))
+        if residuals[-1] == 0.0:  # the solution has left the grid: no order to measure
+            raise ParameterError(f"the residual is exactly 0 at level {level} at t = {t:g}")
         g, step = g.refined(2), step / 2.0
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
     return residuals, orders

@@ -35,8 +35,8 @@ def smooth_random(grid: GridSpec, parity: str, amplitude: float, rng) -> np.ndar
     return amplitude * out / peak if peak > 0 else out
 
 
-def named_pair(name: str, grid: GridSpec, *, amplitude: float = 0.05,
-               beta: float = 0.5, t: float = 0.0, seed: int = 0) -> PerturbationPair:
+def named_pair(name: str, grid: GridSpec, *, amplitude: float, beta: float, t: float,
+               seed: int) -> PerturbationPair:
     """Build a perturbation pair from a generator name.
 
     Known names: ``zero``, ``even-bump``, ``odd-bump``, ``random-even``,

@@ -115,7 +115,7 @@ def _fit_shift(state, beta, rho_guess):
 
 
 def track_modulation(traj, beta: float, interval=(-5.0, 5.0)) -> list:
-    """Track the shift along a trajectory from rho = 0, warm-starting each solve.
+    """Track the shift from the frame's center x0 (0 without a frame), warm-starting each solve.
 
     Returns one ModulationRecord per snapshot with rho, the orthogonality
     residual, the local remainder norm on `interval`, and the rho rate
@@ -129,7 +129,7 @@ def track_modulation(traj, beta: float, interval=(-5.0, 5.0)) -> list:
         raise ParameterError(f"the tracker fits the sine-Gordon kink; "
                              f"it cannot track a {traj.model.kind} run")
     fits = []  # (t, rho, |orthogonality value|, local norm) per tracked snapshot
-    rho = 0.0
+    rho = traj.background.x0 if traj.background is not None else 0.0
     for i in range(len(traj)):
         state = traj.state(i)
         try:

@@ -2,8 +2,9 @@
 
 Every sampler is a pure map (t, x) -> value with analytic time derivative and,
 where a closed form is printed below, an analytic space derivative as well.
-Hyperbolic products that would overflow in double precision are evaluated from
-log-magnitudes with shared max-subtraction, so samplers are total on R^2.
+Where cosh and sinh overflow, each formula is multiplied by one common factor
+that cancels in its quotients: sech(x) sech(beta x) (wobbler), e^{-max(|X|, |T|)}
+(two-kink), e^{-|x| - |w|} (three-soliton), so samplers are total on R^2.
 """
 
 from __future__ import annotations
@@ -53,56 +54,13 @@ def _log_cosh(u):
     return au + np.log1p(np.exp(-2.0 * au)) - _LOG2
 
 
-# --- log-scaled numbers -----------------------------------------------------
-# A value y is carried as (lg, frac) with y = frac * e^lg and |frac| = O(1).
-# Sums use shared max-subtraction; this keeps cosh/sinh products finite for
-# arbitrarily large arguments.
-
-def _sc_cosh(u):
-    au = np.abs(u)
-    return au, 0.5 * (1.0 + np.exp(-2.0 * au))
+# cosh(u) e^{-|u|} in [1/2, 1] and sinh(u) e^{-|u|} in (-1/2, 1/2), bitwise odd
+def _ch(u):
+    return 0.5 * (1.0 + np.exp(-2.0 * np.abs(u)))
 
 
-def _sc_sinh(u):
-    au = np.abs(u)
-    return au, np.sign(u) * 0.5 * (1.0 - np.exp(-2.0 * au))
-
-
-def _sc_const(c, like):
-    return np.zeros_like(like), np.broadcast_to(np.asarray(c, dtype=float), np.shape(like)).copy()
-
-
-def _sc_mul(*terms):
-    lg = sum(t[0] for t in terms)
-    frac = terms[0][1]
-    for t in terms[1:]:
-        frac = frac * t[1]
-    return lg, frac
-
-
-def _sc_add(*terms):
-    lg_max = terms[0][0]
-    for t in terms[1:]:
-        lg_max = np.maximum(lg_max, t[0])
-    total = sum(t[1] * np.exp(t[0] - lg_max) for t in terms)
-    return lg_max, total
-
-
-def _sc_ratio(num, den):
-    """num/den of two scaled numbers, as a plain float array (may overflow to inf)."""
-    lg = num[0] - den[0]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return (num[1] / den[1]) * np.exp(lg)
-
-
-def _sc_arctan_of_ratio(num, den):
-    """arctan(num/den) for scaled numbers, stable when the ratio is huge."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = num[0] - den[0] + np.log(np.abs(num[1])) - np.log(np.abs(den[1]))
-    sign = np.sign(num[1]) * np.sign(den[1])
-    lg = np.where(np.isnan(lg), -np.inf, lg)
-    inner = np.arctan(np.exp(-np.abs(lg)))
-    return np.where(lg > 0, sign * (0.5 * np.pi - inner), sign * inner)
+def _sh(u):
+    return np.copysign(0.5 * -np.expm1(-2.0 * np.abs(u)), u)
 
 
 # --- sampler type -----------------------------------------------------------
@@ -319,27 +277,25 @@ def two_kink(beta: float) -> SolutionSampler:
         raise ParameterError(f"two-kink speed needs 0 < |beta| < 1, got {beta}")
     gamma = 1.0 / math.sqrt(1.0 - beta ** 2)
 
+    def parts(t, x):
+        """(sinh X, cosh X, sinh T, cosh T) for X = gamma x and T = gamma beta t,
+        each times e^{-max(|X|, |T|)}, which cancels in every quotient below."""
+        X, T = gamma * np.asarray(x, dtype=float), gamma * beta * t
+        gap = np.abs(X) - np.abs(T)
+        e_x, e_t = np.exp(-np.maximum(-gap, 0.0)), np.exp(-np.maximum(gap, 0.0))
+        return _sh(X) * e_x, _ch(X) * e_x, _sh(T) * e_t, _ch(T) * e_t
+
     def value(t, x):
-        x = np.asarray(x, dtype=float)
-        num = _sc_mul(_sc_const(beta, x), _sc_sinh(gamma * x))
-        den = _sc_cosh(gamma * beta * t + np.zeros_like(x))
-        return 4.0 * _sc_arctan_of_ratio(num, den)
+        sh_x, _, _, ch_t = parts(t, x)
+        return 4.0 * np.arctan2(beta * sh_x, ch_t)
 
     def d_dt(t, x):
-        x = np.asarray(x, dtype=float)
-        tt = gamma * beta * t + np.zeros_like(x)
-        num = _sc_mul(_sc_const(-4.0 * gamma * beta ** 2, x), _sc_sinh(gamma * x), _sc_sinh(tt))
-        den = _sc_add(_sc_mul(_sc_cosh(tt), _sc_cosh(tt)),
-                      _sc_mul(_sc_const(beta ** 2, x), _sc_sinh(gamma * x), _sc_sinh(gamma * x)))
-        return _sc_ratio(num, den)
+        sh_x, _, sh_t, ch_t = parts(t, x)
+        return -4.0 * gamma * beta ** 2 * sh_x * sh_t / (ch_t * ch_t + beta ** 2 * sh_x * sh_x)
 
     def d_dx(t, x):
-        x = np.asarray(x, dtype=float)
-        tt = gamma * beta * t + np.zeros_like(x)
-        num = _sc_mul(_sc_const(4.0 * gamma * beta, x), _sc_cosh(gamma * x), _sc_cosh(tt))
-        den = _sc_add(_sc_mul(_sc_cosh(tt), _sc_cosh(tt)),
-                      _sc_mul(_sc_const(beta ** 2, x), _sc_sinh(gamma * x), _sc_sinh(gamma * x)))
-        return _sc_ratio(num, den)
+        sh_x, ch_x, _, ch_t = parts(t, x)
+        return 4.0 * gamma * beta * ch_x * ch_t / (ch_t * ch_t + beta ** 2 * sh_x * sh_x)
 
     return SolutionSampler(value, d_dt, d_dx)
 
@@ -373,53 +329,44 @@ class ThreeSolitonParams:
 
 
 def _three_soliton_parts(p: ThreeSolitonParams, t, x):
-    """Scaled numerator P, denominator A2 of the arctan argument, and their
-    time derivatives; the arctan argument is (beta/alpha) P / A2."""
+    """Numerator P, denominator A2 of the arctan argument (beta/alpha) P / A2,
+    and their time derivatives, each times e^{-|x| - |w|}."""
     x = np.asarray(x, dtype=float)
-    b, v = p.beta, p.v
-    a_v, alpha, g = p.a_v, p.alpha, p.gamma_v
+    b, v, a_v, alpha, g = p.beta, p.v, p.a_v, p.alpha, p.gamma_v
     phase = g * alpha * (t - v * x)
     sin_p, cos_p = np.sin(phase), np.cos(phase)
     w = g * b * (t * v - x)
+    e_x, e_w = np.exp(-np.abs(x)), np.exp(-np.abs(w))
+    ch_x, sh_x, ch_w, sh_w = _ch(x), _sh(x), _ch(w), _sh(w)
 
-    c1 = a_v ** 2 - 1.0
-    c2 = 2.0 * a_v * alpha
-    P = _sc_add(_sc_mul(_sc_const(c1, x), _sc_cosh(x), _sc_const(sin_p, x)),
-                _sc_mul(_sc_const(-c2, x), _sc_const(cos_p, x), _sc_sinh(x)),
-                _sc_mul(_sc_const(-c2, x), _sc_sinh(w)))
-    P_t = _sc_add(_sc_mul(_sc_const(c1 * g * alpha, x), _sc_cosh(x), _sc_const(cos_p, x)),
-                  _sc_mul(_sc_const(c2 * g * alpha, x), _sc_const(sin_p, x), _sc_sinh(x)),
-                  _sc_mul(_sc_const(-c2 * g * b * v, x), _sc_cosh(w)))
+    c1, c2 = a_v ** 2 - 1.0, 2.0 * a_v * alpha
+    P = (c1 * sin_p * ch_x - c2 * cos_p * sh_x) * e_w - c2 * sh_w * e_x
+    P_t = g * alpha * (c1 * cos_p * ch_x + c2 * sin_p * sh_x) * e_w - c2 * g * b * v * ch_w * e_x
 
     # combining the translation factors through cosh(wt -+ wx) = cosh(w) removes
     # an exact cancellation of the leading exponentials at large |x|
-    d1 = 2.0 * a_v * b
-    d2 = 1.0 + a_v ** 2
-    A2 = _sc_add(_sc_mul(_sc_const(-d1, x), _sc_const(cos_p, x)),
-                 _sc_mul(_sc_const(d2, x), _sc_cosh(x), _sc_cosh(w)),
-                 _sc_mul(_sc_const(d1, x), _sc_sinh(x), _sc_sinh(w)))
-    gvb = g * v * b
-    A2_t = _sc_add(_sc_mul(_sc_const(d1 * g * alpha, x), _sc_const(sin_p, x)),
-                   _sc_mul(_sc_const(d2 * gvb, x), _sc_cosh(x), _sc_sinh(w)),
-                   _sc_mul(_sc_const(d1 * gvb, x), _sc_sinh(x), _sc_cosh(w)))
+    d1, d2 = 2.0 * a_v * b, 1.0 + a_v ** 2
+    A2 = -d1 * cos_p * e_x * e_w + d2 * ch_x * ch_w + d1 * sh_x * sh_w
+    A2_t = d1 * g * alpha * sin_p * e_x * e_w + g * v * b * (d2 * ch_x * sh_w + d1 * sh_x * ch_w)
     return P, P_t, A2, A2_t
 
 
 def three_soliton(p: ThreeSolitonParams) -> SolutionSampler:
-    """Kink with an attached breather moving at speed v; v = 0 is the wobbler."""
+    """Kink with an attached breather moving at speed v; v = 0 is the wobbler.
+
+    A2 >= (d2 - |d1|) cosh x cosh w > 0 with d2 = 1 + a_v^2 > 2 a_v |beta| = |d1|,
+    so the two-argument arctangent is the principal arctan of the quotient.
+    """
     base = KinkParams()
     r = p.beta / p.alpha
 
     def value(t, x):
         P, _, A2, _ = _three_soliton_parts(p, t, x)
-        return base.q(x) - 4.0 * _sc_arctan_of_ratio(_sc_mul(_sc_const(r, np.asarray(x, dtype=float)), P), A2)
+        return base.q(x) - 4.0 * np.arctan2(r * P, A2)
 
     def d_dt(t, x):
-        x = np.asarray(x, dtype=float)
         P, P_t, A2, A2_t = _three_soliton_parts(p, t, x)
-        num = _sc_add(_sc_mul(P_t, A2), _sc_mul(_sc_const(-1.0, x), P, A2_t))
-        den = _sc_add(_sc_mul(A2, A2), _sc_mul(_sc_const(r * r, x), P, P))
-        return -4.0 * r * _sc_ratio(num, den)
+        return -4.0 * r * (P_t * A2 - P * A2_t) / (A2 * A2 + r * r * P * P)
 
     return SolutionSampler(value, d_dt, None)
 

@@ -486,7 +486,6 @@ _OPTIONS = {
     "GridSpec.refined": {"factor"},
     "Model.nonlinearity": {"out"},
     "local_energy_norm": {"interval"},
-    "named_pair": {"amplitude", "beta", "t", "seed"},
     "track_modulation": {"interval"},
     "rho_rate_check": {"eps"},
     "ReportBundle.check": {"provenance", "expected", "larger_ok"},
@@ -528,4 +527,4 @@ def test_solver_options_are_the_ones_callers_set(name):
 
 def test_options_pin_names_live_functions():
     assert set(_OPTIONS) <= set(_PUBLIC_FUNCTIONS)
-    assert sum(map(len, _OPTIONS.values())) == 17
+    assert sum(map(len, _OPTIONS.values())) == 13

@@ -19,22 +19,21 @@ def test_smooth_random_parity_and_amplitude(grid40, rng):
 def test_named_generators(grid40):
     for name in ("zero", "even-bump", "odd-bump", "random-even", "random-odd",
                  "breather-state", "wobbler-perturbation"):
-        pair = named_pair(name, grid40, beta=0.4, t=0.9, seed=3)
+        pair = named_pair(name, grid40, amplitude=0.05, beta=0.4, t=0.9, seed=3)
         assert pair.grid == grid40
     with pytest.raises(ParameterError):
-        named_pair("nonsense", grid40)
+        named_pair("nonsense", grid40, amplitude=0.05, beta=0.5, t=0.0, seed=0)
 
 
 def test_named_generator_is_seeded(grid40):
-    a = named_pair("random-odd", grid40, seed=5)
-    b = named_pair("random-odd", grid40, seed=5)
-    c = named_pair("random-odd", grid40, seed=6)
+    a, b, c = (named_pair("random-odd", grid40, amplitude=0.05, beta=0.5, t=0.0, seed=seed)
+               for seed in (5, 5, 6))
     assert np.array_equal(a.first, b.first)
     assert not np.array_equal(a.first, c.first)
 
 
 def test_save_load_round_trip(tmp_path, grid40, rng):
-    pair = named_pair("random-even", grid40, seed=1)
+    pair = named_pair("random-even", grid40, amplitude=0.05, beta=0.5, t=0.0, seed=1)
     path = tmp_path / "pair.json"
     save_pair(path, pair)
     loaded = load_pair(path)

@@ -187,6 +187,19 @@ class TestTracking:
         assert "tube radius" in warning.getMessage()
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("x0", [-5.0, -3.0, 2.0, 3.0, 5.0])
+def test_tracker_follows_its_frames_own_kink_off_center(grid40, x0, beta):
+    # the first shift solve starts at the frame's center; from rho = 0 it
+    # diverged for |x0| >= 3 and tracked none of the snapshots
+    p = KinkParams(beta, x0)
+    traj = evolve(kink(p).sample(grid40, 0.0), SINE_GORDON,
+                  EvolveConfig(0.005, 1.0, background=p))
+    records = track_modulation(traj, beta)
+    assert len(records) == len(traj) == 3
+    assert all(abs(r.rho - x0) < 1e-9 for r in records)
+
+
 def test_tracker_refuses_other_models():
     # the fitted family is the sine-Gordon kink; a phi^4 kink run used to
     # end as a tube exit at t = 0 with no records

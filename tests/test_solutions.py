@@ -25,6 +25,12 @@ from sglab.solutions import (
 
 BETA_GAMMA_CASES = [(0.0, 1.0), (0.6, 1.25), (-0.8, 5.0 / 3.0)]
 
+# (t, x) pairs on both sides of the float64 overflow of cosh (|u| > 710),
+# with every sign, and with |x| and |t| past it together
+_BIG = (0.0, 3.0, 300.0, 711.0, 1000.0, 2000.0, 1e5)
+EXTREME_POINTS = [(st * t, sx * x) for t in _BIG for x in _BIG
+                  for st in (1.0, -1.0) for sx in (1.0, -1.0)]
+
 
 def fd_time_derivative(sampler, t, x, eps=1e-5):
     return (np.asarray(sampler.value(t + eps, x)) - np.asarray(sampler.value(t - eps, x))) / (2 * eps)
@@ -241,10 +247,31 @@ class TestTwoKink:
         assert np.max(np.abs(fd_time_derivative(s, 0.8, grid40.x) - s.dvalue_dt(0.8, grid40.x))) < 1e-9
         assert np.max(np.abs(fd_space_derivative(s, 0.8, grid40.x) - s.dvalue_dx(0.8, grid40.x))) < 1e-9
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, -0.6])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -3.0, 12.0])
+    def test_matches_the_unscaled_formulas(self, grid40, beta, t):
+        # np.sinh and np.cosh stay finite on [-40, 40], so the closed forms can
+        # be written without the common factor
+        gamma = 1.0 / np.sqrt(1.0 - beta ** 2)
+        X, T = gamma * grid40.x, gamma * beta * t
+        den = np.cosh(T) ** 2 + beta ** 2 * np.sinh(X) ** 2
+        s = two_kink(beta)
+        for got, ref in ((s.value(t, grid40.x), 4.0 * np.arctan(beta * np.sinh(X) / np.cosh(T))),
+                         (s.dvalue_dt(t, grid40.x),
+                          -4.0 * gamma * beta ** 2 * np.sinh(X) * np.sinh(T) / den),
+                         (s.dvalue_dx(t, grid40.x),
+                          4.0 * gamma * beta * np.cosh(X) * np.cosh(T) / den)):
+            assert np.max(np.abs(got - ref)) < 1e-13
+
     def test_large_argument_is_finite(self):
-        s = two_kink(0.9)
-        assert np.isfinite(s.value(300.0, 1000.0))
-        assert np.isfinite(s.dvalue_dt(300.0, 1000.0))
+        t, x = np.array(EXTREME_POINTS).T
+        for beta in (0.5, 0.9, -0.9):
+            s = two_kink(beta)
+            for channel in (s.value, s.dvalue_dt, s.dvalue_dx):
+                assert np.all(np.isfinite(channel(t, x)))
+            # odd in x and even in t, bitwise, however large the arguments
+            assert np.array_equal(s.value(t, -x), -s.value(t, x))
+            assert np.array_equal(s.value(-t, x), s.value(t, x))
 
 
 class TestThreeSoliton:
@@ -288,11 +315,27 @@ class TestThreeSoliton:
         u, u_x, _ = three_soliton(ThreeSolitonParams(0.5, 0.4)).fields(grid40, 0.7)
         assert np.array_equal(u_x, derivative(u, grid40))
 
+    @pytest.mark.parametrize("beta,v", [(0.5, 0.0), (0.5, 0.4), (0.7, 0.6), (-0.9, -0.6)])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -3.0, 12.0])
+    def test_matches_the_unscaled_formulas(self, grid40, beta, v, t):
+        p = ThreeSolitonParams(beta, v)
+        a_v, alpha, g = p.a_v, p.alpha, p.gamma_v
+        x = grid40.x
+        phase = g * alpha * (t - v * x)
+        w = g * beta * (t * v - x)
+        P = ((a_v ** 2 - 1.0) * np.cosh(x) * np.sin(phase)
+             - 2.0 * a_v * alpha * (np.cos(phase) * np.sinh(x) + np.sinh(w)))
+        A2 = 2.0 * a_v * beta * (np.sinh(x) * np.sinh(w) - np.cos(phase)) \
+            + (1.0 + a_v ** 2) * np.cosh(x) * np.cosh(w)
+        ref = KinkParams().q(x) - 4.0 * np.arctan(beta / alpha * P / A2)
+        assert np.max(np.abs(three_soliton(p).value(t, x) - ref)) < 1e-13
+
     def test_large_argument_is_finite(self):
-        s = three_soliton(ThreeSolitonParams(0.7, 0.6))
-        big = np.array([-1500.0, 1500.0])
-        assert np.all(np.isfinite(s.value(800.0, big)))
-        assert np.all(np.isfinite(s.dvalue_dt(800.0, big)))
+        t, x = np.array(EXTREME_POINTS).T
+        for beta, v in ((0.5, 0.0), (0.7, 0.6), (-0.9, -0.6), (0.9, 0.9)):
+            s = three_soliton(ThreeSolitonParams(beta, v))
+            assert np.all(np.isfinite(s.value(t, x)))
+            assert np.all(np.isfinite(s.dvalue_dt(t, x)))
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
