@@ -24,7 +24,7 @@ invert each other to solver tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,6 @@ from .solutions import (
     KinkParams,
     SolutionSampler,
     WobblerParams,
-    _log_cosh,
     breather,
     wobbler,
 )
@@ -132,7 +131,11 @@ class _Background:
         F1 = Psi_x + u_x - Phi_t - v - cos(p)/a - a cos(m)
         F2 = Psi_t + s - Phi_x - y_x - cos(p)/a + a cos(m)
 
-    and both linearize with one coefficient, dF1/du = -dF2/dy = coeff.
+    and they linearize with two coefficients:
+
+        coeff       = sin(p)/(2a) + (a/2) sin(m):  dF1/du = d/dx + coeff,
+                                                   dF2/dy = -(d/dx - coeff)
+        cross_coeff = sin(p)/(2a) - (a/2) sin(m):  dF2/du = dF1/dy = cross_coeff
     """
 
     psi: np.ndarray
@@ -173,6 +176,10 @@ class _Background:
     def coeff(self, u, y):
         p, m = self._half_angles(u, y)
         return np.sin(p) / (2.0 * self.a) + (0.5 * self.a) * np.sin(m)
+
+    def cross_coeff(self, u, y):
+        p, m = self._half_angles(u, y)
+        return np.sin(p) / (2.0 * self.a) - (0.5 * self.a) * np.sin(m)
 
 
 def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair) -> tuple:
@@ -295,8 +302,8 @@ def _fix_boundary_rows(w, r, c, h):
     w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
 
 
-def _newton(residual_fn, step_fn, n, max_iter, stall_tol, start=None):
-    """Damped Newton with integrating-factor linear solves.
+def _newton(residual_fn, step_fn, n, max_iter, stall_tol):
+    """Damped Newton from u = 0 with integrating-factor linear solves.
 
     ``step_fn(u, r)`` returns the correction for residual r, re-linearizing at
     the current iterate u; steps are halved (up to 6 times) whenever the
@@ -308,7 +315,7 @@ def _newton(residual_fn, step_fn, n, max_iter, stall_tol, start=None):
     Returns (u, iterations, residual, history, status), status "converged"
     (residual <= _TOL) or "stalled" (accepted under stall_tol).
     """
-    u = np.zeros(n) if start is None else start.copy()
+    u = np.zeros(n)
     r = residual_fn(u)
     rmax = float(np.max(np.abs(r)))
     history = [rmax]
@@ -358,12 +365,12 @@ def _require_parity(values, grid, kind, what, tol=None):
 # --- the two Newton solvers -----------------------------------------------------
 
 def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, parity: Optional[str],
-                     nu0: float, start=None) -> LiftReport:
+                     nu0: float) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
     s = -F2(u, 0, y, y_x); the result (u, s) must have `parity` (None: any).
 
-    Newton starts from `start` (default zero); each step integrates the growing
-    factor exp(int coeff) outward from node m, the kink center.
+    Each Newton step integrates the growing factor exp(int coeff) outward from
+    node m, the kink center.
     """
     def residual(u):
         return bg.f1(u, derivative(u, grid), y, v)
@@ -372,7 +379,7 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, parity: Opti
         return -_solve_outward(bg.coeff(u, y), r, grid, m)
 
     u, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
-                                              bg.stall_tol, start)
+                                              bg.stall_tol)
     s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
     if parity is not None:
         for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
@@ -481,9 +488,12 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     """Solve the kink-centered transform around the moving kink at center
     beta*t + rho, fixing the free integration constant by orthogonality.
 
-    The solution family of the first transform equation is one-dimensional (the
-    decaying homogeneous solution cosh^{-nu0}(gamma (x - center)) is free); the
-    constant is chosen so that int (u Q_x + s Q_tx) dx = 0.
+    The solution family of the first transform equation is one-dimensional:
+    its linearization w' + coeff w = f has the decaying kernel e^{-int coeff}.
+    One Newton solve appends the constraint g(u) = int (u Q_x + s Q_tx) dx,
+    with s = -F2(u, 0, y, y_x), to the residual F1.  Each bordered step adds
+    to the pinned kink-side step the multiple of the kernel that makes the
+    linearized g zero, and no kernel while that is already at most _TOL.
     """
     kinkp = KinkParams(beta, rho).at(t)
     mult = _offset_multiplier(delta)
@@ -493,50 +503,40 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
     x = grid.x
-    gamma = kinkp.gamma
-    coeff_scale = 0.5 * (1.0 / mult + mult)
-    nu0 = coeff_scale / gamma
-    xi = gamma * (x - center)
-    lw = nu0 * _log_cosh(xi)
+    nu0 = 0.5 * (1.0 / mult + mult) / kinkp.gamma
     m = _center_index(grid, center)
-    hom = np.exp(-(lw - lw[m]))
     q_x = kinkp.q_x(x)
     q_tx = kinkp.q_tx(x)
     norm_sq = quadrature(q_x ** 2 + q_tx ** 2, grid)
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
     bg = _Background.kink(grid, mult, kinkp)
+    y_x = derivative(y, grid)
 
-    def solve_at(a0, start):
-        guess = a0 * hom if start is None else start + (a0 - start[m]) * hom
-        rep = _solve_kink_side(bg, grid, m, y, v, None, nu0, guess)
-        return rep, quadrature(rep.result.first * q_x + rep.result.second * q_tx, grid)
+    def s_and_g(u):
+        s = 0.0 - bg.f2(u, 0.0, y, y_x)  # not -F2: exact zeros stay +0.0
+        return s, quadrature(u * q_x + s * q_tx, grid)
 
-    # scalar secant on the center value a0; the orthogonality functional is
-    # affine in a0 to leading order with slope ~ int hom * Q_x
-    a_prev = 0.0
-    rep, g_prev = solve_at(a_prev, None)
-    total_iters = rep.iterations
-    ortho_tol = 1e-10
-    if abs(g_prev) > ortho_tol:
-        slope = quadrature(hom * q_x, grid)
+    def residual(u):
+        return np.append(bg.f1(u, derivative(u, grid), y, v), s_and_g(u)[1])
+
+    def step(u, r):
+        c = bg.coeff(u, y)
+        w = -_solve_outward(c, r[:-1], grid, m)
+        dg = q_x - bg.cross_coeff(u, y) * q_tx  # dg.z = int z dg, as ds/du = -cross_coeff
+        g_lin = r[-1] + quadrature(w * dg, grid)
+        if abs(g_lin) <= _TOL:
+            return w
+        kernel = np.exp(-_log_factor(c, grid, m))
+        slope = quadrature(kernel * dg, grid)
         if abs(slope) < 1e-10:
-            raise SolverError("orthogonality constraint is degenerate", rep.residual_history)
-        a_cur = a_prev - g_prev / slope
-        for _ in range(20):
-            rep, g_cur = solve_at(a_cur, rep.result.first)
-            total_iters += rep.iterations
-            if abs(g_cur) <= ortho_tol:
-                g_prev = g_cur
-                break
-            denom = g_cur - g_prev
-            if denom == 0:
-                raise SolverError("orthogonality secant stalled", rep.residual_history)
-            a_next = a_cur - g_cur * (a_cur - a_prev) / denom
-            a_prev, g_prev, a_cur = a_cur, g_cur, a_next
-        else:
-            raise SolverError("orthogonality constraint did not converge", rep.residual_history)
-    return replace(rep, iterations=total_iters, ortho_residual=float(g_prev))
+            raise SolverError("orthogonality constraint is degenerate")
+        return w - (g_lin / slope) * kernel
+
+    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
+                                              bg.stall_tol)
+    s, g = s_and_g(u)
+    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, nu0, None, history, g, status)
 
 
 def zero_momentum_manifold_data(grid: GridSpec, y0):

@@ -114,8 +114,26 @@ def _fit_shift(state, beta, rho_guess):
     raise TubeExitError("shift solve: no convergence after 50 iterations")
 
 
+def _field_start(state: FieldState, beta: float) -> float:
+    """The shift a run without a frame starts from: where the field first
+    crosses pi, interpolated linearly between the two nodes that bracket it,
+    minus beta t; 0.0 for a field that never crosses pi."""
+    d = state.u - np.pi
+    below = d < 0
+    (hits,) = np.nonzero(below[:-1] != below[1:])
+    if hits.size == 0:
+        return 0.0
+    j = hits[0]
+    x = state.grid.x
+    return float(x[j] + (x[j + 1] - x[j]) * d[j] / (d[j] - d[j + 1]) - beta * state.t)
+
+
 def track_modulation(traj, beta: float, interval=(-5.0, 5.0)) -> list:
-    """Track the shift from the frame's center x0 (0 without a frame), warm-starting each solve.
+    """Track the shift, warm-starting each solve from the last.
+
+    The first solve starts at the frame's center x0 or, without a frame, at
+    the first snapshot's pi crossing minus beta t0 (0 if the field never
+    crosses pi).
 
     Returns one ModulationRecord per snapshot with rho, the orthogonality
     residual, the local remainder norm on `interval`, and the rho rate
@@ -129,9 +147,11 @@ def track_modulation(traj, beta: float, interval=(-5.0, 5.0)) -> list:
         raise ParameterError(f"the tracker fits the sine-Gordon kink; "
                              f"it cannot track a {traj.model.kind} run")
     fits = []  # (t, rho, |orthogonality value|, local norm) per tracked snapshot
-    rho = traj.background.x0 if traj.background is not None else 0.0
+    rho = traj.background.x0 if traj.background is not None else None
     for i in range(len(traj)):
         state = traj.state(i)
+        if rho is None:
+            rho = _field_start(state, beta)
         try:
             rho, value, pair = _fit_shift(state, beta, rho)
         except TubeExitError as exc:

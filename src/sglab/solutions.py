@@ -33,8 +33,6 @@ __all__ = [
     "zero_sampler",
 ]
 
-_LOG2 = math.log(2.0)
-
 
 def _sech(x):
     # 1/cosh overflows to 0 cleanly past |x| ~ 710; suppress the spurious warning
@@ -47,11 +45,6 @@ def _arctan_exp(a):
     a = np.asarray(a, dtype=float)
     small = np.arctan(np.exp(-np.abs(a)))
     return np.where(a > 0, 0.5 * np.pi - small, small)
-
-
-def _log_cosh(u):
-    au = np.abs(u)
-    return au + np.log1p(np.exp(-2.0 * au)) - _LOG2
 
 
 # cosh(u) e^{-|u|} in [1/2, 1] and sinh(u) e^{-|u|} in (-1/2, 1/2), bitwise odd

@@ -36,6 +36,7 @@ from sglab.grids import (
     PerturbationPair,
     SINE_GORDON,
     SolverError,
+    derivative,
     parity_check,
     quadrature,
 )
@@ -446,6 +447,58 @@ class TestOrthogonalLift:
         z = zeros_like_grid(grid40)
         with pytest.raises(ContractError):
             lift_with_orthogonality(grid40, z, z, 0.0, 0.9, 0.0, 100.0)
+
+    @pytest.mark.parametrize("delta", [-0.2, 0.0, 0.1])
+    @pytest.mark.parametrize("beta", [-0.3, 0.0, 0.3])
+    def test_is_one_newton_solve(self, grid40, rng, beta, delta):
+        # the constraint is one more equation of a single Newton solve, so the
+        # history covers every counted iteration and the reported residual
+        # bounds F1 as well as the constraint
+        y = smooth_random(grid40, "odd", 0.05, rng)
+        v = smooth_random(grid40, "odd", 0.03, rng)
+        rep = lift_with_orthogonality(grid40, y, v, delta, beta, 0.0, 0.7)
+        assert rep.iterations == len(rep.residual_history) - 1
+        assert abs(rep.ortho_residual) <= 1e-10
+        u = rep.result.first
+        bg = _Background.kink(grid40, 1.0 + delta, KinkParams(beta, 0.0).at(0.7))
+        f1 = bg.f1(u, derivative(u, grid40), y, v)
+        assert np.max(np.abs(f1)) <= rep.final_residual
+
+    def test_cross_coeff_is_the_mixed_derivative(self, grid40, rng):
+        # the bordered step differentiates s = -F2 in u: dF2/du = dF1/dy
+        bg = _Background.kink(grid40, 1.1, KinkParams(0.3, 0.5))
+        u = smooth_random(grid40, "odd", 0.3, rng)
+        y = smooth_random(grid40, "even", 0.3, rng)
+        eps = 1e-6
+        df2_du = (bg.f2(u + eps, 0.0, y, 0.0) - bg.f2(u - eps, 0.0, y, 0.0)) / (2 * eps)
+        df1_dy = (bg.f1(u, 0.0, y + eps, 0.0) - bg.f1(u, 0.0, y - eps, 0.0)) / (2 * eps)
+        cross = bg.cross_coeff(u, y)
+        assert np.max(np.abs(df2_du - cross)) < 1e-8
+        assert np.max(np.abs(df1_dy - cross)) < 1e-8
+
+
+def _map_reports(grid, rng):
+    """The report of each of the six maps besides the orthogonal lift."""
+    y, v = smooth_random(grid, "even", 0.05, rng), smooth_random(grid, "even", 0.04, rng)
+    y0 = smooth_random(grid, "odd", 0.05, rng)
+    up = lift_zero_to_kink(grid, y, v)
+    wob = lift_breather_to_wobbler(grid, y, v, 0.3, 0.7)
+    return {
+        "zero-to-kink": up,
+        "kink-to-zero": descend_kink_to_zero(grid, up.result.first, up.result.second),
+        "breather-to-wobbler": wob,
+        "wobbler-to-breather": descend_wobbler_to_breather(grid, wob.result.first,
+                                                           wob.result.second, 0.3, 0.7),
+        "manifold": construct_manifold_data(grid, y0, v, 0.1),
+        "zero-momentum": zero_momentum_manifold_data(grid, y0)[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["zero-to-kink", "kink-to-zero", "breather-to-wobbler",
+                                  "wobbler-to-breather", "manifold", "zero-momentum"])
+def test_iterations_count_the_reported_history(grid40, rng, name):
+    rep = _map_reports(grid40, rng)[name]
+    assert rep.iterations == len(rep.residual_history) - 1
 
 
 class TestFinalSpeeds:

@@ -168,7 +168,11 @@ class TestCliCommands:
         "small-spectrum-grid": "grid.n_points must be an integer >= 4001, got 2001",
         "spectrum-grid-3-mod-4": "grid.n_points must be 1 mod 4 (the halved grid needs an odd "
                                  "count), got 4003",
-        "families-left-the-grid": "kink: the residual is exactly 0 at level 0 at t = 1e+06"}
+        "families-left-the-grid": "kink: the residual is exactly 0 at level 0 at t = 1e+06",
+        "kink-left-the-grid": "kink: the solution is flat on the grid at t = 1000 "
+                              "(max - min 4.0e-304 < 1e-08 at t and t +- dt)",
+        "kink-leaving-the-grid": "kink: the solution is flat on the grid at t = 100 "
+                                 "(max - min 5.6e-11 < 1e-08 at t and t +- dt)"}
 
     @pytest.mark.parametrize("command,payload", [
         ("evolve", [1, 2]),
@@ -229,6 +233,7 @@ class TestCliCommands:
         ("evolve", {"weight_rate": float("nan"), "t_end": 0.5}),
         ("verify-exact", {"grid": {"n_points": 3}}), ("spectrum", {"grid": {"n_points": 2001}}),
         ("spectrum", {"grid": {"n_points": 4003}}), ("verify-exact", {"t": 1e6}),
+        ("verify-exact", {"t": 1000.0}), ("verify-exact", {"t": 100.0}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -248,7 +253,8 @@ class TestCliCommands:
             "infinite-stability-t-end", "infinite-sweep-t-end", "infinite-exact-t",
             "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
             "infinite-weight-rate", "nan-weight-rate", "three-point-exact-grid",
-            "small-spectrum-grid", "spectrum-grid-3-mod-4", "families-left-the-grid"])
+            "small-spectrum-grid", "spectrum-grid-3-mod-4", "families-left-the-grid",
+            "kink-left-the-grid", "kink-leaving-the-grid"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys, request,
                                               command, payload):
         # the input_file cases name files in the working directory
@@ -425,6 +431,17 @@ class TestCliCommands:
         rho = [float(line.split(",")[1]) for line in
                (tmp_path / "o" / "run.csv").read_text().splitlines()[1:]]
         assert len(rho) == 21 and all(r == pytest.approx(3.0, abs=1e-9) for r in rho)
+
+    def test_evolve_tracks_an_off_center_kink_without_a_frame(self, tmp_path):
+        # a run without a frame starts tracking where the field crosses pi;
+        # from rho = 0 the first solve diverged and all 5 snapshots went untracked
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "solution": "kink", "params": {"x0": 3.0},
+            "track_modulation": True, "t_end": 2.0})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rho = [float(line.split(",")[1]) for line in
+               (tmp_path / "o" / "run.csv").read_text().splitlines()[1:]]
+        assert len(rho) == 5 and all(r == pytest.approx(3.0, abs=1e-9) for r in rho)
 
     @pytest.mark.parametrize("speed,untracked", [(0.05, 0), (0.2, 9)])
     def test_evolve_reports_untracked_snapshots(self, tmp_path, speed, untracked):

@@ -33,6 +33,23 @@ def test_residual_study_kink_orders_are_two():
     assert all(abs(order - 2.0) <= 0.05 for order in orders)
 
 
+def test_residual_study_refuses_families_that_left_the_grid():
+    # a kink 600 units off the grid is flat at t and t +- dt; its residuals
+    # are subnormal but nonzero, and their orders (near 2) measure round-off
+    grid = GridSpec(-20.0, 20.0, 801)
+    _, kink_sampler, model = EXACT_FAMILIES[0]
+    with pytest.raises(ParameterError, match="flat on the grid at t = 1000"):
+        residual_study(kink_sampler, model, grid, 1000.0, 0.5 * grid.h, 3)
+    # the breather is identically 0 at t = 0 but not at t +- dt; it is odd in
+    # time, so its residual is exactly 0 at every level there and leaves no
+    # order to measure, while just after t = 0 it is measured
+    _, breather_sampler, model = EXACT_FAMILIES[1]
+    with pytest.raises(ParameterError, match="residual is exactly 0 at level 0 at t = 0"):
+        residual_study(breather_sampler, model, grid, 0.0, 0.5 * grid.h, 3)
+    residuals, orders = residual_study(breather_sampler, model, grid, 0.1, 0.5 * grid.h, 3)
+    assert all(abs(order - 2.0) <= 0.05 for order in orders)
+
+
 def test_transform_cases_are_at_round_off():
     identity = transform_identity_cases(GridSpec(-20.0, 20.0, 801), (0.3,), (0.0, 1.3))
     assert [label for label, _ in identity] == [
@@ -163,6 +180,44 @@ def test_every_exported_function_has_a_library_caller():
                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                  and node.name not in attributes}
     assert uncalled == _EXPORTED_FOR_USERS
+
+
+def test_every_private_definition_is_read():
+    # a module-level private function, class or constant of a module of
+    # src/sglab is read there, or read by a module that imports it; an import
+    # or the definition itself does not count, so a helper whose last caller
+    # went fails
+    modules = {p.stem: ast.parse(p.read_text())
+               for p in Path(sglab.__file__).parent.glob("*.py")}
+
+    def private(tree):
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+    def read(tree):
+        return {getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+    def imports(tree, module):
+        return {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == module
+                for alias in node.names}
+
+    reads = {module: read(tree) for module, tree in modules.items()}
+    definitions = [(module, name) for module, tree in modules.items() for name in private(tree)]
+    unread = [(module, name) for module, name in definitions
+              if name not in reads[module]
+              and not any(name in imports(tree, module) and name in reads[other]
+                          for other, tree in modules.items())]
+    assert len(definitions) > 50  # the walk found the definitions
+    assert unread == []
 
 
 def test_experiments_exports_exactly_the_pinned_cells():

@@ -200,6 +200,17 @@ def test_tracker_follows_its_frames_own_kink_off_center(grid40, x0, beta):
     assert all(abs(r.rho - x0) < 1e-9 for r in records)
 
 
+@pytest.mark.parametrize("x0", [-5.0, 0.0, 3.0])
+def test_tracker_starts_a_run_without_a_frame_at_the_pi_crossing(grid40, x0):
+    # without a frame the first solve starts where the field crosses pi; from
+    # rho = 0 it diverged for |x0| >= 3 and tracked none of the snapshots
+    traj = evolve(kink(KinkParams(0.0, x0)).sample(grid40, 0.0), SINE_GORDON,
+                  EvolveConfig(0.005, 1.0))
+    records = track_modulation(traj, 0.0)
+    assert len(records) == len(traj) == 3
+    assert all(abs(r.rho - x0) < 1e-9 for r in records)
+
+
 def test_tracker_refuses_other_models():
     # the fitted family is the sine-Gordon kink; a phi^4 kink run used to
     # end as a tube exit at t = 0 with no records
