@@ -25,6 +25,7 @@ from .grids import (
     ParameterError,
     SINE_GORDON,
     PerturbationPair,
+    parity_check,
 )
 from .solutions import KinkParams
 
@@ -145,6 +146,24 @@ def _kink_frame_force(sin_q2, cos_q2, u, out, work):
     return out
 
 
+def _kept_parity(u, v, grid: GridSpec, frame) -> Optional[float]:
+    """The sign s with (u, v)(-x) = s (u, v)(x) that the run keeps, -1.0 for
+    odd and +1.0 for even, or None.
+
+    Both models' N are odd in u, so a plain run keeps either parity; in a
+    static frame centred at 0, sin Q is odd and cos Q even, so only an odd
+    perturbation stays odd.  The state has a parity when its defect
+    (``parity_check``) is at most 1e-12 max(1, max|u|, max|v|)."""
+    if not grid.is_symmetric() or (frame is not None and (frame.beta != 0 or frame.x0 != 0)):
+        return None
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(v))))
+    parities = ((-1.0, "odd"),) if frame is not None else ((-1.0, "odd"), (1.0, "even"))
+    for sign, kind in parities:
+        if max(parity_check(u, grid, kind), parity_check(v, grid, kind)) <= tol:
+            return sign
+    return None
+
+
 def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     """Integrate the field (or its perturbation around a kink frame) to t_end.
 
@@ -155,6 +174,14 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     and cos Q come from the kink's closed form: once for a static frame, and
     on every step for a translating one.  The step loop allocates no array,
     and v is formed from p = dt v only at snapshots.
+
+    A run that keeps the parity of the evolved (u, v) integrates only the
+    nodes x >= 0 and mirrors them into each snapshot.  It needs a symmetric
+    grid, no frame or a static one centred at 0, and (u, v) odd, or even
+    without a frame, to within 1e-12 max(1, max|u|, max|v|).  Its first
+    snapshot then holds the mirrored state, which differs from the input by
+    at most the input's parity defect.  Every other run integrates the whole
+    grid.
     """
     grid = initial.grid
     h = grid.h
@@ -174,6 +201,22 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     q0, q0_t = traj.background_fields(t0)
     u = initial.u - q0
     v = initial.v - q0_t
+    # with a kept parity u and v hold the nodes from lo on: an odd state
+    # starts at the centre node m and holds it at 0 like the grid ends; an
+    # even one starts at a ghost node left of m that copies node m + 1, so
+    # the centre's second difference is 2 (u[m+1] - u[m])
+    sign = _kept_parity(u, v, grid, frame)
+    m = grid.n_points // 2
+    lo = 0 if sign is None else m if sign < 0 else m - 1
+    ghost = sign is not None and sign > 0
+    if sign is not None:
+        u, v = u[lo:].copy(), v[lo:].copy()
+        if ghost:
+            u[0] = u[2]
+        else:
+            u[0] = v[0] = 0.0
+    # the node nearest x = 0 that moves, probed for blow-up on every step
+    probe = m if sign is None else 1
     dt2 = dt * dt
     lap_scale = dt2 / h ** 2
     # the sine-Gordon forces are built from half of sin u
@@ -182,7 +225,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     plain_sine = frame is None and model == SINE_GORDON
     # interior views: the end values of u stay fixed and those of v are zeroed
     u_in, v_in = u[1:-1], v[1:-1]
-    x_in = grid.x[1:-1]
+    x_in = grid.x[lo + 1:-1]
     # every buffer of the step is allocated here, so the loop allocates no
     # array: the C heap may hand a freed temporary back to the kernel, and
     # the next step would page-fault it in again
@@ -190,7 +233,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     acc = np.empty_like(u_in)
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
-    slope = np.empty(grid.n_points - 1)
+    slope = np.empty(u.size - 1)
     u_hi, u_lo = u[1:], u[:-1]
     slope_hi, slope_lo = slope[1:], slope[:-1]
     if frame is not None:
@@ -219,13 +262,25 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
             np.multiply(force, force_scale, force)
         np.subtract(acc, force, acc)
 
+    def full_grid(a):
+        # a copy of the working array on the whole grid, the nodes x < 0
+        # mirrored from x > 0 with the sign of the parity
+        if sign is None:
+            return a.copy()
+        out = np.empty(grid.n_points)
+        out[m:] = a[m - lo:]
+        np.multiply(a[:m - lo:-1], sign, out[:m])
+        return out
+
     def record(t):
+        u_full, v_full = full_grid(u), full_grid(v)
         traj.times.append(t)
-        traj.u_snaps.append(u.copy())
-        traj.v_snaps.append(v.copy())
+        traj.u_snaps.append(u_full)
+        traj.v_snaps.append(v_full)
         # a plain run's u + 0.0 would turn -0.0 entries into +0.0
         q, q_t = traj.background_fields(t)
-        full = FieldState(t, grid, *((u, v) if frame is None else (u + q, v + q_t)))
+        full = FieldState(t, grid, *((u_full, v_full) if frame is None
+                                     else (u_full + q, v_full + q_t)))
         traj.energies.append(energy(full, model))
         traj.momenta.append(momentum(full))
 
@@ -240,9 +295,11 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     p += work
     for step in range(1, n_steps + 1):
         u_in += p
+        if ghost:
+            u[0] = u[2]
         t = t0 + step * dt
         accelerate(t)
-        if not math.isfinite(u[grid.n_points // 2]):
+        if not math.isfinite(u[probe]):
             raise ContractError(f"evolution became non-finite at t = {t:.6g}")
         if step % snap_stride == 0 or step == n_steps:
             if not np.all(np.isfinite(u)):
@@ -253,4 +310,3 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
             record(t)
         p += acc
     return traj
-

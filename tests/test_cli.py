@@ -93,6 +93,16 @@ class TestCliCommands:
         table = (tmp_path / "o" / "residual_refinement.csv").read_text()
         assert table.splitlines()[0].startswith("family,residual_level0")
 
+    def test_verify_exact_at_zero_time_skips_the_breather(self, tmp_path):
+        # the breather is odd in time, so at t = 0 every central difference
+        # cancels and it has no order to measure; the other families are judged
+        cfg = write_config(tmp_path, "c.json", {"version": 1, "t": 0.0})
+        assert main(["verify-exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+        assert len(checks) == 10 and not any("breather" in c["name"] for c in checks)
+        assert (tmp_path / "o" / "not_measurable.csv").read_text().splitlines() == [
+            "family,reason", "breather,the residual is exactly 0 at level 0"]
+
     def test_lift_and_descend(self, tmp_path):
         assert main(["lift", "--out", str(tmp_path / "l")]) == 0
         assert main(["descend", "--out", str(tmp_path / "d")]) == 0
@@ -442,6 +452,17 @@ class TestCliCommands:
         rho = [float(line.split(",")[1]) for line in
                (tmp_path / "o" / "run.csv").read_text().splitlines()[1:]]
         assert len(rho) == 5 and all(r == pytest.approx(3.0, abs=1e-9) for r in rho)
+
+    def test_evolve_tracks_a_moving_kink_without_a_frame(self, tmp_path):
+        # a plain run tracks the kink at its own speed; at beta 0 the first
+        # remainder norm, 0.883, left the tube and all 21 snapshots went untracked
+        cfg = write_config(tmp_path, "c.json", {
+            "version": 1, "solution": "kink", "params": {"beta": 0.3},
+            "track_modulation": True})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rho = [float(line.split(",")[1]) for line in
+               (tmp_path / "o" / "run.csv").read_text().splitlines()[1:]]
+        assert len(rho) == 21 and all(r == pytest.approx(0.0, abs=1e-4) for r in rho)
 
     @pytest.mark.parametrize("speed,untracked", [(0.05, 0), (0.2, 9)])
     def test_evolve_reports_untracked_snapshots(self, tmp_path, speed, untracked):

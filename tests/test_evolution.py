@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sglab
 from sglab.cli import cmd_evolve
 from sglab.conserved import energy, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, _half_sin, _kink_frame_force, evolve
@@ -8,6 +9,7 @@ from sglab.grids import (
     ContractError,
     FieldState,
     GridSpec,
+    Model,
     ParameterError,
     PerturbationPair,
     PHI4,
@@ -216,7 +218,7 @@ def test_probe_modulation_is_padded_after_tube_exit():
         assert np.all(np.isnan(column))
 
 
-def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
+def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride, sign=None):
     """The scaled drift-kick loop of ``evolve`` in fresh arrays, with the kink
     rebuilt and its closed-form sin Q and cos Q recomputed on every step.
 
@@ -226,13 +228,32 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
     (sin u / 2)(2 cos Q - t 2 sin Q) with t = tan(u/2) and
     sin u / 2 = t / (1 + t^2); a static frame scales 2 sin Q and 2 cos Q by
     dt^2, every other run scales the force, so each rounds as ``evolve``
-    does."""
+    does.
+
+    With ``sign`` (-1.0 odd, +1.0 even) it integrates only the nodes x >= 0,
+    as ``evolve`` does for a run that keeps that parity: the centre node m
+    held at 0 when odd, and when even a ghost node left of m that copies
+    node m + 1 after each drift; snapshots mirror the nodes x > 0."""
     grid = initial.grid
-    x = grid.x
+    m = grid.n_points // 2
+    lo = 0 if sign is None else m if sign < 0 else m - 1
+    x = grid.x[lo:]
     dt2 = dt * dt
 
     def background(t):
         return KinkParams(frame.beta, frame.x0 + frame.beta * t)
+
+    def centred(u):
+        u = u.copy()
+        if sign is not None:
+            u[0] = u[2] if sign > 0 else 0.0
+        return u
+
+    def full_grid(a):
+        if sign is None:
+            return a.copy()
+        right = a[m - lo:]
+        return np.concatenate((sign * right[:0:-1], right))
 
     def scaled_accel(u, t):
         u_in = u[1:-1]
@@ -250,29 +271,36 @@ def reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
             return lap - half_sin_u * (cos_q2 - tan_half * sin_q2)
         return lap - half_sin_u * (cos_q - tan_half * sin_q) * (2.0 * dt2)
 
-    def conserved(u, v, t):
+    def snapshot(u, v, t):
+        u, v = full_grid(u), full_grid(v)
+        u_full, v_full = u, v
         if frame is not None:
-            u, v = u + background(t).q(x), v + background(t).q_t(x)
-        ux = derivative(u, grid)
-        return (quadrature(0.5 * (ux ** 2 + v ** 2) + model.potential(u), grid),
-                0.5 * quadrature(v * ux, grid))
+            u_full, v_full = u + background(t).q(grid.x), v + background(t).q_t(grid.x)
+        ux = derivative(u_full, grid)
+        return (u, v, quadrature(0.5 * (ux ** 2 + v_full ** 2) + model.potential(u_full), grid),
+                0.5 * quadrature(v_full * ux, grid))
 
     t = initial.t
     u, v = initial.u.copy(), initial.v.copy()
     if frame is not None:
-        u, v = u - background(t).q(x), v - background(t).q_t(x)
-    snaps = [(u.copy(), v.copy(), *conserved(u, v, t))]
+        u, v = u - background(t).q(grid.x), v - background(t).q_t(grid.x)
+    u = centred(u[lo:])
+    v = v[lo:].copy()
+    if sign is not None and sign < 0:
+        v[0] = 0.0
+    snaps = [snapshot(u, v, t)]
     acc = scaled_accel(u, t)
     p = 0.5 * acc + dt * v[1:-1]
     for step in range(1, n_steps + 1):
         u = u.copy()
         u[1:-1] = u[1:-1] + p
+        u = centred(u)
         t = initial.t + step * dt
         acc = scaled_accel(u, t)
         if step % snap_stride == 0:
             v = np.zeros_like(u)
             v[1:-1] = (p + 0.5 * acc) / dt
-            snaps.append((u.copy(), v, *conserved(u, v, t)))
+            snaps.append(snapshot(u, v, t))
         p = p + acc
     return snaps
 
@@ -331,18 +359,24 @@ def kdk_reference_leapfrog(initial, model, frame, dt, n_steps, snap_stride):
 
 
 class TestAgainstReferenceLeapfrog:
+    # (name, model, frame, parity of the perturbation, parity the run keeps):
+    # the breather is even in x at t = 0, so an odd perturbation of it has
+    # no parity, and a mixed one has none anywhere
     CASES = [
-        ("sg-static-frame", SINE_GORDON, KinkFrame()),
-        ("sg-offset-frame", SINE_GORDON, KinkFrame(x0=0.3)),
-        ("sg-plain", SINE_GORDON, None),
-        ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3)),
-        ("phi4-plain", PHI4, None),
+        ("sg-static-frame", SINE_GORDON, KinkFrame(), "odd", -1.0),
+        ("sg-static-frame-mixed", SINE_GORDON, KinkFrame(), "mixed", None),
+        ("sg-offset-frame", SINE_GORDON, KinkFrame(x0=0.3), "odd", None),
+        ("sg-plain", SINE_GORDON, None, "odd", None),
+        ("sg-plain-even", SINE_GORDON, None, "even", 1.0),
+        ("sg-moving-frame", SINE_GORDON, KinkFrame(beta=0.3), "odd", None),
+        ("phi4-plain", PHI4, None, "odd", -1.0),
+        ("phi4-plain-mixed", PHI4, None, "mixed", None),
     ]
     DT, N_STEPS, STRIDE = 0.02, 250, 25
 
-    def run(self, model, frame):
-        """The odd-perturbed breather, kink or phi^4 kink, its evolution and
-        the initial state."""
+    def run(self, model, frame, parity):
+        """The perturbed breather, kink or phi^4 kink, its evolution and the
+        initial state; a mixed perturbation adds an even part to u."""
         grid = GridSpec(-20.0, 20.0, 801)
         rng = np.random.default_rng(7)
         if model == PHI4:
@@ -351,36 +385,163 @@ class TestAgainstReferenceLeapfrog:
             base = breather(0.5).sample(grid, 0.0)
         else:
             base = kink(KinkParams(frame.beta, frame.x0)).sample(grid, 0.0)
-        st = FieldState(0.0, grid, base.u + smooth_random(grid, "odd", 0.05, rng),
-                        base.v + smooth_random(grid, "odd", 0.05, rng))
+        kind = "even" if parity == "even" else "odd"
+        du = smooth_random(grid, kind, 0.05, rng)
+        dv = smooth_random(grid, kind, 0.05, rng)
+        if parity == "mixed":
+            du = du + smooth_random(grid, "even", 0.05, rng)
+        st = FieldState(0.0, grid, base.u + du, base.v + dv)
         traj = evolve(st, model, EvolveConfig(dt=self.DT, t_end=self.N_STEPS * self.DT,
                                               background=frame,
                                               snapshot_every=self.STRIDE * self.DT))
         return traj, st
 
-    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
-    def test_matches_reference(self, name, model, frame):
-        traj, st = self.run(model, frame)
-        ref = reference_leapfrog(st, model, frame, self.DT, self.N_STEPS, self.STRIDE)
+    @pytest.mark.parametrize("name,model,frame,parity,sign", CASES, ids=[c[0] for c in CASES])
+    def test_matches_reference(self, name, model, frame, parity, sign):
+        traj, st = self.run(model, frame, parity)
+        ref = reference_leapfrog(st, model, frame, self.DT, self.N_STEPS, self.STRIDE, sign)
         assert len(traj) == len(ref)
         for i, (u, v, e, p) in enumerate(ref):
             got = (traj.u_snaps[i], traj.v_snaps[i], traj.energies[i], traj.momenta[i])
             assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
 
-    @pytest.mark.parametrize("name,model,frame", CASES, ids=[c[0] for c in CASES])
-    def test_matches_kick_drift_kick_to_round_off(self, name, model, frame):
-        # bounds on |du|, |dv|, |dE|, |dP| over all snapshots, about 4x the
-        # largest deviation measured: 8.9e-17, 1.6e-15, 1.8e-15, 2.2e-16 in the
-        # frames; 3.1e-15, 6.8e-14, 3.6e-15, 2.7e-16 for the plain runs, where
-        # the reference's np.sin and the evolver's half-angle sine also differ
+    @pytest.mark.parametrize("name,model,frame,parity,sign", CASES, ids=[c[0] for c in CASES])
+    def test_matches_kick_drift_kick_to_round_off(self, name, model, frame, parity, sign):
+        # bounds on |du|, |dv|, |dE|, |dP| over all snapshots, 3 to 4x the
+        # largest deviation measured: 1.7e-16, 2.5e-15, 1.8e-15, 2.2e-16 in the
+        # frames; 3.1e-15, 8.0e-14, 3.6e-15, 2.7e-16 for the plain runs, where
+        # the reference's np.sin and the evolver's half-angle sine also differ.
+        # A run that keeps a parity starts the reference from its mirrored
+        # first snapshot, which drops the input's parity defect
         bounds = (4e-16, 8e-15, 8e-15, 1e-15) if frame else (1.2e-14, 3e-13, 1.5e-14, 1.2e-15)
-        traj, st = self.run(model, frame)
-        ref = kdk_reference_leapfrog(st, model, frame, self.DT, self.N_STEPS, self.STRIDE)
+        traj, st = self.run(model, frame, parity)
+        start = st if sign is None else traj.state(0)
+        ref = kdk_reference_leapfrog(start, model, frame, self.DT, self.N_STEPS, self.STRIDE)
         assert len(traj) == len(ref)
         for i, (u, v, e, p) in enumerate(ref):
             deviations = (np.max(np.abs(traj.u_snaps[i] - u)), np.max(np.abs(traj.v_snaps[i] - v)),
                           abs(traj.energies[i] - e), abs(traj.momenta[i] - p))
             assert all(d <= b for d, b in zip(deviations, bounds)), (i, deviations)
+
+
+class TestHalfGrid:
+    """A run that keeps the parity of its evolved (u, v) integrates x >= 0;
+    every other run integrates the whole grid as before."""
+
+    DT, N_STEPS, STRIDE = 0.02, 100, 25
+
+    def check_against_reference(self, st, model, frame, sign, dt=DT, n_steps=N_STEPS):
+        traj = evolve(st, model, EvolveConfig(dt=dt, t_end=n_steps * dt, background=frame,
+                                              snapshot_every=self.STRIDE * dt))
+        ref = reference_leapfrog(st, model, frame, dt, n_steps, self.STRIDE, sign)
+        assert len(traj) == len(ref)
+        for i, (u, v, e, p) in enumerate(ref):
+            got = (traj.u_snaps[i], traj.v_snaps[i], traj.energies[i], traj.momenta[i])
+            assert all(np.array_equal(g, r) for g, r in zip(got, (u, v, e, p))), i
+        return traj
+
+    @staticmethod
+    def symmetric_state(name, grid, rng):
+        """(state, model, frame) of a run that keeps a parity."""
+        if name == "static-frame":
+            q = KinkParams().q(grid.x)
+            return (FieldState(0.0, grid, q + smooth_random(grid, "odd", 0.05, rng),
+                               smooth_random(grid, "odd", 0.05, rng)), SINE_GORDON, KinkFrame())
+        if name == "phi4":
+            base = phi4_kink().sample(grid, 0.0)
+            return (FieldState(0.0, grid, base.u + smooth_random(grid, "odd", 0.05, rng),
+                               smooth_random(grid, "odd", 0.05, rng)), PHI4, None)
+        parity = name.split("-")[1]
+        return (FieldState(0.0, grid, smooth_random(grid, parity, 0.5, rng),
+                           smooth_random(grid, parity, 0.5, rng)), SINE_GORDON, None)
+
+    @pytest.mark.parametrize("name", ["sg-odd", "sg-even", "phi4", "static-frame"])
+    def test_symmetric_runs_keep_exact_parity(self, name):
+        grid = GridSpec(-20.0, 20.0, 801)
+        st, model, frame = self.symmetric_state(name, grid, np.random.default_rng(3))
+        kind = "even" if name == "sg-even" else "odd"
+        traj = self.check_against_reference(st, model, frame, 1.0 if kind == "even" else -1.0)
+        for i in range(len(traj)):
+            assert parity_check(traj.u_snaps[i], grid, kind) == 0.0
+            assert parity_check(traj.v_snaps[i], grid, kind) == 0.0
+
+    def full_grid_case(self, name):
+        """(state, model, frame) of a run that keeps no parity."""
+        rng = np.random.default_rng(5)
+        grid = GridSpec(-20.0, 20.0, 801)
+        odd = smooth_random(grid, "odd", 0.05, rng)
+        even = smooth_random(grid, "even", 0.05, rng)
+        if name in ("asymmetric-grid", "even-point-count"):
+            g = GridSpec(-20.0, 20.5, 801) if name == "asymmetric-grid" else GridSpec(-20.0, 20.0, 800)
+            return FieldState(0.0, g, np.tanh(g.x), np.zeros(g.n_points)), PHI4, None
+        if name in ("offset-frame", "moving-frame"):
+            frame = KinkFrame(x0=0.3) if name == "offset-frame" else KinkFrame(beta=0.3)
+            base = kink(frame).sample(grid, 0.0)
+            return FieldState(0.0, grid, base.u + odd, base.v + odd), SINE_GORDON, frame
+        if name == "static-frame-even":
+            return (FieldState(0.0, grid, KinkParams().q(grid.x) + even, even),
+                    SINE_GORDON, KinkFrame())
+        if name == "mixed":
+            return FieldState(0.0, grid, odd + even, odd), SINE_GORDON, None
+        # an odd state whose defect, 1e-11, exceeds the tolerance 1e-12
+        u = odd.copy()
+        u[100] += 1e-11
+        return FieldState(0.0, grid, u, odd), SINE_GORDON, None
+
+    @pytest.mark.parametrize("name", ["asymmetric-grid", "even-point-count", "offset-frame",
+                                      "moving-frame", "static-frame-even", "mixed",
+                                      "defect-above-tolerance"])
+    def test_other_runs_take_the_full_grid(self, name):
+        st, model, frame = self.full_grid_case(name)
+        self.check_against_reference(st, model, frame, None)
+
+    @staticmethod
+    def assert_mirrors_input(traj, st, kind):
+        # the first snapshot is the evolved (u, v) made exactly odd or even;
+        # it moves no node by more than the input's parity defect
+        q0, q0_t = traj.background_fields(st.t)
+        for got, given in ((traj.u_snaps[0], st.u - q0), (traj.v_snaps[0], st.v - q0_t)):
+            assert np.max(np.abs(got - given)) <= parity_check(given, traj.grid, kind)
+            assert parity_check(got, traj.grid, kind) == 0.0
+
+    def test_first_snapshot_drops_a_defect_within_tolerance(self):
+        grid = GridSpec(-20.0, 20.0, 801)
+        odd = smooth_random(grid, "odd", 0.05, np.random.default_rng(9))
+        u = odd.copy()
+        u[100] += 5e-13
+        st = FieldState(0.0, grid, u, odd)
+        traj = self.check_against_reference(st, SINE_GORDON, None, -1.0)
+        assert np.max(np.abs(traj.u_snaps[0] - st.u)) >= 5e-13
+        self.assert_mirrors_input(traj, st, "odd")
+
+    @pytest.mark.parametrize("n_points", [3, 5])
+    @pytest.mark.parametrize("kind", ["odd", "even"])
+    def test_smallest_grids(self, n_points, kind):
+        grid = GridSpec(-1.0, 1.0, n_points)
+        u = 0.1 * (grid.x if kind == "odd" else np.cos(grid.x))
+        st = FieldState(0.0, grid, u, 0.5 * u)
+        model = SINE_GORDON if kind == "odd" else PHI4
+        sign = -1.0 if kind == "odd" else 1.0
+        traj = self.check_against_reference(st, model, None, sign, dt=0.1, n_steps=50)
+        assert parity_check(traj.u_snaps[-1], grid, kind) == 0.0
+
+    @pytest.mark.parametrize("name", ["sg-odd", "sg-even", "static-frame"])
+    def test_zero_time_run_holds_the_mirrored_input(self, name):
+        grid = GridSpec(-20.0, 20.0, 801)
+        st, model, frame = self.symmetric_state(name, grid, np.random.default_rng(4))
+        traj = evolve(st, model, EvolveConfig(dt=0.02, t_end=0.0, background=frame))
+        assert len(traj) == 1
+        self.assert_mirrors_input(traj, st, "even" if name == "sg-even" else "odd")
+        assert traj.energies == [energy(traj.state(0), model)]
+
+
+def test_every_model_has_an_odd_nonlinearity():
+    # the half-grid path rests on N(-u) = -N(u), bitwise
+    models = [value for value in vars(sglab).values() if isinstance(value, Model)]
+    assert {model.kind for model in models} == {"sine-gordon", "phi4"}
+    u = np.concatenate([np.linspace(-50.0, 50.0, 200001), [0.0, 1e-300, np.pi, 1e8]])
+    for model in models:
+        assert np.array_equal(model.nonlinearity(-u), -model.nonlinearity(u)), model.kind
 
 
 @pytest.mark.parametrize("model,frame", [
