@@ -71,6 +71,7 @@ __all__ = [
 
 _MAX_LOG_SPAN = 600.0  # integrating factors stay inside double range below this
 _TOL = 1e-11  # Newton residual every map converges to
+_MAX_ITER = 50  # Newton iterations a solve may take to reach _TOL
 _PARITY_TOL = 1e-9  # input parity defect the maps accept
 _RESULT_PARITY_TOL = 1e-8  # parity defect of the results the maps guarantee
 _COMPAT_TOL = 1e-10  # compatibility integral the vacuum-side solves accept
@@ -109,11 +110,9 @@ class LiftReport:
     result: PerturbationPair
     iterations: int
     final_residual: float
-    nu0: float
     parity: Optional[str]  # "odd-odd", "odd-even" or "even-even" as checked; None unchecked
     residual_history: list = field(default_factory=list)
     ortho_residual: Optional[float] = None
-    status: str = "converged"  # or "stalled": accepted under the background's stall_tol
 
 
 # --- the transform background -------------------------------------------------
@@ -121,8 +120,7 @@ class LiftReport:
 @dataclass(frozen=True)
 class _Background:
     """One background of the transform: the kink side (Psi - pi, Psi_x, Psi_t),
-    the vacuum side (Phi, Phi_x, Phi_t), all analytic, the multiplier a, and
-    the stopping rule (iteration cap, stall tolerance) of every solve on it.
+    the vacuum side (Phi, Phi_x, Phi_t), all analytic, and the multiplier a.
 
     Perturbations (u, s) ride on the kink side and (y, v) on the vacuum side,
     with discrete u_x, y_x.  With p = (Psi + u + Phi + y)/2 and
@@ -145,8 +143,6 @@ class _Background:
     phi_x: object
     phi_t: object
     a: float
-    max_iter: int = 50  # the kink background's rule
-    stall_tol: float = 1e-10
 
     @classmethod
     def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
@@ -156,10 +152,9 @@ class _Background:
 
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
-        """The wobbler over the breather at time t, with multiplier 1 and a
-        looser stopping rule: 60 iterations, stalling under 1e-9."""
+        """The wobbler over the breather at time t, with multiplier 1."""
         w_u, w_x, w_t = wobbler(WobblerParams(beta)).fields(grid, t)
-        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0, 60, 1e-9)
+        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0)
 
     def _half_angles(self, u, y):
         kink_side = self.psi + u
@@ -302,30 +297,28 @@ def _fix_boundary_rows(w, r, c, h):
     w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
 
 
-def _newton(residual_fn, step_fn, n, max_iter, stall_tol):
+def _newton(residual_fn, step_fn, n):
     """Damped Newton from u = 0 with integrating-factor linear solves.
 
     ``step_fn(u, r)`` returns the correction for residual r, re-linearizing at
     the current iterate u; steps are halved (up to 6 times) whenever the
-    residual would grow.  When progress per iteration drops below 2% while the
-    residual is already under ``stall_tol``, the iterate is accepted with the
-    achieved residual (slowly decaying data excites a boundary layer that the
-    one-sided end stencils shed only gradually).
+    residual would grow.  The one success is max|r| <= _TOL: a residual that
+    is still above it after _MAX_ITER iterations, or that turns non-finite,
+    raises ``SolverError`` with the residual history.
 
-    Returns (u, iterations, residual, history, status), status "converged"
-    (residual <= _TOL) or "stalled" (accepted under stall_tol).
+    Returns (u, iterations, residual, history), where history holds the
+    residual before the first and after every iteration.
     """
     u = np.zeros(n)
     r = residual_fn(u)
     rmax = float(np.max(np.abs(r)))
     history = [rmax]
-    for k in range(max_iter):
+    while not rmax <= _TOL:  # a NaN residual enters too, and raises
         if not math.isfinite(rmax):
             raise SolverError("residual became non-finite", history)
-        if rmax <= _TOL:
-            return u, k, rmax, history, "converged"
-        if rmax <= stall_tol and k >= 3 and history[-2] - rmax < 0.02 * rmax:
-            return u, k, rmax, history, "stalled"
+        if len(history) > _MAX_ITER:
+            raise SolverError(
+                f"no convergence after {_MAX_ITER} iterations (residual {rmax:.3e})", history)
         delta = step_fn(u, r)
         lam = 1.0
         for _ in range(6):
@@ -337,14 +330,7 @@ def _newton(residual_fn, step_fn, n, max_iter, stall_tol):
             lam *= 0.5
         u, r, rmax = u_new, r_new, r_new_max
         history.append(rmax)
-    if rmax <= _TOL:
-        return u, max_iter, rmax, history, "converged"
-    if rmax <= stall_tol:
-        return u, max_iter, rmax, history, "stalled"
-    raise SolverError(
-        f"no convergence after {max_iter} iterations (residual {history[-1]:.3e})",
-        history,
-    )
+    return u, len(history) - 1, rmax, history
 
 
 def _center_index(grid: GridSpec, center: float = 0.0) -> int:
@@ -364,8 +350,8 @@ def _require_parity(values, grid, kind, what, tol=None):
 
 # --- the two Newton solvers -----------------------------------------------------
 
-def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, parity: Optional[str],
-                     nu0: float) -> LiftReport:
+def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v,
+                     parity: Optional[str]) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
     s = -F2(u, 0, y, y_x); the result (u, s) must have `parity` (None: any).
 
@@ -378,14 +364,12 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v, parity: Opti
     def step(u, r):
         return -_solve_outward(bg.coeff(u, y), r, grid, m)
 
-    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
-                                              bg.stall_tol)
+    u, iters, rmax, history = _newton(residual, step, grid.n_points)
     s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
     if parity is not None:
         for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
             _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
-    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, nu0, parity, history,
-                      status=status)
+    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, parity, history)
 
 
 def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s) -> LiftReport:
@@ -403,24 +387,18 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s) -> LiftReport:
     def step(y, r):
         return _solve_inward(bg.coeff(u, y), r, grid, m)
 
-    y, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
-                                              bg.stall_tol)
+    y, iters, rmax, history = _newton(residual, step, grid.n_points)
     v = bg.f1(u, derivative(u, grid), y, 0.0)
     _require_parity(y, grid, "even", "y", _RESULT_PARITY_TOL)
     _require_parity(v, grid, "even", "v", _RESULT_PARITY_TOL)
-    return LiftReport(PerturbationPair(grid, y, v), iters, rmax, 1.0, "even-even", history,
-                      status=status)
+    return LiftReport(PerturbationPair(grid, y, v), iters, rmax, "even-even", history)
 
 
 # --- the kink-side maps -------------------------------------------------------
 
 def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
     """Map (y0 odd, v0 even, delta) near the vacuum to the unique (odd, even)
-    kink-side data solving the transform with multiplier 1 + delta.
-
-    The Newton linear steps use the integrating factor cosh^{nu0} with
-    nu0 = (1/(1+delta) + (1+delta))/2, integrated outward from the center.
-    """
+    kink-side data solving the transform with multiplier 1 + delta."""
     y0 = _require_parity(y0, grid, "odd", "y0")
     v0 = _require_parity(v0, grid, "even", "v0")
     guard = local_energy_norm(PerturbationPair(grid, y0, v0))
@@ -428,7 +406,7 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
     mult = _offset_multiplier(delta)
     return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
-                            "odd-even", 0.5 * (1.0 / mult + mult))
+                            "odd-even")
 
 
 def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
@@ -437,7 +415,7 @@ def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
-                            "odd-odd", 1.0)
+                            "odd-odd")
 
 
 def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
@@ -465,7 +443,7 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float) -> Lif
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
     return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
-                            y, v, "odd-odd", 1.0)
+                            y, v, "odd-odd")
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> LiftReport:
@@ -503,7 +481,6 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
     x = grid.x
-    nu0 = 0.5 * (1.0 / mult + mult) / kinkp.gamma
     m = _center_index(grid, center)
     q_x = kinkp.q_x(x)
     q_tx = kinkp.q_tx(x)
@@ -533,10 +510,9 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
             raise SolverError("orthogonality constraint is degenerate")
         return w - (g_lin / slope) * kernel
 
-    u, iters, rmax, history, status = _newton(residual, step, grid.n_points, bg.max_iter,
-                                              bg.stall_tol)
+    u, iters, rmax, history = _newton(residual, step, grid.n_points)
     s, g = s_and_g(u)
-    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, nu0, None, history, g, status)
+    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, None, history, g)
 
 
 def zero_momentum_manifold_data(grid: GridSpec, y0):

@@ -210,12 +210,7 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
 def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("spectrum")
     # spectrum_ladder also solves on the grid halved, which needs 2001 points
-    # and, like every grid discrete_spectrum solves on, an odd count
-    n_points = _get(cfg, "grid.n_points", 4001, 4001)
-    if n_points % 4 != 1:
-        raise ParameterError(f"grid.n_points must be 1 mod 4 (the halved grid needs an odd "
-                             f"count), got {n_points}")
-    grid = _grid_from(cfg, n_points=n_points, half_width=30.0)
+    grid = _grid_from(cfg, n_points=_get(cfg, "grid.n_points", 4001, 4001), half_width=30.0)
     table = []
     for name, op, expected in SPECTRA:
         values, orders = spectrum_ladder(op, grid, expected)
@@ -293,8 +288,8 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
         raise ParameterError(f"unknown lift map {kind!r}")
     _transform_rows(bundle, "lift", kind, rep, tol_scale)
     bundle.tables["lift_report"] = (
-        ["iterations", "final_residual", "nu0", "ortho_residual"],
-        [(rep.iterations, rep.final_residual, rep.nu0,
+        ["iterations", "final_residual", "ortho_residual"],
+        [(rep.iterations, rep.final_residual,
           rep.ortho_residual if rep.ortho_residual is not None else float("nan"))],
     )
     bundle.plots["lift_result"] = svg_line_plot(
@@ -323,8 +318,8 @@ def cmd_descend(cfg, tol_scale) -> ReportBundle:
                      float(np.max(np.abs(back.result.second - pair.second))))
     bundle.check("round trip", round_trip, 1e-7 * tol_scale, "descend then lift")
     bundle.tables["descend_report"] = (
-        ["iterations", "final_residual", "nu0"],
-        [(rep.iterations, rep.final_residual, rep.nu0)],
+        ["iterations", "final_residual"],
+        [(rep.iterations, rep.final_residual)],
     )
     return bundle
 
@@ -378,6 +373,8 @@ def _stability_manifold(cfg, tol_scale, bundle):
                              f"none repeated, got {etas!r}")
     n_seeds = _get(cfg, "seeds", 2, 1)
     t_end = _get(cfg, "t_end", 60.0)
+    if not t_end > 0:
+        raise ParameterError(f"t_end must be > 0 for a kink-manifold run, got {t_end!r}")
     dt = _get(cfg, "dt", 0.009)
     snapshot_every = _get(cfg, "snapshot_every", 0.5)
     interval = _get(cfg, "interval", (-5.0, 5.0))

@@ -118,7 +118,12 @@ def linear_transform_cases(grid, t):
 
 def spectrum_ladder(op, grid, exact):
     """Eigenvalues of `op` on `grid`, and the two orders of its top eigenvalue
-    against exact[-1] over `grid` halved, `grid` and `grid` doubled."""
+    against exact[-1] over `grid` halved, `grid` and `grid` doubled.  The
+    halved grid needs an odd count, like every grid discrete_spectrum solves
+    on, so grid.n_points must be 1 mod 4."""
+    if grid.n_points % 4 != 1:
+        raise ParameterError(f"grid.n_points must be 1 mod 4 (the halved grid needs an odd "
+                             f"count), got {grid.n_points}")
     values = [v for v, _ in discrete_spectrum(op, grid)]
     coarse = GridSpec(grid.x_min, grid.x_max, (grid.n_points - 1) // 2 + 1)
     tops = (discrete_spectrum(op, coarse)[-1][0], values[-1],
@@ -137,7 +142,10 @@ def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
     """Evolve the wobbler plus odd noise of size eta (drawn from rng) in the
     static kink frame.  Returns the trajectory and each snapshot's local energy
     distance to the nearest time-shifted wobbler: over one period, a 41-point
-    scan brackets the shift and 40 ternary steps refine it."""
+    scan brackets the shift and a bounded scalar search refines it to 1e-8."""
+    # imported here, as discrete_spectrum imports scipy.linalg, to keep import sglab cheap
+    from scipy.optimize import minimize_scalar
+
     w = wobbler(WobblerParams(beta))
     start = w.sample(grid, 0.0)
     noisy = FieldState(0.0, grid, start.u + smooth_random(grid, "odd", eta, rng), start.v)
@@ -155,14 +163,9 @@ def wobbler_orbit(grid, beta, eta, rng, dt, t_end, snapshot_every):
 
         taus = np.linspace(-0.5 * period, 0.5 * period, 41)
         k = int(np.argmin([dist(tau) for tau in taus]))
-        lo, hi = taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)]
-        for _ in range(40):
-            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            if dist(m1) < dist(m2):
-                hi = m2
-            else:
-                lo = m1
-        distances.append(dist(0.5 * (lo + hi)))
+        bounds = (taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)])
+        best = minimize_scalar(dist, bounds=bounds, method="bounded", options={"xatol": 1e-8})
+        distances.append(float(best.fun))
     return traj, distances
 
 

@@ -1,7 +1,6 @@
 import importlib
 import inspect
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +164,6 @@ class TestManifoldConstructor:
         rep = construct_manifold_data(grid40, y0, v0, 0.05)
         assert parity_check(rep.result.first, grid40, "odd") < 1e-9
         assert parity_check(rep.result.second, grid40, "even") < 1e-9
-        assert rep.nu0 == pytest.approx(0.5 * (1 / 1.05 + 1.05), abs=1e-14)
 
     def test_exact_residual_no_worse_than_reported(self, grid40, rng):
         y0 = smooth_random(grid40, "odd", 0.06, rng)
@@ -284,24 +282,26 @@ class TestZeroKinkMaps:
         with pytest.raises(ContractError, match="u must be odd"):
             lift_zero_to_kink(grid40, y, zeros_like_grid(grid40))
 
-    def test_nonconvergence_reports_history(self, grid40):
-        # each background owns its cap, so the cap is reached through a background
+    def test_nonconvergence_reports_history(self, grid40, monkeypatch):
+        # one module cap holds for every solve
+        monkeypatch.setattr(backlund, "_MAX_ITER", 4)
         wild = 3.0 * np.exp(-(grid40.x / 2) ** 2)
         with pytest.raises(SolverError, match="after 4 iterations") as err:
-            backlund._solve_kink_side(replace(_Background.kink(grid40, 1.0), max_iter=4),
-                                      grid40, backlund._center_index(grid40), wild,
-                                      zeros_like_grid(grid40), "odd-odd", 1.0)
+            lift_zero_to_kink(grid40, wild, zeros_like_grid(grid40))
         assert len(err.value.residual_history) == 5
 
-    def test_status_reports_stall(self, grid40, rng, monkeypatch):
+    def test_residual_short_of_tol_raises(self, grid40, rng, monkeypatch):
         y = smooth_random(grid40, "even", 0.04, rng)
         v = smooth_random(grid40, "even", 0.04, rng)
-        assert lift_zero_to_kink(grid40, y, v).status == "converged"
-        # a Newton target below round-off: the solve stalls under stall_tol
+        assert lift_zero_to_kink(grid40, y, v).final_residual <= backlund._TOL
+        # a Newton target below round-off: no residual the solve reaches is
+        # accepted, so it raises with the history of every iteration
         monkeypatch.setattr(backlund, "_TOL", 1e-16)
-        rep = lift_zero_to_kink(grid40, y, v)
-        assert rep.status == "stalled"
-        assert 1e-16 < rep.final_residual <= 1e-10
+        with pytest.raises(SolverError, match="no convergence") as err:
+            lift_zero_to_kink(grid40, y, v)
+        history = err.value.residual_history
+        assert len(history) == backlund._MAX_ITER + 1
+        assert 1e-16 < history[-1] <= 1e-10
 
 
 class TestWobblerMaps:
@@ -478,7 +478,7 @@ class TestOrthogonalLift:
 
 
 def _map_reports(grid, rng):
-    """The report of each of the six maps besides the orthogonal lift."""
+    """The report of each of the seven maps."""
     y, v = smooth_random(grid, "even", 0.05, rng), smooth_random(grid, "even", 0.04, rng)
     y0 = smooth_random(grid, "odd", 0.05, rng)
     up = lift_zero_to_kink(grid, y, v)
@@ -491,13 +491,17 @@ def _map_reports(grid, rng):
                                                            wob.result.second, 0.3, 0.7),
         "manifold": construct_manifold_data(grid, y0, v, 0.1),
         "zero-momentum": zero_momentum_manifold_data(grid, y0)[0],
+        "orthogonal": lift_with_orthogonality(grid, y0, y, 0.1, 0.3, 0.2, 0.7),
     }
 
 
 @pytest.mark.parametrize("name", ["zero-to-kink", "kink-to-zero", "breather-to-wobbler",
-                                  "wobbler-to-breather", "manifold", "zero-momentum"])
+                                  "wobbler-to-breather", "manifold", "zero-momentum",
+                                  "orthogonal"])
 def test_iterations_count_the_reported_history(grid40, rng, name):
+    # every map succeeds by one rule: its reported residual is at most _TOL
     rep = _map_reports(grid40, rng)[name]
+    assert rep.final_residual <= backlund._TOL
     assert rep.iterations == len(rep.residual_history) - 1
 
 

@@ -182,7 +182,8 @@ class TestCliCommands:
         "kink-left-the-grid": "kink: the solution is flat on the grid at t = 1000 "
                               "(max - min 4.0e-304 < 1e-08 at t and t +- dt)",
         "kink-leaving-the-grid": "kink: the solution is flat on the grid at t = 100 "
-                                 "(max - min 5.6e-11 < 1e-08 at t and t +- dt)"}
+                                 "(max - min 5.6e-11 < 1e-08 at t and t +- dt)",
+        "zero-manifold-t-end": "t_end must be > 0 for a kink-manifold run, got 0.0"}
 
     @pytest.mark.parametrize("command,payload", [
         ("evolve", [1, 2]),
@@ -244,6 +245,7 @@ class TestCliCommands:
         ("verify-exact", {"grid": {"n_points": 3}}), ("spectrum", {"grid": {"n_points": 2001}}),
         ("spectrum", {"grid": {"n_points": 4003}}), ("verify-exact", {"t": 1e6}),
         ("verify-exact", {"t": 1000.0}), ("verify-exact", {"t": 100.0}),
+        ("stability", {"t_end": 0.0, "grid": {"n_points": 2001}, "seeds": 1}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -264,7 +266,7 @@ class TestCliCommands:
             "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
             "infinite-weight-rate", "nan-weight-rate", "three-point-exact-grid",
             "small-spectrum-grid", "spectrum-grid-3-mod-4", "families-left-the-grid",
-            "kink-left-the-grid", "kink-leaving-the-grid"])
+            "kink-left-the-grid", "kink-leaving-the-grid", "zero-manifold-t-end"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys, request,
                                               command, payload):
         # the input_file cases name files in the working directory

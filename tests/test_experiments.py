@@ -12,9 +12,11 @@ import sglab
 from sglab import experiments
 from sglab.experiments import (
     EXACT_FAMILIES,
+    SPECTRA,
     linear_transform_cases,
     manifold_run,
     residual_study,
+    spectrum_ladder,
     transform_identity_cases,
     vacuum_rate_check,
     wobbler_orbit,
@@ -62,8 +64,18 @@ def test_transform_cases_are_at_round_off():
     assert all(value <= 1e-13 for _, value in identity + linear)
 
 
+def test_spectrum_ladder_refuses_a_grid_that_halves_to_an_even_count():
+    # 4003 points halve to 2002, which no spectrum solve takes: the ladder
+    # names the grid it was given before it solves on any
+    _, op, exact = SPECTRA[0]
+    with pytest.raises(ParameterError) as err:
+        spectrum_ladder(op, GridSpec(-30.0, 30.0, 4003), exact)
+    assert str(err.value) == ("grid.n_points must be 1 mod 4 (the halved grid needs an odd "
+                              "count), got 4003")
+
+
 def test_unperturbed_wobbler_stays_at_scheme_floor():
-    # measured: 7.5e-9 at t = 0 (the search's resolution in the shift), and
+    # measured: 6.7e-14 at t = 0 (the search's resolution in the shift), and
     # at most 8.0e-4 over T = 8 at h = 0.04, dt = 0.02 (2.0e-4 at half of both);
     # eta = 0 adds signed zeros, which leave the wobbler's samples unchanged
     traj, distances = wobbler_orbit(GridSpec(-40.0, 40.0, 2001), 0.3, 0.0,

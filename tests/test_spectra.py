@@ -255,7 +255,7 @@ class TestWaveResidual:
 
 def test_package_import_defers_scipy_to_the_first_spectrum():
     # import sglab costs a numpy import plus little more: scipy loads with the
-    # first spectrum solve and the process pool with the first parallel sweep
+    # first spectrum solve, and no command loads a process pool
     src = str(Path(sglab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     script = (
