@@ -23,6 +23,7 @@ invert each other to solver tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -117,6 +118,31 @@ class LiftReport:
 
 # --- the transform background -------------------------------------------------
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, copied as read-only rows of one block.  A kept background
+    then pins one heap allocation, not one per array: with one per array the
+    heap stayed too fragmented for a later 800001-point array to reuse."""
+    block = np.array(arrays)
+    block.flags.writeable = False
+    return tuple(block)
+
+
+@functools.lru_cache(maxsize=1)
+def _kink_fields(grid: GridSpec, kinkp: KinkParams) -> tuple:
+    """(Q - pi, Q_x, Q_t) of the kink on the grid, read-only.  A round trip
+    solves twice around one background, so the last one asked for is kept."""
+    x = grid.x
+    return _read_only(kinkp.q(x) - np.pi, kinkp.q_x(x), kinkp.q_t(x))
+
+
+@functools.lru_cache(maxsize=1)
+def _wobbler_fields(grid: GridSpec, beta: float, t: float) -> tuple:
+    """(W - pi, W_x, W_t, B, B_x, B_t) of the wobbler and the breather at
+    time t, read-only; the last one asked for is kept."""
+    w_u, w_x, w_t = wobbler(WobblerParams(beta)).fields(grid, t)
+    return _read_only(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t))
+
+
 @dataclass(frozen=True)
 class _Background:
     """One background of the transform: the kink side (Psi - pi, Psi_x, Psi_t),
@@ -134,6 +160,8 @@ class _Background:
         coeff       = sin(p)/(2a) + (a/2) sin(m):  dF1/du = d/dx + coeff,
                                                    dF2/dy = -(d/dx - coeff)
         cross_coeff = sin(p)/(2a) - (a/2) sin(m):  dF2/du = dF1/dy = cross_coeff
+
+    ``_Angles`` evaluates the trig terms.
     """
 
     psi: np.ndarray
@@ -147,41 +175,84 @@ class _Background:
     @classmethod
     def kink(cls, grid: GridSpec, a: float, kinkp: KinkParams = KinkParams()) -> "_Background":
         """The kink `kinkp` (static by default) over the vacuum, with multiplier a."""
-        x = grid.x
-        return cls(kinkp.q(x) - np.pi, kinkp.q_x(x), kinkp.q_t(x), 0.0, 0.0, 0.0, a)
+        return cls(*_kink_fields(grid, kinkp), 0.0, 0.0, 0.0, a)
 
     @classmethod
     def wobbler(cls, grid: GridSpec, beta: float, t: float) -> "_Background":
         """The wobbler over the breather at time t, with multiplier 1."""
-        w_u, w_x, w_t = wobbler(WobblerParams(beta)).fields(grid, t)
-        return cls(w_u - np.pi, w_x, w_t, *breather(beta).fields(grid, t), 1.0)
+        return cls(*_wobbler_fields(grid, beta, t), 1.0)
 
-    def _half_angles(self, u, y):
-        kink_side = self.psi + u
-        return 0.5 * (kink_side + self.phi + y), 0.5 * (kink_side - self.phi - y)
 
-    def f1(self, u, u_x, y, v):
-        p, m = self._half_angles(u, y)
-        return self.psi_x + u_x - self.phi_t - v - np.cos(p) / self.a - self.a * np.cos(m)
+class _Angles:
+    """The trig terms of a background's residuals for one solve, whose
+    unknown w is u (kink side, sign +1, y fixed) or y (vacuum side, sign -1,
+    u fixed).
 
-    def f2(self, u, s, y, y_x):
-        p, m = self._half_angles(u, y)
-        return self.psi_t + s - self.phi_x - y_x - np.cos(p) / self.a + self.a * np.cos(m)
+    The half-angles are p = P + w/2 and m = M + sign w/2, with P and M fixed
+    for the solve, so their sines and cosines are taken once.  With
+    (c, s) = (cos(w/2), sin(w/2)) from ``half``, angle addition makes each
+    term c f + s g, with f and g fixed:
 
-    def coeff(self, u, y):
-        p, m = self._half_angles(u, y)
-        return np.sin(p) / (2.0 * self.a) + (0.5 * self.a) * np.sin(m)
+        plus        = cos(p)/a + a cos(m)  (F1 = Psi_x + u_x - Phi_t - v - plus)
+        minus       = cos(p)/a - a cos(m)  (F2 = Psi_t + s - Phi_x - y_x - minus)
+        coeff       = sin(p)/(2a) + (a/2) sin(m)
+        cross_coeff = sin(p)/(2a) - (a/2) sin(m)
+    """
 
-    def cross_coeff(self, u, y):
-        p, m = self._half_angles(u, y)
-        return np.sin(p) / (2.0 * self.a) - (0.5 * self.a) * np.sin(m)
+    def __init__(self, bg: _Background, fixed, sign: int):
+        if sign > 0:
+            kink_side, vacuum_side = bg.psi, bg.phi + fixed
+        else:
+            kink_side, vacuum_side = bg.psi + fixed, bg.phi
+        p0 = 0.5 * (kink_side + vacuum_side)
+        m0 = 0.5 * (kink_side - vacuum_side)
+        cos_p, sin_p = np.cos(p0) / bg.a, np.sin(p0) / bg.a
+        cos_m, sin_m = bg.a * np.cos(m0), bg.a * np.sin(m0)
+        cos_sum, cos_diff = cos_p + cos_m, cos_p - cos_m
+        sin_sum, sin_diff = sin_p + sin_m, sin_p - sin_m
+        # the partners of the sum and the difference trade places when m
+        # turns against w
+        sin_partner = (sin_sum, sin_diff) if sign > 0 else (sin_diff, sin_sum)
+        cos_partner = (cos_sum, cos_diff) if sign > 0 else (cos_diff, cos_sum)
+        self._plus = (cos_sum, -sin_partner[0])
+        self._minus = (cos_diff, -sin_partner[1])
+        self._coeff = (0.5 * sin_sum, 0.5 * cos_partner[0])
+        self._cross_coeff = (0.5 * sin_diff, 0.5 * cos_partner[1])
+
+    @staticmethod
+    def half(w) -> tuple:
+        """(cos(w/2), sin(w/2)) from one tan, as in ``evolution._half_sin``:
+        with t = tan(w/4) and d = 2/(1 + t^2) they are d - 1 and t d."""
+        t = np.tan(0.25 * w)
+        d = 2.0 / (1.0 + t * t)
+        return d - 1.0, t * d
+
+    @staticmethod
+    def _at(terms, half):
+        (f, g), (c, s) = terms, half
+        return c * f + s * g
+
+    def plus(self, half):
+        return self._at(self._plus, half)
+
+    def minus(self, half):
+        return self._at(self._minus, half)
+
+    def coeff(self, half):
+        return self._at(self._coeff, half)
+
+    def cross_coeff(self, half):
+        return self._at(self._cross_coeff, half)
 
 
 def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair) -> tuple:
     grid = u_s.grid
     u, s = u_s.first, u_s.second
     y, v = y_v.first, y_v.second
-    return bg.f1(u, derivative(u, grid), y, v), bg.f2(u, s, y, derivative(y, grid))
+    angles = _Angles(bg, y, 1)
+    half = angles.half(u)
+    return (bg.psi_x - bg.phi_t - v + derivative(u, grid) - angles.plus(half),
+            bg.psi_t - bg.phi_x - derivative(y, grid) + s - angles.minus(half))
 
 
 def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
@@ -214,7 +285,8 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a: float, t: fl
     """
     psi_u, psi_x, psi_t = psi.fields(grid, t)
     bg = _Background(psi_u - np.pi, psi_x, psi_t, *phi.fields(grid, t), a)
-    return bg.f1(0.0, 0.0, 0.0, 0.0), bg.f2(0.0, 0.0, 0.0, 0.0)
+    zero = PerturbationPair(grid, np.zeros(grid.n_points), np.zeros(grid.n_points))
+    return _pair_residual(bg, zero, zero)
 
 
 # --- integrating-factor linear solves ----------------------------------------
@@ -231,10 +303,11 @@ def _log_factor(c, grid, m):
     return lw
 
 
-def _sweep(f, e, h):
-    """e^{-e} times the running trapezoid integral of e^{e} f from index 0;
-    callers shift the exponent e to at most 0 so every factor stays bounded."""
-    return np.exp(-e) * _running_trapezoid(f * np.exp(e), h)
+def _sweep(f, factor, h):
+    """The running trapezoid integral of factor * f from index 0, divided by
+    factor; callers pass factor = e^{e} with e shifted to at most 0, and
+    _MAX_LOG_SPAN keeps e >= -600, so every factor stays bounded."""
+    return _running_trapezoid(f * factor, h) / factor
 
 
 def _solve_outward(c, f, grid, m):
@@ -248,10 +321,10 @@ def _solve_outward(c, f, grid, m):
     w = np.empty_like(f)
     # right half (center .. right boundary)
     lwr = lw[m:]
-    w[m:] = _sweep(f[m:], lwr - lwr.max(), h)
+    w[m:] = _sweep(f[m:], np.exp(lwr - lwr.max()), h)
     # left half, reversed so index 0 is the center
     lwl = lw[:m + 1][::-1]
-    w[:m + 1] = (-_sweep(f[:m + 1][::-1], lwl - lwl.max(), h))[::-1]
+    w[:m + 1] = (-_sweep(f[:m + 1][::-1], np.exp(lwl - lwl.max()), h))[::-1]
     _fix_boundary_rows(w, f, c, h)
     return w
 
@@ -276,9 +349,9 @@ def _solve_inward(c, f, grid, m):
         )
     w = np.empty_like(f)
     # left half: accumulate from the left boundary
-    w[:m + 1] = _sweep(f[:m + 1], -(lw[:m + 1] - base), h)
+    w[:m + 1] = _sweep(f[:m + 1], weight[:m + 1], h)
     # right half: accumulate from the right boundary, reversed
-    w[m:] = (-_sweep(f[m:][::-1], -(lw[m:][::-1] - base), h))[::-1]
+    w[m:] = (-_sweep(f[m:][::-1], weight[m:][::-1], h))[::-1]
     _fix_boundary_rows(w, f, -c, h)
     return w
 
@@ -300,17 +373,20 @@ def _fix_boundary_rows(w, r, c, h):
 def _newton(residual_fn, step_fn, n):
     """Damped Newton from u = 0 with integrating-factor linear solves.
 
-    ``step_fn(u, r)`` returns the correction for residual r, re-linearizing at
-    the current iterate u; steps are halved (up to 6 times) whenever the
-    residual would grow.  The one success is max|r| <= _TOL: a residual that
-    is still above it after _MAX_ITER iterations, or that turns non-finite,
-    raises ``SolverError`` with the residual history.
+    ``residual_fn(u)`` returns the residual and the half-angle trig of u
+    (``_Angles.half``); ``step_fn(half, r)`` returns the correction for
+    residual r, re-linearizing with the trig of the current iterate.  Steps
+    are halved (up to 6 times) whenever the residual would grow.  The one
+    success is max|r| <= _TOL: a residual that is still above it after
+    _MAX_ITER iterations, or that turns non-finite, raises ``SolverError``
+    with the residual history.
 
-    Returns (u, iterations, residual, history), where history holds the
-    residual before the first and after every iteration.
+    Returns (u, half, iterations, residual, history), where half is the trig
+    of u and history holds the residual before the first and after every
+    iteration.
     """
     u = np.zeros(n)
-    r = residual_fn(u)
+    r, half = residual_fn(u)
     rmax = float(np.max(np.abs(r)))
     history = [rmax]
     while not rmax <= _TOL:  # a NaN residual enters too, and raises
@@ -319,18 +395,18 @@ def _newton(residual_fn, step_fn, n):
         if len(history) > _MAX_ITER:
             raise SolverError(
                 f"no convergence after {_MAX_ITER} iterations (residual {rmax:.3e})", history)
-        delta = step_fn(u, r)
+        delta = step_fn(half, r)
         lam = 1.0
         for _ in range(6):
             u_new = u + lam * delta
-            r_new = residual_fn(u_new)
+            r_new, half_new = residual_fn(u_new)
             r_new_max = float(np.max(np.abs(r_new)))
             if r_new_max < rmax or not math.isfinite(r_new_max):
                 break
             lam *= 0.5
-        u, r, rmax = u_new, r_new, r_new_max
+        u, r, half, rmax = u_new, r_new, half_new, r_new_max
         history.append(rmax)
-    return u, len(history) - 1, rmax, history
+    return u, half, len(history) - 1, rmax, history
 
 
 def _center_index(grid: GridSpec, center: float = 0.0) -> int:
@@ -358,14 +434,18 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v,
     Each Newton step integrates the growing factor exp(int coeff) outward from
     node m, the kink center.
     """
+    angles = _Angles(bg, y, 1)
+    f1_fixed = bg.psi_x - bg.phi_t - v  # the terms of F1 that do not move with u
+
     def residual(u):
-        return bg.f1(u, derivative(u, grid), y, v)
+        half = angles.half(u)
+        return f1_fixed + derivative(u, grid) - angles.plus(half), half
 
-    def step(u, r):
-        return -_solve_outward(bg.coeff(u, y), r, grid, m)
+    def step(half, r):
+        return -_solve_outward(angles.coeff(half), r, grid, m)
 
-    u, iters, rmax, history = _newton(residual, step, grid.n_points)
-    s = 0.0 - bg.f2(u, 0.0, y, derivative(y, grid))  # not -F2: exact zeros stay +0.0
+    u, half, iters, rmax, history = _newton(residual, step, grid.n_points)
+    s = angles.minus(half) - (bg.psi_t - bg.phi_x - derivative(y, grid))
     if parity is not None:
         for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
             _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
@@ -380,15 +460,18 @@ def _solve_vacuum_side(bg: _Background, grid: GridSpec, u, s) -> LiftReport:
     from the boundaries, after checking the compatibility integral.
     """
     m = _center_index(grid)
+    angles = _Angles(bg, u, -1)
+    f2_fixed = bg.psi_t + s - bg.phi_x  # the terms of F2 that do not move with y
 
     def residual(y):
-        return bg.f2(u, s, y, derivative(y, grid))
+        half = angles.half(y)
+        return f2_fixed - derivative(y, grid) - angles.minus(half), half
 
-    def step(y, r):
-        return _solve_inward(bg.coeff(u, y), r, grid, m)
+    def step(half, r):
+        return _solve_inward(angles.coeff(half), r, grid, m)
 
-    y, iters, rmax, history = _newton(residual, step, grid.n_points)
-    v = bg.f1(u, derivative(u, grid), y, 0.0)
+    y, half, iters, rmax, history = _newton(residual, step, grid.n_points)
+    v = bg.psi_x + derivative(u, grid) - bg.phi_t - angles.plus(half)
     _require_parity(y, grid, "even", "y", _RESULT_PARITY_TOL)
     _require_parity(v, grid, "even", "v", _RESULT_PARITY_TOL)
     return LiftReport(PerturbationPair(grid, y, v), iters, rmax, "even-even", history)
@@ -488,19 +571,23 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
     bg = _Background.kink(grid, mult, kinkp)
-    y_x = derivative(y, grid)
+    angles = _Angles(bg, y, 1)
+    f1_fixed = bg.psi_x - bg.phi_t - v
+    f2_fixed = bg.psi_t - bg.phi_x - derivative(y, grid)
 
-    def s_and_g(u):
-        s = 0.0 - bg.f2(u, 0.0, y, y_x)  # not -F2: exact zeros stay +0.0
+    def s_and_g(u, half):
+        s = angles.minus(half) - f2_fixed  # s = -F2(u, 0, y, y_x)
         return s, quadrature(u * q_x + s * q_tx, grid)
 
     def residual(u):
-        return np.append(bg.f1(u, derivative(u, grid), y, v), s_and_g(u)[1])
+        half = angles.half(u)
+        f1 = f1_fixed + derivative(u, grid) - angles.plus(half)
+        return np.append(f1, s_and_g(u, half)[1]), half
 
-    def step(u, r):
-        c = bg.coeff(u, y)
+    def step(half, r):
+        c = angles.coeff(half)
         w = -_solve_outward(c, r[:-1], grid, m)
-        dg = q_x - bg.cross_coeff(u, y) * q_tx  # dg.z = int z dg, as ds/du = -cross_coeff
+        dg = q_x - angles.cross_coeff(half) * q_tx  # dg.z = int z dg, as ds/du = -cross_coeff
         g_lin = r[-1] + quadrature(w * dg, grid)
         if abs(g_lin) <= _TOL:
             return w
@@ -510,8 +597,8 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
             raise SolverError("orthogonality constraint is degenerate")
         return w - (g_lin / slope) * kernel
 
-    u, iters, rmax, history = _newton(residual, step, grid.n_points)
-    s, g = s_and_g(u)
+    u, half, iters, rmax, history = _newton(residual, step, grid.n_points)
+    s, g = s_and_g(u, half)
     return LiftReport(PerturbationPair(grid, u, s), iters, rmax, None, history, g)
 
 

@@ -300,7 +300,7 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
 
 def cmd_descend(cfg, tol_scale) -> ReportBundle:
     bundle = ReportBundle("descend")
-    pair = _input_pair(cfg, _grid_from(cfg), "odd-bump")
+    pair = _input_pair(cfg, _grid_from(cfg), "random-odd")
     grid = pair.grid
     kind = _get(cfg, "map", "kink-to-zero")
     beta = _get(cfg, "beta", 0.5)

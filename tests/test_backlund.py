@@ -12,6 +12,7 @@ import sglab
 from sglab import backlund
 from sglab.backlund import (
     BtParameter,
+    _Angles,
     _Background,
     _pair_residual,
     bt_pair_residual,
@@ -52,6 +53,26 @@ from sglab.solutions import (
 
 def zeros_like_grid(grid):
     return np.zeros(grid.n_points)
+
+
+def direct_terms(bg, u, y):
+    """plus, minus, coeff and cross_coeff straight from the half-angles of
+    ``_Background``'s docstring."""
+    p = 0.5 * (bg.psi + u + bg.phi + y)
+    m = 0.5 * (bg.psi + u - bg.phi - y)
+    a = bg.a
+    return {"plus": np.cos(p) / a + a * np.cos(m),
+            "minus": np.cos(p) / a - a * np.cos(m),
+            "coeff": np.sin(p) / (2 * a) + (a / 2) * np.sin(m),
+            "cross_coeff": np.sin(p) / (2 * a) - (a / 2) * np.sin(m)}
+
+
+def direct_f1(bg, u, u_x, y, v):
+    return bg.psi_x + u_x - bg.phi_t - v - direct_terms(bg, u, y)["plus"]
+
+
+def direct_f2(bg, u, s, y, y_x):
+    return bg.psi_t + s - bg.phi_x - y_x - direct_terms(bg, u, y)["minus"]
 
 
 class TestBtParameter:
@@ -129,6 +150,57 @@ class TestTildeResidual:
             vals = np.cos(0.5 * (qt + u0 + sign * y0))
             assert max(abs(vals[0]), abs(vals[-1])) < 1e-6
             assert parity_check(vals, grid40, "even") < 1e-12
+
+
+class TestBackgroundMemo:
+    # each background's closed forms are kept for the next solve around it
+    def test_equal_grids_share_read_only_arrays(self):
+        first, second = GridSpec(-40.0, 40.0, 4001), GridSpec(-40.0, 40.0, 4001)
+        assert first is not second
+        for make in (lambda g, a: _Background.kink(g, a, KinkParams(0.3, 0.5)),
+                     lambda g, a: _Background.wobbler(g, 0.4, 1.1)):
+            one, other = make(first, 1.0), make(second, 1.3)
+            arrays = [name for name in ("psi", "psi_x", "psi_t", "phi", "phi_x", "phi_t")
+                      if isinstance(getattr(one, name), np.ndarray)]
+            assert len(arrays) in (3, 6)
+            for name in arrays:
+                assert getattr(one, name) is getattr(other, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(one, name)[0] = 0.0
+
+    @pytest.mark.parametrize("maps", [(lift_zero_to_kink, descend_kink_to_zero),
+                                      (lambda g, y, v: lift_breather_to_wobbler(g, y, v, 0.4, 1.1),
+                                       lambda g, u, s: descend_wobbler_to_breather(g, u, s,
+                                                                                   0.4, 1.1))],
+                             ids=["kink", "wobbler"])
+    def test_solve_after_cache_clear_equals_a_memo_hit(self, grid40, rng, maps):
+        lift, descend = maps
+        y = smooth_random(grid40, "even", 0.05, rng)
+        v = smooth_random(grid40, "even", 0.05, rng)
+        lift(grid40, y, v)
+        hit = lift(grid40, y, v).result
+        backlund._kink_fields.cache_clear()
+        backlund._wobbler_fields.cache_clear()
+        fresh = lift(grid40, y, v).result
+        assert fresh.first.tobytes() == hit.first.tobytes()
+        assert fresh.second.tobytes() == hit.second.tobytes()
+        down = descend(grid40, hit.first, hit.second).result
+        backlund._kink_fields.cache_clear()
+        backlund._wobbler_fields.cache_clear()
+        fresh = descend(grid40, hit.first, hit.second).result
+        assert fresh.first.tobytes() == down.first.tobytes()
+        assert fresh.second.tobytes() == down.second.tobytes()
+
+    def test_each_helper_holds_one_entry(self):
+        for size in (4001, 801, 4001):
+            grid = GridSpec(-40.0, 40.0, size)
+            _Background.kink(grid, 1.0)
+            _Background.kink(grid, 1.0, KinkParams(0.3, 0.5))
+            _Background.wobbler(grid, 0.4, 1.1)
+            _Background.wobbler(grid, 0.4, -1.1)
+        for helper in (backlund._kink_fields, backlund._wobbler_fields):
+            assert helper.cache_info().maxsize == 1
+            assert helper.cache_info().currsize == 1
 
 
 class TestManifoldConstructor:
@@ -362,7 +434,7 @@ class TestWobblerMaps:
             y = smooth_random(grid40, "even", 0.04, rng)
             v = smooth_random(grid40, "even", 0.04, rng)
             rep = lift_breather_to_wobbler(grid40, y, v, 0.4, 1.1)
-            f = _Background.wobbler(grid40, 0.4, 1.1).f1(z, z, y, v)
+            f = direct_f1(_Background.wobbler(grid40, 0.4, 1.1), z, z, y, v)
             gain = math.sqrt(quadrature(rep.result.first ** 2, grid40)
                              / quadrature(f ** 2, grid40))
             worst = max(worst, gain)
@@ -461,8 +533,11 @@ class TestOrthogonalLift:
         assert abs(rep.ortho_residual) <= 1e-10
         u = rep.result.first
         bg = _Background.kink(grid40, 1.0 + delta, KinkParams(beta, 0.0).at(0.7))
-        f1 = bg.f1(u, derivative(u, grid40), y, v)
+        f1 = _pair_residual(bg, rep.result, PerturbationPair(grid40, y, v))[0]
         assert np.max(np.abs(f1)) <= rep.final_residual
+        # the solver's evaluation is the docstring's F1 to round-off
+        # (measured: at most 8.9e-16)
+        assert np.max(np.abs(f1 - direct_f1(bg, u, derivative(u, grid40), y, v))) <= 1e-14
 
     def test_cross_coeff_is_the_mixed_derivative(self, grid40, rng):
         # the bordered step differentiates s = -F2 in u: dF2/du = dF1/dy
@@ -470,11 +545,30 @@ class TestOrthogonalLift:
         u = smooth_random(grid40, "odd", 0.3, rng)
         y = smooth_random(grid40, "even", 0.3, rng)
         eps = 1e-6
-        df2_du = (bg.f2(u + eps, 0.0, y, 0.0) - bg.f2(u - eps, 0.0, y, 0.0)) / (2 * eps)
-        df1_dy = (bg.f1(u, 0.0, y + eps, 0.0) - bg.f1(u, 0.0, y - eps, 0.0)) / (2 * eps)
-        cross = bg.cross_coeff(u, y)
+        df2_du = (direct_f2(bg, u + eps, 0.0, y, 0.0)
+                  - direct_f2(bg, u - eps, 0.0, y, 0.0)) / (2 * eps)
+        df1_dy = (direct_f1(bg, u, 0.0, y + eps, 0.0)
+                  - direct_f1(bg, u, 0.0, y - eps, 0.0)) / (2 * eps)
+        cross = _Angles(bg, y, 1).cross_coeff(_Angles.half(u))
         assert np.max(np.abs(df2_du - cross)) < 1e-8
         assert np.max(np.abs(df1_dy - cross)) < 1e-8
+
+
+@pytest.mark.parametrize("background", ["moving kink", "wobbler"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["kink side", "vacuum side"])
+def test_angle_addition_is_the_direct_half_angle_form(grid40, rng, background, sign):
+    # each solve takes the trig of its fixed half-angles once and one tan per
+    # iterate w; the terms must be the docstring's direct formulas for w up to 3
+    # (measured: at most 1.1e-15)
+    bg = (_Background.kink(grid40, 1.3, KinkParams(0.3, 0.5)) if background == "moving kink"
+          else _Background.wobbler(grid40, 0.4, 1.1))
+    w = smooth_random(grid40, "odd", 3.0, rng)
+    fixed = smooth_random(grid40, "even", 0.3, rng)
+    angles = _Angles(bg, fixed, sign)
+    half = _Angles.half(w)
+    u, y = (w, fixed) if sign > 0 else (fixed, w)
+    for name, expected in direct_terms(bg, u, y).items():
+        assert np.max(np.abs(getattr(angles, name)(half) - expected)) <= 1e-14, name
 
 
 def _map_reports(grid, rng):

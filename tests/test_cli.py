@@ -107,6 +107,18 @@ class TestCliCommands:
         assert main(["lift", "--out", str(tmp_path / "l")]) == 0
         assert main(["descend", "--out", str(tmp_path / "d")]) == 0
 
+    @pytest.mark.parametrize("kind", ["kink-to-zero", "wobbler-to-breather"])
+    def test_descend_defaults_exercise_the_solver(self, tmp_path, kind):
+        # the default input is seeded random odd data: (u, s) with s nonzero,
+        # so the map takes Newton iterations and descends to a nonzero y
+        cfg = write_config(tmp_path, "c.json", {"version": 1, "map": kind})
+        assert main(["descend", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "descend_report.csv").read_text().splitlines()
+        assert report[0] == "iterations,final_residual"
+        assert int(report[1].split(",")[0]) >= 1
+        rows = (tmp_path / "o" / "descend_result.csv").read_text().splitlines()[1:]
+        assert max(abs(float(row.split(",")[1])) for row in rows) > 1e-3
+
     @pytest.mark.parametrize("command,payload,strict,parity", [
         ("lift", {"map": "manifold"}, False, "odd-even"),
         ("lift", {"map": "manifold"}, True, "odd-even"),
