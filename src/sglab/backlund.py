@@ -40,7 +40,6 @@ from .grids import (
     SolverError,
     _running_trapezoid,
     _trapezoid,
-    cumulative_quadrature,
     derivative,
     local_energy_norm,
     parity_check,
@@ -293,7 +292,7 @@ def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a: float, t: fl
 
 def _log_factor(c, grid, m):
     """lw = int_{x_m}^x c, the log of the integrating factor for coefficient c."""
-    lw = cumulative_quadrature(c, grid)
+    lw = _running_trapezoid(c, grid.h)
     lw -= lw[m]
     span = float(np.max(lw) - np.min(lw))
     if span > _MAX_LOG_SPAN:
@@ -426,14 +425,14 @@ def _require_parity(values, grid, kind, what, tol=None):
 
 # --- the two Newton solvers -----------------------------------------------------
 
-def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v,
-                     parity: Optional[str]) -> LiftReport:
+def _solve_kink_side(bg: _Background, grid: GridSpec, y, v, parity: str) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
-    s = -F2(u, 0, y, y_x); the result (u, s) must have `parity` (None: any).
+    s = -F2(u, 0, y, y_x); the result (u, s) must have `parity`.
 
     Each Newton step integrates the growing factor exp(int coeff) outward from
-    node m, the kink center.
+    the center node.
     """
+    m = _center_index(grid)
     angles = _Angles(bg, y, 1)
     f1_fixed = bg.psi_x - bg.phi_t - v  # the terms of F1 that do not move with u
 
@@ -446,9 +445,8 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, m: int, y, v,
 
     u, half, iters, rmax, history = _newton(residual, step, grid.n_points)
     s = angles.minus(half) - (bg.psi_t - bg.phi_x - derivative(y, grid))
-    if parity is not None:
-        for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
-            _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
+    for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
+        _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
     return LiftReport(PerturbationPair(grid, u, s), iters, rmax, parity, history)
 
 
@@ -488,8 +486,7 @@ def construct_manifold_data(grid: GridSpec, y0, v0, delta: float) -> LiftReport:
     if guard >= 0.5:
         raise ContractError(f"input norm {guard:.3f} >= 0.5; outside the solvable ball")
     mult = _offset_multiplier(delta)
-    return _solve_kink_side(_Background.kink(grid, mult), grid, _center_index(grid), y0, v0,
-                            "odd-even")
+    return _solve_kink_side(_Background.kink(grid, mult), grid, y0, v0, "odd-even")
 
 
 def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
@@ -497,8 +494,7 @@ def lift_zero_to_kink(grid: GridSpec, y, v) -> LiftReport:
     perturbation of the static kink (transform parameter fixed at 1)."""
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
-    return _solve_kink_side(_Background.kink(grid, 1.0), grid, _center_index(grid), y, v,
-                            "odd-odd")
+    return _solve_kink_side(_Background.kink(grid, 1.0), grid, y, v, "odd-odd")
 
 
 def descend_kink_to_zero(grid: GridSpec, u, s) -> LiftReport:
@@ -525,8 +521,7 @@ def lift_breather_to_wobbler(grid: GridSpec, y, v, beta: float, t: float) -> Lif
     """
     y = _require_parity(y, grid, "even", "y")
     v = _require_parity(v, grid, "even", "v")
-    return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, _center_index(grid),
-                            y, v, "odd-odd")
+    return _solve_kink_side(_Background.wobbler(grid, beta, t), grid, y, v, "odd-odd")
 
 
 def descend_wobbler_to_breather(grid: GridSpec, u, s, beta: float, t: float) -> LiftReport:

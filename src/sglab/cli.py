@@ -123,6 +123,15 @@ def _get(cfg, key, default, low=None):
     return value
 
 
+def _run_length(cfg, default, run):
+    """The config's t_end for a `run`, which must be > 0: a run that takes no
+    step leaves its checks nothing to judge."""
+    t_end = _get(cfg, "t_end", default)
+    if not t_end > 0:
+        raise ParameterError(f"t_end must be > 0 for {run}, got {t_end!r}")
+    return t_end
+
+
 def _grid_from(cfg, n_points=4001, half_width=40.0) -> GridSpec:
     return GridSpec(_get(cfg, "grid.x_min", -half_width), _get(cfg, "grid.x_max", half_width),
                     _get(cfg, "grid.n_points", n_points))
@@ -331,7 +340,8 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
     # an absent background evolves the plain field; {} is the static kink
     background = (KinkParams(_get(cfg, "background.beta", 0.0), _get(cfg, "background.x0", 0.0))
                   if "background" in cfg else None)
-    ecfg = EvolveConfig(dt=_get(cfg, "dt", 0.005), t_end=_get(cfg, "t_end", 10.0),
+    ecfg = EvolveConfig(dt=_get(cfg, "dt", 0.005),
+                        t_end=_run_length(cfg, 10.0, "an evolve run"),
                         background=background,
                         snapshot_every=_get(cfg, "snapshot_every", 0.5))
     interval = _get(cfg, "interval", (-5.0, 5.0))
@@ -372,9 +382,7 @@ def _stability_manifold(cfg, tol_scale, bundle):
         raise ParameterError(f"etas must list at least one noise size, each > 0 and "
                              f"none repeated, got {etas!r}")
     n_seeds = _get(cfg, "seeds", 2, 1)
-    t_end = _get(cfg, "t_end", 60.0)
-    if not t_end > 0:
-        raise ParameterError(f"t_end must be > 0 for a kink-manifold run, got {t_end!r}")
+    t_end = _run_length(cfg, 60.0, "a kink-manifold run")
     dt = _get(cfg, "dt", 0.009)
     snapshot_every = _get(cfg, "snapshot_every", 0.5)
     interval = _get(cfg, "interval", (-5.0, 5.0))
@@ -392,7 +400,7 @@ def _stability_manifold(cfg, tol_scale, bundle):
             bundle.check(f"momentum stays zero (seed {seed}, eta {eta})",
                          float(np.max(np.abs(traj.momenta))), 1e-5 * tol_scale,
                          "zero-momentum manifold data")
-            if not records:  # the tracker never followed this run: nothing to tabulate
+            if len(records) < 2:  # too few tracked snapshots to tabulate or classify
                 continue
             check = vacuum_rate_check(grid, y0, records, dt, t_end, snapshot_every)
             peak = max(abs(r.rho_rate) for r in records)
@@ -437,7 +445,8 @@ def _stability_wobbler(cfg, tol_scale, bundle):
         raise ParameterError(f"eta must be > 0, got {eta!r}")
     traj, distances = wobbler_orbit(grid, beta, eta,
                                     np.random.default_rng(_get(cfg, "seed", 0, 0)),
-                                    _get(cfg, "dt", 0.01), _get(cfg, "t_end", 40.0),
+                                    _get(cfg, "dt", 0.01),
+                                    _run_length(cfg, 40.0, "a wobbler run"),
                                     _get(cfg, "snapshot_every", 1.0))
     measured_c = max(distances) / eta
     bundle.tables["wobbler_distance"] = (["t", "distance"], list(zip(traj.times, distances)))
@@ -486,9 +495,7 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
         bundle.check("final-speed identity", max(r[3] for r in rows), 1e-12 * tol_scale,
                      "momentum- and transform-defined speeds agree")
     elif kind == "energy-drift":
-        t_end = _get(cfg, "t_end", 10.0)
-        if not t_end > 0:
-            raise ParameterError(f"t_end must be > 0 for an energy-drift sweep, got {t_end!r}")
+        t_end = _run_length(cfg, 10.0, "an energy-drift sweep")
         resolutions = _enough(_get(cfg, "resolutions",
                                    [(2001, 0.02), (4001, 0.01), (8001, 0.005)]),
                               "resolutions", 2, kind)
@@ -564,7 +571,8 @@ def main(argv=None) -> int:
                        help="output directory for reports")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--strict", action="store_true",
-                       help="tighten all tolerances tenfold")
+                       help="tighten most tolerance bars tenfold; the floors, "
+                            "ceilings and counts keep theirs")
     args = parser.parse_args(argv)
 
     try:

@@ -24,7 +24,6 @@ __all__ = [
     "PHI4",
     "WeightSpec",
     "quadrature",
-    "cumulative_quadrature",
     "derivative",
     "pde_residual",
     "weighted_norm_sq",
@@ -196,11 +195,6 @@ def _running_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
 def quadrature(values, grid: GridSpec) -> float:
     """Trapezoid-rule integral over the grid; exact for piecewise-linear data."""
     return _trapezoid(_as_field(values, grid, "values"), grid.h)
-
-
-def cumulative_quadrature(values, grid: GridSpec) -> np.ndarray:
-    """Running trapezoid integral from x_min; entry i is the integral up to x_i."""
-    return _running_trapezoid(_as_field(values, grid, "values"), grid.h)
 
 
 def derivative(values, grid: GridSpec) -> np.ndarray:

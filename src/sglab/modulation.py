@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backlund import tilde_residual
 from .grids import (
     FieldState,
     ParameterError,
@@ -27,7 +28,7 @@ from .grids import (
     quadrature,
     weighted_norm_sq,
 )
-from .solutions import KinkParams, _arctan_exp, _sech
+from .solutions import KinkParams
 
 __all__ = [
     "TubeExitError",
@@ -59,29 +60,21 @@ class ModulationRecord:
     local_norm: float = math.nan
 
 
-def _mismatch(state: FieldState, beta: float, rho: float):
+def _mismatch(state: FieldState, slopes, beta: float, rho: float):
     """Orthogonality functional at shift rho, its rho-derivative and the
-    remainder (field minus kink), from one evaluation of the kink profile.
+    remainder (du, dv) = (u - Q, v - Q_t), for the kink ``KinkParams(beta,
+    rho).at(t)``.
 
-    The profile terms are ``KinkParams``' q, q_t, q_x and q_tx with the same
-    operations, so their values are bitwise equal, plus the x-derivatives of
-    q_x and q_tx, all built from a single evaluation of the argument a,
-    sech a, tanh a and arctan(e^a).
+    The value is int (du Q_x + dv Q_tx) dx.  Its rho-derivative, integrated
+    by parts with du_x + Q_x = u_x, is int (u_x Q_x + v_x Q_tx) dx, where
+    `slopes` is (u_x, v_x), the state's ``derivative`` taken once per snapshot.
     """
-    grid = state.grid
+    grid, x = state.grid, state.grid.x
     p = KinkParams(beta, rho).at(state.t)
-    g = p.gamma
-    a = g * (grid.x - p.x0)
-    sech, tanh = _sech(a), np.tanh(a)
-    du = state.u - 4.0 * _arctan_exp(a)
-    q_t = -2.0 * beta * g * sech
-    dv = state.v - q_t
-    q_x = 2.0 * g * sech
-    q_tx = 2.0 * beta * g ** 2 * sech * tanh
-    q_x_x = -2.0 * g ** 2 * sech * tanh
-    q_tx_x = 2.0 * beta * g ** 3 * sech * (1.0 - 2.0 * tanh ** 2)
+    q_x, q_tx = p.q_x(x), p.q_tx(x)
+    du, dv = state.u - p.q(x), state.v - p.q_t(x)
     value = quadrature(du * q_x + dv * q_tx, grid)
-    dvalue = quadrature(q_x ** 2 + q_tx ** 2 - du * q_x_x - dv * q_tx_x, grid)
+    dvalue = quadrature(slopes[0] * q_x + slopes[1] * q_tx, grid)
     return value, dvalue, du, dv
 
 
@@ -95,11 +88,13 @@ def _fit_shift(state, beta, rho_guess):
     remainder larger than TUBE_RADIUS at the root, raises TubeExitError,
     the exit-time mechanism of orbital tracking."""
     rho = float(rho_guess)
-    span = state.grid.x_max - state.grid.x_min
+    grid = state.grid
+    span = grid.x_max - grid.x_min
+    slopes = derivative(state.u, grid), derivative(state.v, grid)
     for _ in range(50):
-        value, dvalue, du, dv = _mismatch(state, beta, rho)
+        value, dvalue, du, dv = _mismatch(state, slopes, beta, rho)
         if abs(value) <= 1e-10:
-            pair = PerturbationPair(state.grid, du, dv)
+            pair = PerturbationPair(grid, du, dv)
             dist = local_energy_norm(pair)
             if dist > TUBE_RADIUS:
                 raise TubeExitError(
@@ -192,7 +187,9 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1) -> dict:
 def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair) -> dict:
     """Verify the transform identity expressing the remainder's second
     component from the vacuum side, and measure the pointwise bound
-    |s| <= C (|y_x| + |y|).
+    |s| <= C (|y_x| + |y|).  The identity residual is max |F2| of
+    ``tilde_residual`` around the static kink: s minus the s that (u, y)
+    predict at parameter 1.
 
     Both pairs must come from the same snapshot of a run in the static kink
     frame (kink centered at 0), linked by the transform at parameter 1; a
@@ -200,15 +197,10 @@ def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair) -> dict:
     """
     if pair.grid != y_v.grid:
         raise ParameterError("pairs must share a grid")
-    grid = pair.grid
-    x = grid.x
-    u, s = pair.first, pair.second
-    y, v = y_v.first, y_v.second
-    kink = KinkParams()
-    y_x = derivative(y, grid)
-    predicted = y_x - 2.0 * (kink.cos_half_tilde(x) * np.sin(0.5 * u)
-                             + kink.sin_half_tilde(x) * np.cos(0.5 * u)) * np.sin(0.5 * y)
-    identity_residual = float(np.max(np.abs(s - predicted)))
+    _, f2 = tilde_residual(pair, y_v, 0.0, KinkParams())
+    identity_residual = float(np.max(np.abs(f2)))
+    s, y = pair.second, y_v.first
+    y_x = derivative(y, pair.grid)
     denom = np.abs(y_x) + np.abs(y)
     mask = denom > 1e-10 * max(1.0, float(denom.max()))
     constant = float(np.max(np.abs(s[mask]) / denom[mask])) if mask.any() else 0.0
@@ -221,10 +213,11 @@ def convergence_classifier(records) -> dict:
     ``bounded-converging`` is declared when the total variation of rho over the
     last quarter of the run is below 1e-3, and ``excursion`` otherwise.
     Returns the kind, that tail variation and, for a settled shift, its tail
-    mean ``rho_bar``.
+    mean ``rho_bar``.  Fewer than two records show no settling, so they
+    raise ``ParameterError``.
     """
-    if not records:
-        raise ParameterError("no records to classify")
+    if len(records) < 2:
+        raise ParameterError(f"the classifier needs at least two records, got {len(records)}")
     rhos = np.array([r.rho for r in records])
     q = max(2, len(records) // 4)
     tail = rhos[-q:]

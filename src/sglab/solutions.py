@@ -155,12 +155,6 @@ class KinkParams:
         np.subtract(1.0, cos_q, out=cos_q)
         return out
 
-    def sin_half_tilde(self, x):
-        return np.tanh(self._arg(x))
-
-    def cos_half_tilde(self, x):
-        return _sech(self._arg(x))
-
 
 def kink(p: KinkParams) -> SolutionSampler:
     """Moving kink 4 arctan(e^{gamma (x - x0 - beta t)}), an exact solution:

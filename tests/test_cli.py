@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sglab
-from sglab import backlund, modulation
+from sglab import backlund, cli, modulation
 from sglab.cli import _COMMANDS, PROBE_HEADER, main
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import SPECTRA, linear_transform_cases, spectrum_ladder, wobbler_orbit
@@ -195,7 +195,11 @@ class TestCliCommands:
                               "(max - min 4.0e-304 < 1e-08 at t and t +- dt)",
         "kink-leaving-the-grid": "kink: the solution is flat on the grid at t = 100 "
                                  "(max - min 5.6e-11 < 1e-08 at t and t +- dt)",
-        "zero-manifold-t-end": "t_end must be > 0 for a kink-manifold run, got 0.0"}
+        "zero-manifold-t-end": "t_end must be > 0 for a kink-manifold run, got 0.0",
+        "zero-sweep-t-end": "t_end must be > 0 for an energy-drift sweep, got 0.0",
+        # a run that takes no step leaves its checks nothing to judge
+        "zero-evolve-t-end": "t_end must be > 0 for an evolve run, got 0.0",
+        "zero-wobbler-t-end": "t_end must be > 0 for a wobbler run, got 0.0"}
 
     @pytest.mark.parametrize("command,payload", [
         ("evolve", [1, 2]),
@@ -258,6 +262,8 @@ class TestCliCommands:
         ("spectrum", {"grid": {"n_points": 4003}}), ("verify-exact", {"t": 1e6}),
         ("verify-exact", {"t": 1000.0}), ("verify-exact", {"t": 100.0}),
         ("stability", {"t_end": 0.0, "grid": {"n_points": 2001}, "seeds": 1}),
+        ("evolve", {"t_end": 0.0}),
+        ("stability", {"experiment": "wobbler", "t_end": 0.0}),
     ], ids=["array", "grid-list", "params-number", "string-n-points", "background-typo",
             "interval-number", "string-t-end", "nan-t-end", "string-dt",
             "string-snapshot-every", "etas-number", "string-seeds", "zero-seeds",
@@ -278,7 +284,8 @@ class TestCliCommands:
             "infinite-in-deltas", "infinite-in-etas", "infinite-amplitude",
             "infinite-weight-rate", "nan-weight-rate", "three-point-exact-grid",
             "small-spectrum-grid", "spectrum-grid-3-mod-4", "families-left-the-grid",
-            "kink-left-the-grid", "kink-leaving-the-grid", "zero-manifold-t-end"])
+            "kink-left-the-grid", "kink-leaving-the-grid", "zero-manifold-t-end",
+            "zero-evolve-t-end", "zero-wobbler-t-end"])
     def test_malformed_config_is_config_error(self, tmp_path, monkeypatch, capsys, request,
                                               command, payload):
         # the input_file cases name files in the working directory
@@ -414,18 +421,33 @@ class TestCliCommands:
             "untracked snapshots (seed 0, eta 0.02)", "untracked snapshots (seed 0, eta 0.04)"]
         assert all(c["measured"] == 0 and c["tolerance"] == 0 and c["passed"] for c in untracked)
 
-    def test_stability_manifold_run_never_tracked_fails_its_row(self, tmp_path, monkeypatch):
-        # with a tube this narrow the tracker follows no snapshot: each run
-        # keeps its failing untracked row and leaves no table row, plot or slope
-        monkeypatch.setattr(modulation, "TUBE_RADIUS", 1e-4)
+    def _assert_runs_left_out(self, tmp_path, untracked):
+        # each run keeps its failing untracked row and leaves no table row,
+        # plot or slope
         cfg = write_config(tmp_path, "c.json", self._SMALL_MANIFOLD)
         assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
-        untracked = [c for c in checks if c["name"].startswith("untracked snapshots")]
-        assert [(c["measured"], c["passed"]) for c in untracked] == [(3, False), (3, False)]
+        rows = [c for c in checks if c["name"].startswith("untracked snapshots")]
+        assert [(c["measured"], c["passed"]) for c in rows] == [(untracked, False)] * 2
         assert not any(c["name"] == "rho-rate scaling slope" for c in checks)
         assert (tmp_path / "o" / "manifold_runs.csv").read_text().count("\n") == 1
         assert not list((tmp_path / "o").glob("*.svg"))
+
+    def test_stability_manifold_run_never_tracked_fails_its_row(self, tmp_path, monkeypatch):
+        # with a tube this narrow the tracker follows none of the 3 snapshots
+        monkeypatch.setattr(modulation, "TUBE_RADIUS", 1e-4)
+        self._assert_runs_left_out(tmp_path, 3)
+
+    def test_stability_manifold_run_tracked_once_is_left_out(self, tmp_path, monkeypatch):
+        # one tracked snapshot shows nothing settling: the classifier needs two
+        real_run = cli.manifold_run
+
+        def tracked_once(*args):
+            traj, records = real_run(*args)
+            return traj, records[:1]
+
+        monkeypatch.setattr(cli, "manifold_run", tracked_once)
+        self._assert_runs_left_out(tmp_path, 2)
 
     def test_evolve_phi4_in_a_kink_frame_is_a_configuration_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

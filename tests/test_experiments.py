@@ -152,7 +152,6 @@ def test_package_exports_exactly_the_pinned_names():
 # exported with no library caller, each for a stated reason
 _EXPORTED_FOR_USERS = {
     "save_pair",  # the README names it as the writer of a config's input_file
-    "tilde_residual",  # the per-snapshot transform check of ROADMAP item 5
     "stilde_bound_check",  # the per-snapshot transform check of ROADMAP item 5
 }
 

@@ -110,7 +110,6 @@ class TestKinkProfile:
     def test_half_angle_identities(self, grid40):
         x = grid40.x
         p = KinkParams(0.0, 0.0)
-        assert np.max(np.abs(p.sin_half_tilde(x) - np.tanh(x))) < 1e-14
         assert np.max(np.abs(np.sin((p.q(x) - np.pi) / 2) - np.tanh(x))) < 1e-13
         assert np.max(np.abs(np.cos((p.q(x) - np.pi) / 2) - 1 / np.cosh(x))) < 1e-13
 

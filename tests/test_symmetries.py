@@ -9,6 +9,12 @@ The transform maps commute with reflection composed with time reversal: the
 static kink keeps it, and the wobbler at -t and the breather at -t are the
 reflected wobbler and breather at t.  On (even, even) vacuum data and
 (odd, odd) kink data it flips the sign of y and of s, and leaves u and v.
+
+The evolver itself commutes with R, in the static kink frame and in plain
+sine-Gordon and phi^4 runs, and it is time-reversible: a run from (u, -v)
+at its end returns to (u, -v) at its start, a moving frame run back at the
+opposite speed.  These runs start from data of mixed parity, so they
+integrate the whole grid.
 """
 
 import numpy as np
@@ -20,9 +26,11 @@ from sglab.backlund import (
     lift_breather_to_wobbler,
     lift_zero_to_kink,
 )
+from sglab.evolution import EvolveConfig, evolve
 from sglab.experiments import manifold_run
-from sglab.grids import GridSpec
+from sglab.grids import PHI4, SINE_GORDON, FieldState, GridSpec, parity_check
 from sglab.inputs import smooth_random
+from sglab.solutions import KinkParams, phi4_kink
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +104,83 @@ def test_transform_maps_commute_with_reflected_time_reversal(vacuum_pair, backgr
     mirrored = descend(grid, up.first, -up.second, -_T).result
     assert _gap(mirrored.first, -down.first) <= bound
     assert _gap(mirrored.second, down.second) <= bound
+
+
+@pytest.fixture(scope="module")
+def mixed_data():
+    # an odd plus an even part: no parity, so no run takes the half grid
+    grid = GridSpec(-40.0, 40.0, 4001)
+    rng = np.random.default_rng(3)
+    du, dv = (smooth_random(grid, "odd", 0.05, rng) + smooth_random(grid, "even", 0.03, rng)
+              for _ in range(2))
+    assert min(parity_check(du, grid, kind) for kind in ("odd", "even")) > 1e-3
+    return grid, du, dv
+
+
+# (model, frame, field) of the state each case perturbs; all are static
+_BACKGROUNDS = {
+    "static-frame": lambda x: (SINE_GORDON, KinkParams(), KinkParams().q(x)),
+    "plain-sine-gordon": lambda x: (SINE_GORDON, None, np.zeros_like(x)),
+    "phi4-kink": lambda x: (PHI4, None, phi4_kink().value(0.0, x)),
+}
+
+
+def _relative_gap(snaps, expected):
+    return (max(_gap(a, b) for a, b in zip(snaps, expected))
+            / max(float(np.max(np.abs(b))) for b in expected))
+
+
+# bounds on the relative gaps (u, v), each about 10 times the measured gap:
+# static frame 1.8e-14 / 5.6e-13, plain sine-Gordon exactly 0 (bound 10
+# round-off units), phi^4 kink 7.1e-15 / 5.9e-12
+_REFLECTION_BOUNDS = {"static-frame": (2e-13, 6e-12), "plain-sine-gordon": (2.2e-15, 2.2e-15),
+                      "phi4-kink": (7e-14, 6e-11)}
+
+
+@pytest.mark.parametrize("case", list(_REFLECTION_BOUNDS))
+def test_evolve_commutes_with_reflection(mixed_data, case):
+    # R(u, v)(x) = (-u(-x), -v(-x)) of the evolved variable: the perturbation
+    # in the kink frame, the field in a plain run (R keeps the vacuum and the
+    # odd phi^4 kink)
+    grid, du, dv = mixed_data
+    model, frame, base = _BACKGROUNDS[case](grid.x)
+    cfg = EvolveConfig(0.01, 20.0, background=frame)
+    plus = evolve(FieldState(0.0, grid, base + du, dv), model, cfg)
+    minus = evolve(FieldState(0.0, grid, base - du[::-1], -dv[::-1]), model, cfg)
+    assert len(plus) == len(minus) == 41
+    bound_u, bound_v = _REFLECTION_BOUNDS[case]
+    for mirrored, snaps, bound in ((minus.u_snaps, plus.u_snaps, bound_u),
+                                   (minus.v_snaps, plus.v_snaps, bound_v)):
+        assert _relative_gap(mirrored, [-s[::-1] for s in snaps]) <= bound
+
+
+# bounds on the relative gaps (u, v) after T = 10 and back, each about 10
+# times the measured gap: static frame 8.7e-15 / 6.3e-13, plain sine-Gordon
+# 1.8e-15 / 1.1e-13, phi^4 kink 5.1e-15 / 5.6e-12, moving frame 6.9e-15 / 6.3e-13
+_REVERSAL_BOUNDS = {"static-frame": (9e-14, 6e-12), "plain-sine-gordon": (2e-14, 1e-12),
+                    "phi4-kink": (5e-14, 6e-11), "moving-frame": (7e-14, 6e-12)}
+
+
+@pytest.mark.parametrize("case", list(_REVERSAL_BOUNDS))
+def test_evolve_is_time_reversible(mixed_data, case):
+    # the kink KinkParams(beta, x0) at time T is KinkParams(-beta, x0 + 2 beta T)
+    # at time T, so the run back starts there at time T
+    grid, du, dv = mixed_data
+    x, T = grid.x, 10.0
+    if case == "moving-frame":
+        beta, x0 = 0.3, -0.5
+        model, frame = SINE_GORDON, KinkParams(beta, x0)
+        back_frame = KinkParams(-beta, x0 + 2 * beta * T)
+        start = FieldState(0.0, grid, frame.q(x) + du, frame.q_t(x) + dv)
+    else:
+        model, frame, base = _BACKGROUNDS[case](x)
+        back_frame = frame
+        start = FieldState(0.0, grid, base + du, dv)
+    forward = evolve(start, model, EvolveConfig(0.01, T, background=frame))
+    end = forward.state(-1)
+    back = evolve(FieldState(T, grid, end.u, -end.v), model,
+                  EvolveConfig(0.01, T, background=back_frame))
+    assert back.times[-1] == 2 * T
+    bound_u, bound_v = _REVERSAL_BOUNDS[case]
+    assert _relative_gap([back.u_snaps[-1]], [forward.u_snaps[0]]) <= bound_u
+    assert _relative_gap([back.v_snaps[-1]], [-forward.v_snaps[0]]) <= bound_v
