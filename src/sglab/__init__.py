@@ -43,7 +43,6 @@ from .solutions import (
 )
 from .conserved import energy, manifold_momentum, momentum
 from .backlund import (
-    BtParameter,
     LiftReport,
     bt_pair_residual,
     construct_manifold_data,
@@ -54,6 +53,7 @@ from .backlund import (
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
+    multiplier_from_speed,
     tilde_residual,
 )
 from .spectra import (

@@ -54,7 +54,7 @@ from .solutions import (
 )
 
 __all__ = [
-    "BtParameter",
+    "multiplier_from_speed",
     "LiftReport",
     "bt_pair_residual",
     "tilde_residual",
@@ -77,30 +77,12 @@ _RESULT_PARITY_TOL = 1e-8  # parity defect of the results the maps guarantee
 _COMPAT_TOL = 1e-10  # compatibility integral the vacuum-side solves accept
 
 
-@dataclass(frozen=True)
-class BtParameter:
-    """Backlund parameter a, with the speed view attached.
-
-    beta = (a^2 - 1)/(a^2 + 1) and a(beta) = sqrt((1 + beta)/(1 - beta)) invert
-    each other.
-    """
-
-    a: float
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ParameterError("Backlund parameter a must be nonzero")
-
-    @classmethod
-    def from_beta(cls, beta: float) -> "BtParameter":
-        if not abs(beta) < 1:
-            raise ParameterError(f"|beta| < 1 required, got {beta}")
-        return cls(math.sqrt((1.0 + beta) / (1.0 - beta)))
-
-    @property
-    def beta(self) -> float:
-        a_sq = self.a * self.a
-        return (a_sq - 1.0) / (a_sq + 1.0)
+def multiplier_from_speed(beta: float) -> float:
+    """The transform multiplier a = sqrt((1 + beta)/(1 - beta)) of the kink
+    with speed beta; beta = (a^2 - 1)/(a^2 + 1) inverts it."""
+    if not abs(beta) < 1:
+        raise ParameterError(f"|beta| < 1 required, got {beta}")
+    return math.sqrt((1.0 + beta) / (1.0 - beta))
 
 
 @dataclass
@@ -196,6 +178,9 @@ class _Angles:
         minus       = cos(p)/a - a cos(m)  (F2 = Psi_t + s - Phi_x - y_x - minus)
         coeff       = sin(p)/(2a) + (a/2) sin(m)
         cross_coeff = sin(p)/(2a) - (a/2) sin(m)
+
+    Taking a sin M times sign gives both sides the same sums and differences
+    of the fixed terms; on the vacuum side coeff and cross_coeff trade them.
     """
 
     def __init__(self, bg: _Background, fixed, sign: int):
@@ -206,17 +191,13 @@ class _Angles:
         p0 = 0.5 * (kink_side + vacuum_side)
         m0 = 0.5 * (kink_side - vacuum_side)
         cos_p, sin_p = np.cos(p0) / bg.a, np.sin(p0) / bg.a
-        cos_m, sin_m = bg.a * np.cos(m0), bg.a * np.sin(m0)
+        cos_m, sin_m = bg.a * np.cos(m0), sign * bg.a * np.sin(m0)
         cos_sum, cos_diff = cos_p + cos_m, cos_p - cos_m
         sin_sum, sin_diff = sin_p + sin_m, sin_p - sin_m
-        # the partners of the sum and the difference trade places when m
-        # turns against w
-        sin_partner = (sin_sum, sin_diff) if sign > 0 else (sin_diff, sin_sum)
-        cos_partner = (cos_sum, cos_diff) if sign > 0 else (cos_diff, cos_sum)
-        self._plus = (cos_sum, -sin_partner[0])
-        self._minus = (cos_diff, -sin_partner[1])
-        self._coeff = (0.5 * sin_sum, 0.5 * cos_partner[0])
-        self._cross_coeff = (0.5 * sin_diff, 0.5 * cos_partner[1])
+        self._plus = (cos_sum, -sin_sum)
+        self._minus = (cos_diff, -sin_diff)
+        coeff, cross = (0.5 * sin_sum, 0.5 * cos_sum), (0.5 * sin_diff, 0.5 * cos_diff)
+        self._coeff, self._cross_coeff = (coeff, cross) if sign > 0 else (cross, coeff)
 
     @staticmethod
     def half(w) -> tuple:
@@ -245,13 +226,10 @@ class _Angles:
 
 
 def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair) -> tuple:
-    grid = u_s.grid
-    u, s = u_s.first, u_s.second
-    y, v = y_v.first, y_v.second
-    angles = _Angles(bg, y, 1)
-    half = angles.half(u)
-    return (bg.psi_x - bg.phi_t - v + derivative(u, grid) - angles.plus(half),
-            bg.psi_t - bg.phi_x - derivative(y, grid) + s - angles.minus(half))
+    grid, y = u_s.grid, y_v.first
+    angles, f1, _ = _kink_side(bg, grid, y, y_v.second)
+    r1, half = f1(u_s.first)
+    return r1, bg.psi_t - bg.phi_x - derivative(y, grid) + u_s.second - angles.minus(half)
 
 
 def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
@@ -262,7 +240,7 @@ def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
     """
     if utilde_stilde.grid != y_v.grid:
         raise ContractError("tilde_residual needs matching grids")
-    mult = BtParameter.from_beta(kinkp.beta).a + delta
+    mult = multiplier_from_speed(kinkp.beta) + delta
     if mult == 0:
         raise ParameterError(f"a(beta) + delta must be nonzero, got {mult}")
     return _pair_residual(_Background.kink(utilde_stilde.grid, mult, kinkp), utilde_stilde, y_v)
@@ -418,12 +396,30 @@ def _require_parity(values, grid, kind, what, tol=None):
     values = np.asarray(values, dtype=float)
     tol = _PARITY_TOL if tol is None else tol
     defect = parity_check(values, grid, kind)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ContractError(f"{what} must be {kind} (defect {defect:.3e} > {tol:.1e})")
     return values
 
 
 # --- the two Newton solvers -----------------------------------------------------
+
+def _kink_side(bg: _Background, grid: GridSpec, y, v) -> tuple:
+    """(angles, f1, read_s) of a kink-side solve for u given (y, v): its
+    ``_Angles``, F1 as a function of u returning (F1, the trig of u), and the
+    read-off s = -F2(u, 0, y, y_x) from the trig of u."""
+    angles = _Angles(bg, y, 1)
+    f1_fixed = bg.psi_x - bg.phi_t - v  # the terms of F1 that do not move with u
+    f2_fixed = bg.psi_t - bg.phi_x - derivative(y, grid)
+
+    def f1(u):
+        half = angles.half(u)
+        return f1_fixed + derivative(u, grid) - angles.plus(half), half
+
+    def read_s(half):
+        return angles.minus(half) - f2_fixed
+
+    return angles, f1, read_s
+
 
 def _solve_kink_side(bg: _Background, grid: GridSpec, y, v, parity: str) -> LiftReport:
     """Solve F1 = 0 for the kink-side u given (y, v), then read off
@@ -433,18 +429,13 @@ def _solve_kink_side(bg: _Background, grid: GridSpec, y, v, parity: str) -> Lift
     the center node.
     """
     m = _center_index(grid)
-    angles = _Angles(bg, y, 1)
-    f1_fixed = bg.psi_x - bg.phi_t - v  # the terms of F1 that do not move with u
-
-    def residual(u):
-        half = angles.half(u)
-        return f1_fixed + derivative(u, grid) - angles.plus(half), half
+    angles, f1, read_s = _kink_side(bg, grid, y, v)
 
     def step(half, r):
         return -_solve_outward(angles.coeff(half), r, grid, m)
 
-    u, half, iters, rmax, history = _newton(residual, step, grid.n_points)
-    s = angles.minus(half) - (bg.psi_t - bg.phi_x - derivative(y, grid))
+    u, half, iters, rmax, history = _newton(f1, step, grid.n_points)
+    s = read_s(half)
     for values, kind, what in zip((u, s), parity.split("-"), ("u", "s")):
         _require_parity(values, grid, kind, what, _RESULT_PARITY_TOL)
     return LiftReport(PerturbationPair(grid, u, s), iters, rmax, parity, history)
@@ -553,31 +544,23 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     """
     kinkp = KinkParams(beta, rho).at(t)
     mult = _offset_multiplier(delta)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
+    y, v = np.asarray(y, dtype=float), np.asarray(v, dtype=float)
     center = kinkp.x0
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
-    x = grid.x
     m = _center_index(grid, center)
-    q_x = kinkp.q_x(x)
-    q_tx = kinkp.q_tx(x)
+    q_x, q_tx = kinkp.q_x(grid.x), kinkp.q_tx(grid.x)
     norm_sq = quadrature(q_x ** 2 + q_tx ** 2, grid)
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
-    bg = _Background.kink(grid, mult, kinkp)
-    angles = _Angles(bg, y, 1)
-    f1_fixed = bg.psi_x - bg.phi_t - v
-    f2_fixed = bg.psi_t - bg.phi_x - derivative(y, grid)
+    angles, f1, read_s = _kink_side(_Background.kink(grid, mult, kinkp), grid, y, v)
 
-    def s_and_g(u, half):
-        s = angles.minus(half) - f2_fixed  # s = -F2(u, 0, y, y_x)
-        return s, quadrature(u * q_x + s * q_tx, grid)
+    def g(u, s):
+        return quadrature(u * q_x + s * q_tx, grid)
 
     def residual(u):
-        half = angles.half(u)
-        f1 = f1_fixed + derivative(u, grid) - angles.plus(half)
-        return np.append(f1, s_and_g(u, half)[1]), half
+        r, half = f1(u)
+        return np.append(r, g(u, read_s(half))), half
 
     def step(half, r):
         c = angles.coeff(half)
@@ -593,8 +576,8 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
         return w - (g_lin / slope) * kernel
 
     u, half, iters, rmax, history = _newton(residual, step, grid.n_points)
-    s, g = s_and_g(u, half)
-    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, None, history, g)
+    s = read_s(half)
+    return LiftReport(PerturbationPair(grid, u, s), iters, rmax, None, history, g(u, s))
 
 
 def zero_momentum_manifold_data(grid: GridSpec, y0):
@@ -632,4 +615,5 @@ def final_speed_from_momentum(P: float) -> float:
 
 def final_speed_from_delta(delta: float) -> float:
     """The speed whose transform parameter is 1 + delta."""
-    return BtParameter(_offset_multiplier(delta)).beta
+    a = _offset_multiplier(delta)
+    return (a * a - 1.0) / (a * a + 1.0)

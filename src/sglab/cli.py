@@ -239,7 +239,7 @@ def _input_pair(cfg, grid, default_input):
         path = _get(cfg, "input_file", "")
         try:
             return load_pair(path)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             raise ParameterError(f"input_file {path!r} holds no saved pair "
                                  f"({type(exc).__name__}: {exc})") from exc
     return named_pair(_get(cfg, "input", default_input), grid,

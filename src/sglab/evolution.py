@@ -38,7 +38,8 @@ KinkFrame = KinkParams
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Evolution parameters.  CFL requires dt <= 0.9 h on the run grid."""
+    """Evolution parameters.  CFL requires dt <= 0.9 h on the run grid; a run
+    takes ceil(t_end / dt) equal steps, so none is longer than dt."""
 
     dt: float
     t_end: float
@@ -191,7 +192,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     if frame is not None and model != SINE_GORDON:
         raise ParameterError(f"a kink frame carries the sine-Gordon kink; "
                              f"it cannot be the background of a {model.kind} run")
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt))) if cfg.t_end > 0 else 0
+    # rounded up, so no step outgrows the checked dt; 1e-9 absorbs round-off
+    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-9)) if cfg.t_end > 0 else 0
     dt = cfg.t_end / n_steps if n_steps else cfg.dt
     snap_stride = max(1, int(round(cfg.snapshot_every / dt))) if n_steps else 1
 
@@ -273,14 +275,10 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         return out
 
     def record(t):
-        u_full, v_full = full_grid(u), full_grid(v)
         traj.times.append(t)
-        traj.u_snaps.append(u_full)
-        traj.v_snaps.append(v_full)
-        # a plain run's u + 0.0 would turn -0.0 entries into +0.0
-        q, q_t = traj.background_fields(t)
-        full = FieldState(t, grid, *((u_full, v_full) if frame is None
-                                     else (u_full + q, v_full + q_t)))
+        traj.u_snaps.append(full_grid(u))
+        traj.v_snaps.append(full_grid(v))
+        full = traj.state(len(traj) - 1)
         traj.energies.append(energy(full, model))
         traj.momenta.append(momentum(full))
 

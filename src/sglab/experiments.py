@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .backlund import BtParameter, bt_pair_residual, zero_momentum_manifold_data
+from .backlund import bt_pair_residual, multiplier_from_speed, zero_momentum_manifold_data
 from .evolution import EvolveConfig, evolve
 from .grids import (PHI4, SINE_GORDON, FieldState, GridSpec, ParameterError,
                     PerturbationPair, local_energy_norm, pde_residual)
@@ -82,7 +82,7 @@ def transform_identity_cases(grid, betas, times):
     cases = []
     for beta in betas:
         f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(beta, 0.0)),
-                                  BtParameter.from_beta(beta).a, 0.0, grid)
+                                  multiplier_from_speed(beta), 0.0, grid)
         cases.append((f"kink-from-vacuum identity beta={beta}",
                       float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))))
         for t in times:

@@ -81,8 +81,10 @@ def save_pair(path, pair: PerturbationPair):
 
 
 def load_pair(path) -> PerturbationPair:
-    """Load a pair saved by save_pair."""
+    """Load a pair saved by save_pair; its entries must be finite numbers."""
     payload = json.loads(Path(path).read_text())
     grid = GridSpec(payload["x_min"], payload["x_max"], payload["n_points"])
-    return PerturbationPair(grid, np.array(payload["first"], dtype=float),
-                            np.array(payload["second"], dtype=float))
+    fields = [np.array(payload["first"]), np.array(payload["second"])]
+    if any(f.dtype.kind not in "iuf" or not np.all(np.isfinite(f)) for f in fields):
+        raise ParameterError("a saved pair must hold finite numbers")
+    return PerturbationPair(grid, *fields)

@@ -69,7 +69,7 @@ class ReportBundle:
     tables: dict = field(default_factory=dict)   # name -> (header, list of row tuples)
     plots: dict = field(default_factory=dict)    # name -> svg text
 
-    def check(self, name, measured, tolerance, provenance="", expected=None,
+    def check(self, name, measured, tolerance, provenance, expected=None,
               larger_ok=False) -> bool:
         """Record a tolerance comparison; returns whether it passed.
 
@@ -130,7 +130,7 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def svg_line_plot(series, title="", xlabel="", ylabel="") -> str:
+def svg_line_plot(series, title, xlabel, ylabel) -> str:
     """Self-contained 640 x 400 SVG line plot of {label: (xs, ys)} series."""
     width, height = 640, 400
     ml, mr, mt, mb = 60, 15, 30, 45

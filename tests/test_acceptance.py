@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from sglab.backlund import (
-    BtParameter,
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
@@ -19,6 +18,7 @@ from sglab.backlund import (
     final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_zero_to_kink,
+    multiplier_from_speed,
 )
 from sglab.conserved import energy, manifold_momentum, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
@@ -146,7 +146,7 @@ def test_criterion_05_manifold_constructor():
     family_err = 0.0
     gf = GridSpec(-40.0, 40.0, 400001)
     for beta in (0.1, 0.2):
-        delta = BtParameter.from_beta(beta).a - 1.0
+        delta = multiplier_from_speed(beta) - 1.0
         rep = construct_manifold_data(gf, np.zeros(gf.n_points),
                                       np.zeros(gf.n_points), delta)
         pb, p0 = KinkParams(beta, 0.0), KinkParams(0.0, 0.0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import sglab
 from sglab import backlund
 from sglab.backlund import (
-    BtParameter,
     _Angles,
     _Background,
     _pair_residual,
@@ -24,6 +23,7 @@ from sglab.backlund import (
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
+    multiplier_from_speed,
     tilde_residual,
     zero_momentum_manifold_data,
 )
@@ -75,19 +75,20 @@ def direct_f2(bg, u, s, y, y_x):
     return bg.psi_t + s - bg.phi_x - y_x - direct_terms(bg, u, y)["minus"]
 
 
-class TestBtParameter:
-    def test_views(self):
-        p = BtParameter.from_beta(0.6)
-        assert p.a == pytest.approx(2.0, abs=1e-14)
+class TestMultiplierFromSpeed:
+    def test_value(self):
+        assert multiplier_from_speed(0.6) == pytest.approx(2.0, abs=1e-14)
 
     @given(beta=st.floats(-0.999, 0.999))
     @settings(max_examples=60, deadline=None)
-    def test_beta_round_trip(self, beta):
-        assert BtParameter.from_beta(beta).beta == pytest.approx(beta, abs=1e-14)
+    def test_round_trip_through_final_speed(self, beta):
+        delta = multiplier_from_speed(beta) - 1.0
+        assert final_speed_from_delta(delta) == pytest.approx(beta, abs=1e-14)
 
-    def test_zero_rejected(self):
-        with pytest.raises(ParameterError):
-            BtParameter(0.0)
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, math.nan])
+    def test_speed_outside_the_unit_interval_rejected(self, beta):
+        with pytest.raises(ParameterError, match="beta"):
+            multiplier_from_speed(beta)
 
 
 class TestBtResidual:
@@ -100,7 +101,7 @@ class TestBtResidual:
 
     def test_pair_residual_uses_analytic_derivatives(self, grid40):
         f1, f2 = bt_pair_residual(zero_sampler(), kink(KinkParams(0.5, 0.0)),
-                                  BtParameter.from_beta(0.5).a, 0.0, grid40)
+                                  multiplier_from_speed(0.5), 0.0, grid40)
         assert np.max(np.abs(f1)) < 1e-13
         assert np.max(np.abs(f2)) < 1e-13
 
@@ -215,7 +216,7 @@ class TestManifoldConstructor:
         # the offset a(beta) - 1 with no perturbation reproduces the
         # moving-kink profile relative to the static one
         g = GridSpec(-40.0, 40.0, 400001)
-        delta = BtParameter.from_beta(beta).a - 1.0
+        delta = multiplier_from_speed(beta) - 1.0
         rep = construct_manifold_data(g, np.zeros(g.n_points), np.zeros(g.n_points), delta)
         pb = KinkParams(beta, 0.0)
         p0 = KinkParams(0.0, 0.0)
@@ -255,6 +256,12 @@ class TestManifoldConstructor:
         even = np.exp(-(grid40.x / 3) ** 2)
         with pytest.raises(ContractError, match="odd"):
             construct_manifold_data(grid40, even, zeros_like_grid(grid40), 0.0)
+
+    def test_nan_input_fails_the_parity_contract(self, grid40):
+        y = zeros_like_grid(grid40)
+        y[100] = np.nan
+        with pytest.raises(ContractError, match="even"):
+            lift_zero_to_kink(grid40, y, zeros_like_grid(grid40))
 
     def test_zero_momentum_projection(self, grid40, rng):
         y0 = smooth_random(grid40, "odd", 0.05, rng)
@@ -639,8 +646,7 @@ _OPTIONS = {
     "local_energy_norm": {"interval"},
     "track_modulation": {"interval"},
     "rho_rate_check": {"eps"},
-    "ReportBundle.check": {"provenance", "expected", "larger_ok"},
-    "svg_line_plot": {"title", "xlabel", "ylabel"},
+    "ReportBundle.check": {"expected", "larger_ok"},
 }
 
 
@@ -678,4 +684,4 @@ def test_solver_options_are_the_ones_callers_set(name):
 
 def test_options_pin_names_live_functions():
     assert set(_OPTIONS) <= set(_PUBLIC_FUNCTIONS)
-    assert sum(map(len, _OPTIONS.values())) == 13
+    assert sum(map(len, _OPTIONS.values())) == 9

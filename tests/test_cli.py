@@ -28,17 +28,17 @@ def write_config(tmp_path, name, payload):
 class TestReportBundle:
     def test_check_semantics(self):
         b = ReportBundle("t")
-        assert b.check("close", 1.0005, 1e-3, expected=1.0)
-        assert not b.check("far", 2.0, 1e-3, expected=1.0)
-        assert b.check("small", 1e-9, 1e-6)
-        assert b.check("order", 2.0, 1.9, larger_ok=True)
+        assert b.check("close", 1.0005, 1e-3, "", expected=1.0)
+        assert not b.check("far", 2.0, 1e-3, "", expected=1.0)
+        assert b.check("small", 1e-9, 1e-6, "")
+        assert b.check("order", 2.0, 1.9, "", larger_ok=True)
         assert not b.passed
 
     def test_write_outputs(self, tmp_path):
         b = ReportBundle("demo")
-        b.check("a", 0.5, 1.0)
+        b.check("a", 0.5, 1.0, "")
         b.tables["numbers"] = (["x", "y"], [(0.0, 1.0), (1.0, 2.0)])
-        b.plots["line"] = svg_line_plot({"y": ([0, 1], [1, 2])}, title="demo")
+        b.plots["line"] = svg_line_plot({"y": ([0, 1], [1, 2])}, "demo", "", "")
         out = b.write(tmp_path / "report")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
@@ -50,7 +50,7 @@ class TestReportBundle:
     def test_summary_rows_keep_their_key_order(self, tmp_path):
         b = ReportBundle("demo")
         b.check("bare", 0.5, 1.0, "provenance text")
-        b.check("against", 1.0005, 1e-3, expected=1.0)
+        b.check("against", 1.0005, 1e-3, "", expected=1.0)
         checks = json.loads((b.write(tmp_path / "report") / "summary.json").read_text())["checks"]
         keys = ["name", "measured", "tolerance", "passed", "provenance"]
         assert [list(c) for c in checks] == [keys, keys + ["expected"]]
@@ -238,7 +238,9 @@ class TestCliCommands:
         ("sweep", {"kind": "three-soliton-limit", "beta": "0.5"}),
         ("sweep", {"kind": "three-soliton-limit", "grid": {"n_points": "801"}}),
         ("lift", {"input_file": "missing.json"}), ("lift", {"input_file": "not-json.txt"}),
-        ("lift", {"input_file": "no-x-max.json"}),
+        ("lift", {"input_file": "no-x-max.json"}), ("lift", {"input_file": "string-entry.json"}),
+        ("lift", {"input_file": "nan-entry.json"}), ("lift", {"input_file": "infinite-even.json"}),
+        ("lift", {"input_file": "ragged-entry.json"}),
         ("stability", {"experiment": "wobbler", "eta": 0}),
         ("stability", {"experiment": "wobbler", "eta": -0.001}),
         ("stability", {"etas": []}), ("stability", {"etas": [0.02, 0.0]}),
@@ -276,7 +278,8 @@ class TestCliCommands:
             "string-descend-t", "string-seed", "negative-seed", "string-wobbler-beta",
             "string-sweep-t-end", "cfl-violating-resolution", "string-sweep-beta",
             "string-sweep-n-points", "missing-input-file", "input-file-not-json",
-            "input-file-without-x-max", "zero-eta",
+            "input-file-without-x-max", "input-file-string-entry", "input-file-nan-entry",
+            "input-file-infinite-even-pair", "input-file-ragged-entry", "zero-eta",
             "negative-eta", "empty-etas", "zero-in-etas", "negative-in-etas", "empty-deltas",
             "empty-resolutions", "one-resolution", "repeated-dt", "empty-speeds", "one-speed",
             "repeated-etas", "zero-sweep-t-end", "infinite-t-end", "infinite-snapshot-every",
@@ -293,6 +296,14 @@ class TestCliCommands:
         (tmp_path / "not-json.txt").write_text("{not json")
         write_config(tmp_path, "no-x-max.json", {"x_min": -1.0, "n_points": 3,
                                                  "first": [0, 0, 0], "second": [0, 0, 0]})
+        # a saved pair holds a list of finite numbers; an even pair of
+        # infinities would pass the parity check as NaN defects
+        for name, first in (("string-entry", [0, "a", 0]), ("nan-entry", [0, float("nan"), 0]),
+                            ("infinite-even", [0, 1e400, 0, 1e400, 0]),
+                            ("ragged-entry", [[0], [0, 0], 0])):
+            write_config(tmp_path, f"{name}.json", {"x_min": -1.0, "x_max": 1.0,
+                                                    "n_points": len(first), "first": first,
+                                                    "second": [0] * len(first)})
         cfg = write_config(tmp_path, "c.json", payload)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -44,6 +44,17 @@ def test_cfl_violation_refused(grid40):
         evolve(st, SINE_GORDON, EvolveConfig(dt=0.05, t_end=1.0))
 
 
+@pytest.mark.parametrize("ratio", [1.4, 2.4, 3.4])
+def test_no_step_is_longer_than_dt(ratio):
+    # at dt = 0.9 h a t_end of 1.4, 2.4 or 3.4 steps, rounded to the nearest
+    # whole count, would step at 1.26 h, 1.08 h or 1.02 h, past the CFL bound
+    grid = GridSpec(-40.0, 40.0, 801)
+    dt = 0.9 * grid.h
+    traj = evolve(kink(KinkParams(0.0)).sample(grid, 0.0), SINE_GORDON,
+                  EvolveConfig(dt=dt, t_end=ratio * dt, snapshot_every=0.1 * dt))
+    assert traj.times[1] - traj.times[0] <= dt
+
+
 @pytest.mark.parametrize("times", [{"t_end": np.inf}, {"t_end": 1.0, "snapshot_every": np.inf},
                                    {"t_end": np.nan}, {"t_end": 1.0, "dt": np.inf}])
 def test_times_must_be_finite(times):

@@ -134,7 +134,7 @@ def test_package_exports_exactly_the_pinned_names():
     public = {n for n, v in vars(sglab).items()
               if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set("""
-        BtParameter ContractError EvolveConfig FieldState GridSpec KinkFrame KinkParams
+        ContractError EvolveConfig FieldState GridSpec KinkFrame KinkParams
         LiftReport Model ModulationRecord PHI4 ParameterError PerturbationPair SINE_GORDON
         SchrodingerOperator SolutionSampler SolverError ThreeSolitonParams Trajectory
         TubeExitError WeightSpec WobblerParams breather bt_pair_residual
@@ -143,7 +143,8 @@ def test_package_exports_exactly_the_pinned_names():
         final_speed_from_momentum kink kink_phi4_dual_operator kink_phi4_operator
         kink_profile kink_sg_operator lbt_residual_phi4 lbt_residual_phi4_dual
         lbt_residual_sg lift_breather_to_wobbler lift_with_orthogonality lift_zero_to_kink
-        linear_mode local_energy_norm manifold_momentum momentum parity_check pde_residual
+        linear_mode local_energy_norm manifold_momentum momentum multiplier_from_speed
+        parity_check pde_residual
         phi4_kink quadrature rho_rate_check
         stilde_bound_check three_soliton tilde_residual track_modulation two_kink
         weighted_norm_sq wobbler zero_sampler""".split())
