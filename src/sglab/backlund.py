@@ -38,6 +38,7 @@ from .grids import (
     ParameterError,
     PerturbationPair,
     SolverError,
+    _fix_boundary_rows,
     _running_trapezoid,
     _trapezoid,
     derivative,
@@ -331,20 +332,6 @@ def _solve_inward(c, f, grid, m):
     w[m:] = (-_sweep(f[m:][::-1], weight[m:][::-1], h))[::-1]
     _fix_boundary_rows(w, f, -c, h)
     return w
-
-
-def _fix_boundary_rows(w, r, c, h):
-    """Make the one-sided end rows of the linearized system exact.
-
-    The integrating-factor solve satisfies the trapezoid cell relations; the
-    residual, however, uses one-sided difference rows at the two boundary
-    nodes.  Solving those two scalar rows directly removes a slowly decaying
-    boundary layer that otherwise limits convergence for slowly decaying data.
-    The row enforced at each end is (Dw)[end] + c[end] * w[end] = r[end]
-    with D the one-sided three-point stencil.
-    """
-    w[0] = (r[0] - (4.0 * w[1] - w[2]) / (2.0 * h)) / (-3.0 / (2.0 * h) + c[0])
-    w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
 
 
 def _newton(residual_fn, step_fn, n):

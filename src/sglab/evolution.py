@@ -27,6 +27,7 @@ from .grids import (
     PerturbationPair,
     parity_check,
 )
+from .grids import _CFL, _centre_rule, _half_grid, _second_difference  # the scheme's lattice
 from .solutions import KinkParams
 
 __all__ = ["KinkFrame", "EvolveConfig", "Trajectory", "evolve"]
@@ -186,8 +187,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     """
     grid = initial.grid
     h = grid.h
-    if cfg.dt > 0.9 * h + 1e-15:
-        raise ParameterError(f"CFL violation: dt = {cfg.dt} > 0.9 h = {0.9 * h:.6g}")
+    if cfg.dt > _CFL * h + 1e-15:
+        raise ParameterError(f"CFL violation: dt = {cfg.dt} > {_CFL} h = {_CFL * h:.6g}")
     frame = cfg.background
     if frame is not None and model != SINE_GORDON:
         raise ParameterError(f"a kink frame carries the sine-Gordon kink; "
@@ -203,20 +204,11 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     q0, q0_t = traj.background_fields(t0)
     u = initial.u - q0
     v = initial.v - q0_t
-    # with a kept parity u and v hold the nodes from lo on: an odd state
-    # starts at the centre node m and holds it at 0 like the grid ends; an
-    # even one starts at a ghost node left of m that copies node m + 1, so
-    # the centre's second difference is 2 (u[m+1] - u[m])
+    # a run keeping a parity holds only the half grid's nodes: the last u.size of the grid
     sign = _kept_parity(u, v, grid, frame)
-    m = grid.n_points // 2
-    lo = 0 if sign is None else m if sign < 0 else m - 1
-    ghost = sign is not None and sign > 0
     if sign is not None:
-        u, v = u[lo:].copy(), v[lo:].copy()
-        if ghost:
-            u[0] = u[2]
-        else:
-            u[0] = v[0] = 0.0
+        u, v = _half_grid(u, sign), _half_grid(v, sign)
+    m = grid.n_points // 2
     # the node nearest x = 0 that moves, probed for blow-up on every step
     probe = m if sign is None else 1
     dt2 = dt * dt
@@ -227,7 +219,7 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     plain_sine = frame is None and model == SINE_GORDON
     # interior views: the end values of u stay fixed and those of v are zeroed
     u_in, v_in = u[1:-1], v[1:-1]
-    x_in = grid.x[lo + 1:-1]
+    x_in = grid.x[-u.size:][1:-1]
     # every buffer of the step is allocated here, so the loop allocates no
     # array: the C heap may hand a freed temporary back to the kernel, and
     # the next step would page-fault it in again
@@ -236,8 +228,6 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     force = np.empty_like(u_in)
     work = np.empty_like(u_in)
     slope = np.empty(u.size - 1)
-    u_hi, u_lo = u[1:], u[:-1]
-    slope_hi, slope_lo = slope[1:], slope[:-1]
     if frame is not None:
         terms = frame.at(t0).sin_cos_q(x_in, (np.empty_like(u_in), np.empty_like(u_in)), work)
         if not moving:
@@ -246,11 +236,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
                 term *= force_scale
 
     def accelerate(t):
-        # acc = dt^2 (u_xx - N), built in place from the forward differences
-        # slope = u[j+1] - u[j] as (slope[j] - slope[j-1]) dt^2/h^2 - dt^2 N;
-        # out= is passed by position, the cheapest ufunc call
-        np.subtract(u_hi, u_lo, slope)
-        np.subtract(slope_hi, slope_lo, acc)
+        # acc = dt^2 (u_xx - N), built in place; out= by position is the cheapest call
+        _second_difference(u, slope, acc)
         np.multiply(acc, lap_scale, acc)
         if plain_sine:
             _half_sin(u_in, force, work)
@@ -270,8 +257,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
         if sign is None:
             return a.copy()
         out = np.empty(grid.n_points)
-        out[m:] = a[m - lo:]
-        np.multiply(a[:m - lo:-1], sign, out[:m])
+        out[m:] = a[-m - 1:]
+        np.multiply(a[:-m - 1:-1], sign, out[:m])
         return out
 
     def record(t):
@@ -293,8 +280,8 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     p += work
     for step in range(1, n_steps + 1):
         u_in += p
-        if ghost:
-            u[0] = u[2]
+        if sign is not None:
+            _centre_rule(u, sign)
         t = t0 + step * dt
         accelerate(t)
         if not math.isfinite(u[probe]):

@@ -65,8 +65,8 @@ class GridSpec:
                                  f"got {self.x_min!r} and {self.x_max!r}")
         if not isinstance(self.n_points, numbers.Integral):
             raise ParameterError(f"n_points must be an integer, got {self.n_points!r}")
-        if not self.x_min < self.x_max:
-            raise ParameterError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not 0 < self.x_max - self.x_min < np.inf:  # false for a non-finite end too
+            raise ParameterError(f"need 0 < x_max - x_min < inf, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ParameterError(f"need n_points >= 3, got {self.n_points}")
         object.__setattr__(self, "_x", np.linspace(self.x_min, self.x_max, self.n_points))
@@ -171,8 +171,10 @@ class WeightSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError(f"weight rate must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:
+            raise ParameterError(f"weight rate must be positive and finite, got {self.rate}")
+        if not np.isfinite(self.center):
+            raise ParameterError(f"weight center must be finite, got {self.center}")
 
     def values(self, x):
         return np.exp(-self.rate * np.abs(x - self.center))
@@ -195,17 +197,6 @@ def _running_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
 def quadrature(values, grid: GridSpec) -> float:
     """Trapezoid-rule integral over the grid; exact for piecewise-linear data."""
     return _trapezoid(_as_field(values, grid, "values"), grid.h)
-
-
-def derivative(values, grid: GridSpec) -> np.ndarray:
-    """First derivative: centered second order inside, one-sided second order at ends."""
-    f = _as_field(values, grid, "values")
-    h = grid.h
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
 
 
 def second_derivative(values, grid: GridSpec) -> np.ndarray:
@@ -295,3 +286,50 @@ def parity_check(values, grid: GridSpec, kind: str) -> float:
     if kind == "odd":
         return float(np.max(np.abs(f + f[::-1])))
     raise ParameterError(f"parity kind must be 'odd' or 'even', got {kind!r}")
+
+
+# --- the scheme's 3-point lattice: `derivative`'s end rows, which the transform
+# solves meet, and the evolver's CFL factor, second difference and centre rule
+
+_CFL = 0.9  # the largest dt / h the leapfrog step accepts
+
+
+def derivative(values, grid: GridSpec) -> np.ndarray:
+    """First derivative: centered second order inside, one-sided second order at ends."""
+    f = _as_field(values, grid, "values")
+    h = grid.h
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return out
+
+
+def _fix_boundary_rows(w, r, c, h):
+    """Set w[0] and w[-1], given the rest of w, so that derivative(w) + c w = r holds
+    in ``derivative``'s one-sided end rows; the transform solves' trapezoid relations
+    miss them, leaving a boundary layer that slows Newton for slowly decaying data."""
+    w[0] = (r[0] - (4.0 * w[1] - w[2]) / (2.0 * h)) / (-3.0 / (2.0 * h) + c[0])
+    w[-1] = (r[-1] + (4.0 * w[-2] - w[-3]) / (2.0 * h)) / (3.0 / (2.0 * h) + c[-1])
+
+
+def _second_difference(u, slope, out):
+    """Write the forward slopes u[j+1] - u[j] into ``slope`` and their
+    differences, h^2 u_xx at the interior nodes, into ``out``; allocates nothing."""
+    np.subtract(u[1:], u[:-1], slope)
+    np.subtract(slope[1:], slope[:-1], out)
+
+
+def _half_grid(a, sign):
+    """A copy of the nodes of the full-grid ``a`` that a run keeping the parity
+    ``sign`` holds, ``_centre_rule`` applied."""
+    m = a.size // 2
+    return _centre_rule(a[m if sign < 0 else m - 1:].copy(), sign)
+
+
+def _centre_rule(u, sign):
+    """Apply the half grid's centre rule to u, as runs do after each drift; returns u.
+    An odd run starts at the centre m and holds it at 0 like a grid end; an even one at a
+    ghost node left of m copying node m + 1, so h^2 u_xx at m is 2 (u[m+1] - u[m])."""
+    u[0] = 0.0 if sign < 0 else u[2]
+    return u

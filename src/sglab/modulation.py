@@ -174,6 +174,8 @@ def rho_rate_check(records, zero_pairs, eps: float = 0.1) -> dict:
     has no ratios.  Returns the bounds, the ratios and their max; a pure
     diagnostic, nothing is asserted.
     """
+    if not -np.inf < eps < 1:
+        raise ParameterError(f"eps must be finite and below 1, got {eps}")
     if len(zero_pairs) != len(records):
         raise ParameterError("zero_pairs must align with records")
     bounds = [float(weighted_norm_sq(pair, WeightSpec(1.0 - eps, rec.rho)))

@@ -13,6 +13,8 @@ from sglab.grids import (
     PHI4,
     SINE_GORDON,
     WeightSpec,
+    _fix_boundary_rows,
+    _second_difference,
     derivative,
     local_energy_norm,
     parity_check,
@@ -52,6 +54,12 @@ class TestGridSpec:
         # JSON configs and saved pairs can carry strings or non-integer counts
         for bad in (("-1", 1.0, 11), (-1.0, 1.0, "11"), (-1.0, 1.0, 11.0)):
             with pytest.raises(ParameterError):
+                GridSpec(*bad)
+        # a non-finite end, or finite ends whose span overflows, would give
+        # NaN nodes and an infinite spacing
+        for bad in ((-np.inf, 0.0, 5), (0.0, np.inf, 5), (-np.inf, np.inf, 5),
+                    (-1e308, 1e308, 5)):
+            with pytest.raises(ParameterError, match="need 0 < x_max - x_min < inf"):
                 GridSpec(*bad)
 
     def test_asymmetric_grid_rejected_for_parity(self):
@@ -120,6 +128,33 @@ class TestDerivative:
             g = GridSpec(-3.0, 3.0, n)
             errs.append(np.max(np.abs(derivative(np.sin(g.x), g) - np.cos(g.x))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+    def test_second_difference_second_order(self):
+        # the evolver's Laplacian: the second difference of the forward slopes
+        # over h^2 approximates -sin x on the interior nodes with order 2
+        errs = []
+        for n in (101, 201, 401):
+            g = GridSpec(-3.0, 3.0, n)
+            slope, out = np.empty(n - 1), np.empty(n - 2)
+            _second_difference(np.sin(g.x), slope, out)
+            np.testing.assert_array_equal(slope, np.diff(np.sin(g.x)))
+            errs.append(np.max(np.abs(out / g.h ** 2 + np.sin(g.x[1:-1]))))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
+
+    def test_end_row_solve_meets_the_derivative_end_rows(self, rng):
+        # after the solve, derivative(w) + c w equals r in both end rows to
+        # round-off, whatever the interior of w holds
+        g = GridSpec(-5.0, 7.0, 61)
+        for _ in range(5):
+            w, c, r = (rng.normal(size=g.n_points) for _ in range(3))
+            interior = w[1:-1].copy()
+            _fix_boundary_rows(w, r, c, g.h)
+            np.testing.assert_array_equal(w[1:-1], interior)
+            lhs = derivative(w, g) + c * w
+            scale = np.abs(r).max() + np.abs(w).max() / g.h
+            assert abs(lhs[0] - r[0]) <= 1e-13 * scale
+            assert abs(lhs[-1] - r[-1]) <= 1e-13 * scale
 
     def test_second_derivative_second_order(self):
         errs = []
@@ -297,3 +332,10 @@ def test_field_state_validation(grid40):
 def test_weight_spec_positive_rate():
     with pytest.raises(ParameterError):
         WeightSpec(0.0)
+    # an infinite rate gives inf * 0 = NaN at the centre; a non-finite centre
+    # gives NaN or 0 everywhere
+    with pytest.raises(ParameterError, match="weight rate"):
+        WeightSpec(np.inf)
+    for center in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="weight center"):
+            WeightSpec(1.0, center)

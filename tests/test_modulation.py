@@ -254,8 +254,11 @@ def test_rate_check_bound_is_the_weighted_norm(grid40):
     record = ModulationRecord(t=0.0, rho=0.3, rho_rate=1e-4)
     out = rho_rate_check([record], [pair], 0.1)
     assert out["bounds"] == [weighted_norm_sq(pair, WeightSpec(0.9, 0.3))]
-    with pytest.raises(ParameterError, match="weight rate"):
-        rho_rate_check([record], [pair], 1.0)
+    # the refusal names eps, with records or without
+    for eps in (1.0, 2.0, np.inf, -np.inf, np.nan):
+        for recs, pairs in (([record], [pair]), ([], [])):
+            with pytest.raises(ParameterError, match="eps must be finite and below 1"):
+                rho_rate_check(recs, pairs, eps)
 
 
 def test_rate_check_floors_the_bound_at_a_thousandth_of_its_peak(grid40):
