@@ -35,6 +35,7 @@ from .solutions import (
     kink,
     kink_profile,
     linear_mode,
+    multiplier_from_speed,
     phi4_kink,
     three_soliton,
     two_kink,
@@ -53,7 +54,6 @@ from .backlund import (
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
-    multiplier_from_speed,
     tilde_residual,
 )
 from .spectra import (

@@ -35,7 +35,6 @@ from .grids import (
     ContractError,
     FieldState,
     GridSpec,
-    ParameterError,
     PerturbationPair,
     SolverError,
     _fix_boundary_rows,
@@ -55,7 +54,6 @@ from .solutions import (
 )
 
 __all__ = [
-    "multiplier_from_speed",
     "LiftReport",
     "bt_pair_residual",
     "tilde_residual",
@@ -76,14 +74,6 @@ _MAX_ITER = 50  # Newton iterations a solve may take to reach _TOL
 _PARITY_TOL = 1e-9  # input parity defect the maps accept
 _RESULT_PARITY_TOL = 1e-8  # parity defect of the results the maps guarantee
 _COMPAT_TOL = 1e-10  # compatibility integral the vacuum-side solves accept
-
-
-def multiplier_from_speed(beta: float) -> float:
-    """The transform multiplier a = sqrt((1 + beta)/(1 - beta)) of the kink
-    with speed beta; beta = (a^2 - 1)/(a^2 + 1) inverts it."""
-    if not abs(beta) < 1:
-        raise ParameterError(f"|beta| < 1 required, got {beta}")
-    return math.sqrt((1.0 + beta) / (1.0 - beta))
 
 
 @dataclass
@@ -234,17 +224,13 @@ def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair
 
 
 def tilde_residual(utilde_stilde: PerturbationPair, y_v: PerturbationPair,
-                   delta: float, kinkp: KinkParams) -> tuple:
-    """Kink-centered transform residuals (F1, F2) for given perturbation pairs.
-
-    The multiplier is a(kinkp.beta) + delta and must be nonzero.
-    """
+                   delta: float) -> tuple:
+    """Transform residuals (F1, F2) for given perturbation pairs around the
+    static kink, with the kink-side maps' multiplier 1 + delta."""
     if utilde_stilde.grid != y_v.grid:
         raise ContractError("tilde_residual needs matching grids")
-    mult = multiplier_from_speed(kinkp.beta) + delta
-    if mult == 0:
-        raise ParameterError(f"a(beta) + delta must be nonzero, got {mult}")
-    return _pair_residual(_Background.kink(utilde_stilde.grid, mult, kinkp), utilde_stilde, y_v)
+    bg = _Background.kink(utilde_stilde.grid, _offset_multiplier(delta))
+    return _pair_residual(bg, utilde_stilde, y_v)
 
 
 def bt_pair_residual(phi: SolutionSampler, psi: SolutionSampler, a: float, t: float,

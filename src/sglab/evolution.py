@@ -209,8 +209,9 @@ def evolve(initial: FieldState, model: Model, cfg: EvolveConfig) -> Trajectory:
     if sign is not None:
         u, v = _half_grid(u, sign), _half_grid(v, sign)
     m = grid.n_points // 2
-    # the node nearest x = 0 that moves, probed for blow-up on every step
-    probe = m if sign is None else 1
+    # node m, or m + 1 on the half grid (an odd run's centre never moves), probed for
+    # blow-up on every step
+    probe = m if sign is None else 2
     dt2 = dt * dt
     lap_scale = dt2 / h ** 2
     # the sine-Gordon forces are built from half of sin u

@@ -11,15 +11,15 @@ import math
 
 import numpy as np
 
-from .backlund import bt_pair_residual, multiplier_from_speed, zero_momentum_manifold_data
+from .backlund import bt_pair_residual, zero_momentum_manifold_data
 from .evolution import EvolveConfig, evolve
 from .grids import (PHI4, SINE_GORDON, FieldState, GridSpec, ParameterError,
                     PerturbationPair, local_energy_norm, pde_residual)
 from .inputs import smooth_random
 from .modulation import rho_rate_check, track_modulation
 from .solutions import (KinkParams, ThreeSolitonParams, WobblerParams, breather, kink,
-                        linear_mode, phi4_kink, three_soliton, two_kink, wobbler,
-                        zero_sampler)
+                        linear_mode, multiplier_from_speed, phi4_kink, three_soliton,
+                        two_kink, wobbler, zero_sampler)
 from .spectra import (discrete_spectrum, kink_phi4_dual_operator, kink_phi4_operator,
                       kink_sg_operator, lbt_residual_phi4, lbt_residual_phi4_dual,
                       lbt_residual_sg)

@@ -322,14 +322,19 @@ def _second_difference(u, slope, out):
 
 def _half_grid(a, sign):
     """A copy of the nodes of the full-grid ``a`` that a run keeping the parity
-    ``sign`` holds, ``_centre_rule`` applied."""
+    ``sign`` holds, from the ghost node m - 1 left of the centre m, with an odd
+    run's centre set to 0 and ``_centre_rule`` applied."""
     m = a.size // 2
-    return _centre_rule(a[m if sign < 0 else m - 1:].copy(), sign)
+    u = a[m - 1:].copy()
+    if sign < 0:
+        u[1] = 0.0
+    return _centre_rule(u, sign)
 
 
 def _centre_rule(u, sign):
     """Apply the half grid's centre rule to u, as runs do after each drift; returns u.
-    An odd run starts at the centre m and holds it at 0 like a grid end; an even one at a
-    ghost node left of m copying node m + 1, so h^2 u_xx at m is 2 (u[m+1] - u[m])."""
-    u[0] = 0.0 if sign < 0 else u[2]
+    The ghost node left of the centre m mirrors node m + 1 with the parity's sign, so
+    h^2 u_xx at m is 2 (u[m+1] - u[m]) for an even run and 0 for an odd one, whose
+    centre, with N(0) = 0, then stays exactly 0."""
+    u[0] = sign * u[2]
     return u

@@ -199,7 +199,7 @@ def stilde_bound_check(pair: PerturbationPair, y_v: PerturbationPair) -> dict:
     """
     if pair.grid != y_v.grid:
         raise ParameterError("pairs must share a grid")
-    _, f2 = tilde_residual(pair, y_v, 0.0, KinkParams())
+    _, f2 = tilde_residual(pair, y_v, 0.0)
     identity_residual = float(np.max(np.abs(f2)))
     s, y = pair.second, y_v.first
     y_x = derivative(y, pair.grid)

@@ -20,6 +20,7 @@ from .grids import FieldState, GridSpec, ParameterError, derivative
 __all__ = [
     "SolutionSampler",
     "KinkParams",
+    "multiplier_from_speed",
     "WobblerParams",
     "ThreeSolitonParams",
     "kink",
@@ -154,6 +155,14 @@ class KinkParams:
         cos_q *= work
         np.subtract(1.0, cos_q, out=cos_q)
         return out
+
+
+def multiplier_from_speed(beta: float) -> float:
+    """The transform multiplier a = sqrt((1 + beta)/(1 - beta)) of the kink
+    with speed beta; beta = (a^2 - 1)/(a^2 + 1) inverts it."""
+    if not abs(beta) < 1:
+        raise ParameterError(f"|beta| < 1 required, got {beta}")
+    return math.sqrt((1.0 + beta) / (1.0 - beta))
 
 
 def kink(p: KinkParams) -> SolutionSampler:
@@ -304,7 +313,7 @@ class ThreeSolitonParams:
 
     @property
     def a_v(self) -> float:
-        return math.sqrt((1.0 + self.v) / (1.0 - self.v))
+        return multiplier_from_speed(self.v)
 
     @property
     def alpha(self) -> float:
@@ -363,33 +372,29 @@ def three_soliton(p: ThreeSolitonParams) -> SolutionSampler:
 _SQRT2 = math.sqrt(2.0)
 
 
-def phi4_kink() -> SolutionSampler:
-    """Static phi^4 kink H(x) = tanh(x/sqrt(2)); H' = (1 - H^2)/sqrt(2)."""
-
-    def value(t, x):
-        return np.tanh(np.asarray(x, dtype=float) / _SQRT2)
-
-    def d_dt(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_dx(t, x):
-        return _sech(np.asarray(x, dtype=float) / _SQRT2) ** 2 / _SQRT2
-
-    return SolutionSampler(value, d_dt, d_dx)
-
-
-# --- linear modes -----------------------------------------------------------
-
-_OMEGA_INTERNAL = math.sqrt(1.5)
-_SQRT3 = math.sqrt(3.0)
-
-
 def _tanh_s(x):
     return np.tanh(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def _sech_s(x):
     return _sech(np.asarray(x, dtype=float) / _SQRT2)
+
+
+def _h_slope(x):
+    return _sech_s(x) ** 2 / _SQRT2
+
+
+def phi4_kink() -> SolutionSampler:
+    """Static phi^4 kink H(x) = tanh(x/sqrt(2)); H' = (1 - H^2)/sqrt(2)."""
+    return SolutionSampler(lambda t, x: _tanh_s(x),
+                           lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+                           lambda t, x: _h_slope(x))
+
+
+# --- linear modes -----------------------------------------------------------
+
+_OMEGA_INTERNAL = math.sqrt(1.5)
+_SQRT3 = math.sqrt(3.0)
 
 
 def _quarter(k, s):
@@ -409,7 +414,7 @@ _MODE_PROFILES = {
            lambda x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2)),
     # the kink slopes 2 sech x and H' = sech^2(x/sqrt 2)/sqrt 2: the zero modes
     "Q-slope": (lambda x: 2.0 * _sech(x), lambda x: -2.0 * np.tanh(x) * _sech(x)),
-    "H-slope": (lambda x: _sech_s(x) ** 2 / _SQRT2, lambda x: -_tanh_s(x) * _sech_s(x) ** 2),
+    "H-slope": (_h_slope, lambda x: -_tanh_s(x) * _sech_s(x) ** 2),
     "resonance": (lambda x: 1.0 - 1.5 * _sech_s(x) ** 2,
                   lambda x: (3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x)),
     "tanh_s": (_tanh_s, lambda x: (1.0 / _SQRT2) * _sech_s(x) ** 2),

@@ -27,7 +27,7 @@ from .grids import (
     SolverError,
     quadrature,
 )
-from .solutions import SolutionSampler, _sech
+from .solutions import _OMEGA_INTERNAL, _SQRT2, SolutionSampler, _sech, _sech_s, _tanh_s
 
 __all__ = [
     "SchrodingerOperator",
@@ -39,9 +39,6 @@ __all__ = [
     "lbt_residual_phi4",
     "lbt_residual_phi4_dual",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class SchrodingerOperator:
@@ -67,11 +64,11 @@ def kink_sg_operator() -> SchrodingerOperator:
 
 
 def kink_phi4_operator() -> SchrodingerOperator:
-    return SchrodingerOperator(lambda x: 2.0 - 3.0 * _sech(np.asarray(x) / _SQRT2) ** 2, 2.0)
+    return SchrodingerOperator(lambda x: 2.0 - 3.0 * _sech_s(x) ** 2, 2.0)
 
 
 def kink_phi4_dual_operator() -> SchrodingerOperator:
-    return SchrodingerOperator(lambda x: 2.0 - _sech(np.asarray(x) / _SQRT2) ** 2, 2.0)
+    return SchrodingerOperator(lambda x: 2.0 - _sech_s(x) ** 2, 2.0)
 
 
 def discrete_spectrum(op: SchrodingerOperator, grid: GridSpec):
@@ -128,7 +125,7 @@ def lbt_residual_sg(phi: SolutionSampler, psi: SolutionSampler, t: float, grid: 
 def lbt_residual_phi4(phi: SolutionSampler, psi: SolutionSampler, t: float, grid: GridSpec):
     """Residuals of the linearized transform around the phi^4 kink (coefficient sqrt 2 H)."""
     return _first_order_residuals(phi.fields(grid, t), psi.fields(grid, t),
-                                  _SQRT2 * np.tanh(grid.x / _SQRT2))
+                                  _SQRT2 * _tanh_s(grid.x))
 
 
 def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSpec):
@@ -145,12 +142,9 @@ def lbt_residual_phi4_dual(phi_pair, psi_pair, sign: int, t: float, grid: GridSp
     """
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    lam_im = math.sqrt(1.5)  # lam = i * lam_im
-    coeff = np.tanh(grid.x / _SQRT2) / _SQRT2
-    (phi_re, phi_im), (psi_re, psi_im) = ([s.fields(grid, t) for s in pair]
-                                          for pair in (phi_pair, psi_pair))
-    e1_re, e2_re = _first_order_residuals(phi_re, psi_re, coeff)
-    e1_im, e2_im = _first_order_residuals(phi_im, psi_im, coeff)
-    # lam * (a + i b) = i lam_im (a + i b) = -lam_im b + i lam_im a
-    return ((e1_re + sign * (-lam_im * psi_im[0]), e1_im + sign * (lam_im * psi_re[0])),
-            (e2_re + sign * (-lam_im * phi_im[0]), e2_im + sign * (lam_im * phi_re[0])))
+    phi, psi = ([re + 1j * im for re, im in zip(*(s.fields(grid, t) for s in pair))]
+                for pair in (phi_pair, psi_pair))
+    e1, e2 = _first_order_residuals(phi, psi, _tanh_s(grid.x) / _SQRT2)
+    lam = sign * 1j * _OMEGA_INTERNAL
+    e1, e2 = e1 + lam * psi[0], e2 + lam * phi[0]
+    return (e1.real, e1.imag), (e2.real, e2.imag)

@@ -18,7 +18,6 @@ from sglab.backlund import (
     final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_zero_to_kink,
-    multiplier_from_speed,
 )
 from sglab.conserved import energy, manifold_momentum, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
@@ -53,6 +52,7 @@ from sglab.solutions import (
     breather,
     kink,
     linear_mode,
+    multiplier_from_speed,
     phi4_kink,
     three_soliton,
     two_kink,

@@ -23,7 +23,6 @@ from sglab.backlund import (
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
-    multiplier_from_speed,
     tilde_residual,
     zero_momentum_manifold_data,
 )
@@ -46,6 +45,7 @@ from sglab.solutions import (
     WobblerParams,
     breather,
     kink,
+    multiplier_from_speed,
     wobbler,
     zero_sampler,
 )
@@ -109,7 +109,7 @@ class TestBtResidual:
 class TestTildeResidual:
     def test_zero_perturbations_at_zero_offset(self, grid40):
         z = PerturbationPair(grid40, zeros_like_grid(grid40), zeros_like_grid(grid40))
-        f1, f2 = tilde_residual(z, z, 0.0, KinkParams(0.0, 0.0))
+        f1, f2 = tilde_residual(z, z, 0.0)
         assert np.max(np.abs(f1)) < 1e-13
         assert np.max(np.abs(f2)) < 1e-13
 
@@ -120,7 +120,7 @@ class TestTildeResidual:
                               0.03 * np.exp(-(x / 2) ** 2))
         yv = PerturbationPair(grid40, 0.04 * np.tanh(x) * np.exp(-(x / 2.5) ** 2),
                               0.02 * np.exp(-(x / 2.2) ** 2))
-        f1, f2 = tilde_residual(us, yv, 0.1, KinkParams(0.0, 0.0))
+        f1, f2 = tilde_residual(us, yv, 0.1)
         assert parity_check(f1, grid40, "even") < 1e-12
         assert parity_check(f2, grid40, "even") < 1e-12
 
@@ -132,14 +132,14 @@ class TestTildeResidual:
                               0.03 * np.tanh(x) * np.exp(-(x / 2) ** 2))
         yv = PerturbationPair(grid40, 0.04 * np.exp(-(x / 2.5) ** 2),
                               0.02 * np.exp(-(x / 2.2) ** 2))
-        f1, f2 = tilde_residual(us, yv, 0.0, KinkParams(0.0, 0.0))
+        f1, f2 = tilde_residual(us, yv, 0.0)
         assert parity_check(f1, grid40, "even") < 1e-12
         assert parity_check(f2, grid40, "odd") < 1e-12
 
     def test_offset_guard(self, grid40):
         z = PerturbationPair(grid40, zeros_like_grid(grid40), zeros_like_grid(grid40))
         with pytest.raises(ParameterError):
-            tilde_residual(z, z, -1.0, KinkParams(0.0, 0.0))
+            tilde_residual(z, z, -1.0)
 
     def test_half_angle_boundary_decay(self, grid40):
         # cos((Q_tilde + u +/- y)/2) decays at the grid ends for decaying data
@@ -242,8 +242,7 @@ class TestManifoldConstructor:
         y0 = smooth_random(grid40, "odd", 0.06, rng)
         v0 = smooth_random(grid40, "even", 0.04, rng)
         rep = construct_manifold_data(grid40, y0, v0, 0.05)
-        f1, f2 = tilde_residual(rep.result, PerturbationPair(grid40, y0, v0),
-                                0.05, KinkParams(0.0, 0.0))
+        f1, f2 = tilde_residual(rep.result, PerturbationPair(grid40, y0, v0), 0.05)
         worst = max(np.max(np.abs(f1)), np.max(np.abs(f2)))
         assert worst <= rep.final_residual + 1e-15
 

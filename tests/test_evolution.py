@@ -204,6 +204,16 @@ def test_nonfinite_state_aborts_with_time_stamp():
         evolve(huge, PHI4, EvolveConfig(dt=0.01, t_end=2.0))
 
 
+def test_nonfinite_odd_half_grid_run_aborts_on_the_step_it_blows_up():
+    # the probe sits on node m + 1, which moves in odd runs too; a probe on
+    # the odd run's centre, which stays 0, would report the first snapshot
+    g = GridSpec(-20.0, 20.0, 801)
+    u0 = 1e3 * np.tanh(g.x) * np.exp(-g.x ** 2)
+    huge = FieldState(0.0, g, u0, np.zeros_like(u0))
+    with np.errstate(all="ignore"), pytest.raises(ContractError, match=r"at t = 0\.3125$"):
+        evolve(huge, PHI4, EvolveConfig(dt=0.045, t_end=5.0, snapshot_every=1.0))
+
+
 def test_probe_energy_constant_for_kink(grid40):
     st = kink(KinkParams(0.0)).sample(grid40, 0.0)
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),

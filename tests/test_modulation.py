@@ -199,6 +199,19 @@ class TestTracking:
         assert "tube radius" in warning.getMessage()
 
 
+def test_tracker_stops_when_the_shift_solve_diverges(caplog):
+    # a kink at x0 = 10 in the static frame: the first shift solve starts at
+    # the frame's centre 0, far outside the kink's slope, and steps off the grid
+    grid = GridSpec(-20.0, 20.0, 801)
+    traj = evolve(kink(KinkParams(0.0, 10.0)).sample(grid, 0.0), SINE_GORDON,
+                  EvolveConfig(dt=0.02, t_end=1.0, background=KinkFrame()))
+    with caplog.at_level("WARNING", logger="sglab.modulation"):
+        records = track_modulation(traj, 0.0)
+    assert records == []
+    (warning,) = [r for r in caplog.records if r.name == "sglab.modulation"]
+    assert "after 0 of 3 snapshots: shift solve diverged" in warning.getMessage()
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("x0", [-5.0, -3.0, 2.0, 3.0, 5.0])
 def test_tracker_follows_its_frames_own_kink_off_center(grid40, x0, beta):
