@@ -20,7 +20,9 @@ from .grids import (
     SolverError,
     WeightSpec,
     derivative,
+    energy,
     local_energy_norm,
+    momentum,
     parity_check,
     pde_residual,
     quadrature,
@@ -32,9 +34,12 @@ from .solutions import (
     ThreeSolitonParams,
     WobblerParams,
     breather,
+    final_speed_from_delta,
+    final_speed_from_momentum,
     kink,
     kink_profile,
     linear_mode,
+    manifold_momentum,
     multiplier_from_speed,
     phi4_kink,
     three_soliton,
@@ -42,15 +47,12 @@ from .solutions import (
     wobbler,
     zero_sampler,
 )
-from .conserved import energy, manifold_momentum, momentum
 from .backlund import (
     LiftReport,
     bt_pair_residual,
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
-    final_speed_from_delta,
-    final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,

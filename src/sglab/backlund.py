@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .conserved import _offset_multiplier, momentum
 from .grids import (
     ContractError,
     FieldState,
@@ -42,6 +41,7 @@ from .grids import (
     _trapezoid,
     derivative,
     local_energy_norm,
+    momentum,
     parity_check,
     quadrature,
 )
@@ -49,6 +49,7 @@ from .solutions import (
     KinkParams,
     SolutionSampler,
     WobblerParams,
+    _offset_multiplier,
     breather,
     wobbler,
 )
@@ -64,8 +65,6 @@ __all__ = [
     "descend_wobbler_to_breather",
     "lift_with_orthogonality",
     "zero_momentum_manifold_data",
-    "final_speed_from_momentum",
-    "final_speed_from_delta",
 ]
 
 _MAX_LOG_SPAN = 600.0  # integrating factors stay inside double range below this
@@ -578,15 +577,3 @@ def zero_momentum_manifold_data(grid: GridSpec, y0):
         delta += p / 4.0
     raise SolverError(f"momentum {p:.3e} still above 1e-12 after 12 offset steps", history)
 
-
-# --- final speeds ---------------------------------------------------------------
-
-def final_speed_from_momentum(P: float) -> float:
-    """The unique beta with -4 beta / sqrt(1 - beta^2) = P."""
-    return -P / math.sqrt(P * P + 16.0)
-
-
-def final_speed_from_delta(delta: float) -> float:
-    """The speed whose transform parameter is 1 + delta."""
-    a = _offset_multiplier(delta)
-    return (a * a - 1.0) / (a * a + 1.0)

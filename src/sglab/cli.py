@@ -24,13 +24,10 @@ from .backlund import (
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
-    final_speed_from_delta,
-    final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
 )
-from .conserved import kink_profile_momentum, manifold_momentum, momentum
 from .evolution import EvolveConfig, evolve
 from .experiments import (
     EXACT_FAMILIES,
@@ -54,6 +51,7 @@ from .grids import (
     SolverError,
     WeightSpec,
     local_energy_norm,
+    momentum,
     parity_check,
     pde_residual,
     weighted_norm_sq,
@@ -66,7 +64,11 @@ from .solutions import (
     ThreeSolitonParams,
     WobblerParams,
     breather,
+    final_speed_from_delta,
+    final_speed_from_momentum,
     kink,
+    kink_profile_momentum,
+    manifold_momentum,
     phi4_kink,
     three_soliton,
     two_kink,

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .conserved import energy, momentum
 from .grids import (
     ContractError,
     FieldState,
@@ -25,6 +24,8 @@ from .grids import (
     ParameterError,
     SINE_GORDON,
     PerturbationPair,
+    energy,
+    momentum,
     parity_check,
 )
 from .grids import _CFL, _centre_rule, _half_grid, _second_difference  # the scheme's lattice

@@ -1,4 +1,5 @@
-"""Uniform spatial grids, quadrature, discrete derivatives, norms, parity tools.
+"""Uniform spatial grids, quadrature, discrete derivatives, norms, energy and
+momentum, parity tools.
 
 Everything downstream (samplers, Backlund solvers, the evolver) works on the
 same uniform-grid substrate defined here, so that discrete conservation and
@@ -28,6 +29,8 @@ __all__ = [
     "pde_residual",
     "weighted_norm_sq",
     "local_energy_norm",
+    "energy",
+    "momentum",
     "parity_check",
 ]
 
@@ -271,6 +274,23 @@ def local_energy_norm(pair: PerturbationPair, interval=None) -> float:
         density = density[_interval_slice(grid, interval)]
     total = _trapezoid(density, grid.h)
     return float(np.sqrt(max(total, 0.0)))
+
+
+def energy(state: FieldState, model: Model) -> float:
+    """Total energy (1/2) int (u_x^2 + v^2) + int V(u) by trapezoid quadrature.
+
+    The integral stops at the grid ends: a density that has not decayed there
+    (radiation reaching the box ends, say) is truncated without notice.
+    """
+    ux = derivative(state.u, state.grid)
+    density = 0.5 * (ux ** 2 + state.v ** 2) + model.potential(state.u)
+    return quadrature(density, state.grid)
+
+
+def momentum(state: FieldState) -> float:
+    """Momentum (1/2) int u_t u_x dx by trapezoid quadrature."""
+    ux = derivative(state.u, state.grid)
+    return 0.5 * quadrature(state.v * ux, state.grid)
 
 
 def parity_check(values, grid: GridSpec, kind: str) -> float:

@@ -21,6 +21,10 @@ __all__ = [
     "SolutionSampler",
     "KinkParams",
     "multiplier_from_speed",
+    "final_speed_from_delta",
+    "manifold_momentum",
+    "kink_profile_momentum",
+    "final_speed_from_momentum",
     "WobblerParams",
     "ThreeSolitonParams",
     "kink",
@@ -159,10 +163,44 @@ class KinkParams:
 
 def multiplier_from_speed(beta: float) -> float:
     """The transform multiplier a = sqrt((1 + beta)/(1 - beta)) of the kink
-    with speed beta; beta = (a^2 - 1)/(a^2 + 1) inverts it."""
-    if not abs(beta) < 1:
-        raise ParameterError(f"|beta| < 1 required, got {beta}")
+    with speed beta; ``final_speed_from_delta`` inverts it."""
+    beta = KinkParams(beta).beta
     return math.sqrt((1.0 + beta) / (1.0 - beta))
+
+
+def _offset_multiplier(delta: float) -> float:
+    """The transform multiplier 1 + delta, which must be positive."""
+    a = 1.0 + delta
+    if not a > 0:
+        raise ParameterError(f"need 1 + delta > 0, got delta = {delta}")
+    return a
+
+
+def final_speed_from_delta(delta: float) -> float:
+    """The speed whose transform parameter is 1 + delta."""
+    a = _offset_multiplier(delta)
+    return (a * a - 1.0) / (a * a + 1.0)
+
+
+def manifold_momentum(delta: float) -> float:
+    """Momentum of kink data built from the vacuum with multiplier 1 + delta.
+
+    Closed form 2 (1/(1+delta) - (1+delta)); zero exactly at delta = 0 and of
+    sign opposite to delta.
+    """
+    a = _offset_multiplier(delta)
+    return 2.0 * (1.0 / a - a)
+
+
+def kink_profile_momentum(beta: float) -> float:
+    """Momentum -4 beta / sqrt(1 - beta^2) of the moving kink profile."""
+    beta = KinkParams(beta).beta
+    return -4.0 * beta / math.sqrt(1.0 - beta ** 2)
+
+
+def final_speed_from_momentum(P: float) -> float:
+    """The unique beta with -4 beta / sqrt(1 - beta^2) = P."""
+    return -P / math.sqrt(P * P + 16.0)
 
 
 def kink(p: KinkParams) -> SolutionSampler:
@@ -413,7 +451,7 @@ _MODE_PROFILES = {
     "Y1": (lambda x: _sech_s(x) * _tanh_s(x),
            lambda x: (1.0 / _SQRT2) * _sech_s(x) * (1.0 - 2.0 * _tanh_s(x) ** 2)),
     # the kink slopes 2 sech x and H' = sech^2(x/sqrt 2)/sqrt 2: the zero modes
-    "Q-slope": (lambda x: 2.0 * _sech(x), lambda x: -2.0 * np.tanh(x) * _sech(x)),
+    "Q-slope": (KinkParams().q_x, lambda x: -2.0 * np.tanh(x) * _sech(x)),
     "H-slope": (_h_slope, lambda x: -_tanh_s(x) * _sech_s(x) ** 2),
     "resonance": (lambda x: 1.0 - 1.5 * _sech_s(x) ** 2,
                   lambda x: (3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x)),

@@ -14,12 +14,9 @@ from sglab.backlund import (
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
-    final_speed_from_delta,
-    final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_zero_to_kink,
 )
-from sglab.conserved import energy, manifold_momentum, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, evolve
 from sglab.experiments import (
     EXACT_FAMILIES,
@@ -40,7 +37,9 @@ from sglab.grids import (
     PerturbationPair,
     SINE_GORDON,
     WeightSpec,
+    energy,
     local_energy_norm,
+    momentum,
     parity_check,
     weighted_norm_sq,
 )
@@ -50,8 +49,11 @@ from sglab.solutions import (
     ThreeSolitonParams,
     WobblerParams,
     breather,
+    final_speed_from_delta,
+    final_speed_from_momentum,
     kink,
     linear_mode,
+    manifold_momentum,
     multiplier_from_speed,
     phi4_kink,
     three_soliton,

@@ -18,15 +18,12 @@ from sglab.backlund import (
     construct_manifold_data,
     descend_kink_to_zero,
     descend_wobbler_to_breather,
-    final_speed_from_delta,
-    final_speed_from_momentum,
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
     tilde_residual,
     zero_momentum_manifold_data,
 )
-from sglab.conserved import manifold_momentum, momentum
 from sglab.grids import (
     ContractError,
     FieldState,
@@ -36,6 +33,7 @@ from sglab.grids import (
     SINE_GORDON,
     SolverError,
     derivative,
+    momentum,
     parity_check,
     quadrature,
 )
@@ -44,7 +42,10 @@ from sglab.solutions import (
     KinkParams,
     WobblerParams,
     breather,
+    final_speed_from_delta,
+    final_speed_from_momentum,
     kink,
+    manifold_momentum,
     multiplier_from_speed,
     wobbler,
     zero_sampler,

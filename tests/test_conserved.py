@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sglab.conserved import (
+from sglab.grids import (
+    FieldState,
+    GridSpec,
+    ParameterError,
+    PHI4,
+    SINE_GORDON,
     energy,
-    kink_profile_momentum,
-    manifold_momentum,
     momentum,
 )
-from sglab.grids import FieldState, GridSpec, ParameterError, PHI4, SINE_GORDON
-from sglab.solutions import KinkParams, breather, kink, phi4_kink
+from sglab.solutions import (
+    KinkParams,
+    breather,
+    kink,
+    kink_profile_momentum,
+    manifold_momentum,
+    phi4_kink,
+)
 
 
 def test_zero_state_has_zero_energy(grid40):

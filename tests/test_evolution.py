@@ -3,7 +3,6 @@ import pytest
 
 import sglab
 from sglab.cli import cmd_evolve
-from sglab.conserved import energy, momentum
 from sglab.evolution import EvolveConfig, KinkFrame, _half_sin, _kink_frame_force, evolve
 from sglab.grids import (
     ContractError,
@@ -15,7 +14,9 @@ from sglab.grids import (
     PHI4,
     SINE_GORDON,
     derivative,
+    energy,
     local_energy_norm,
+    momentum,
     parity_check,
     quadrature,
 )
