@@ -8,8 +8,9 @@ It prints the lines ``transform``, ``evolve``, ``tracker`` and ``cli``, each
 with the sha256 of what that layer returned or wrote:
 
 * transform: the seven transform maps (results, iteration counts, final
-  residuals and residual histories), ``bt_pair_residual`` and
-  ``tilde_residual``;
+  residuals and residual histories), ``bt_pair_residual``,
+  ``tilde_residual`` and the kink family's speed, multiplier and momentum
+  maps over a fixed ladder;
 * evolve: static-frame, moving-frame, full-grid plain, odd and even
   half-grid and phi^4 runs (snapshots, times, energies and momenta; floats
   are hashed by their bytes, so the sign of zero counts);
@@ -56,10 +57,13 @@ from sglab import (
     descend_kink_to_zero,
     descend_wobbler_to_breather,
     evolve,
+    final_speed_from_delta,
+    final_speed_from_momentum,
     kink,
     lift_breather_to_wobbler,
     lift_with_orthogonality,
     lift_zero_to_kink,
+    manifold_momentum,
     multiplier_from_speed,
     phi4_kink,
     tilde_residual,
@@ -157,6 +161,10 @@ def transform_layer(h, seed):
     pair = PerturbationPair(grid, bump("odd", 0.05), bump("odd", 0.05))
     y_v = PerturbationPair(grid, bump("even", 0.05), bump("even", 0.05))
     feed(h, [tilde_residual(pair, y_v, 0.0), tilde_residual(pair, y_v, 0.03)])
+    feed(h, [[(final_speed_from_delta(d), manifold_momentum(d))
+              for d in (-0.9, -0.2, 0.0, 0.1, 3.0, 1e155)],
+             [multiplier_from_speed(b) for b in (0.0, 0.3, -0.3, 0.999999, -0.999999)],
+             [final_speed_from_momentum(p) for p in (3.0, -3.0, 2e155, -2e155)]])
 
 
 def evolve_runs(seed):
