@@ -177,8 +177,9 @@ def _offset_multiplier(delta: float) -> float:
 
 
 def final_speed_from_delta(delta: float) -> float:
-    """The speed whose transform parameter is 1 + delta."""
-    a = _offset_multiplier(delta)
+    """The speed whose transform parameter is 1 + delta.  From a = 2^27 on
+    the quotient rounds to 1.0, so a is capped there before a * a overflows."""
+    a = min(_offset_multiplier(delta), 2.0 ** 27)
     return (a * a - 1.0) / (a * a + 1.0)
 
 
@@ -200,7 +201,7 @@ def kink_profile_momentum(beta: float) -> float:
 
 def final_speed_from_momentum(P: float) -> float:
     """The unique beta with -4 beta / sqrt(1 - beta^2) = P."""
-    return -P / math.sqrt(P * P + 16.0)
+    return -P / math.hypot(P, 4.0)
 
 
 def kink(p: KinkParams) -> SolutionSampler:

@@ -45,6 +45,7 @@ from sglab.solutions import (
     final_speed_from_delta,
     final_speed_from_momentum,
     kink,
+    kink_profile_momentum,
     manifold_momentum,
     multiplier_from_speed,
     wobbler,
@@ -88,8 +89,10 @@ class TestMultiplierFromSpeed:
 
     @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, math.nan])
     def test_speed_outside_the_unit_interval_rejected(self, beta):
-        with pytest.raises(ParameterError, match="beta"):
-            multiplier_from_speed(beta)
+        # all three refuse by the one |beta| < 1 rule in KinkParams
+        for refuse in (multiplier_from_speed, KinkParams, kink_profile_momentum):
+            with pytest.raises(ParameterError, match="beta"):
+                refuse(beta)
 
 
 class TestBtResidual:
@@ -625,6 +628,13 @@ class TestFinalSpeeds:
         g = GridSpec(-60.0, 60.0, 400001)
         state = kink(KinkParams(beta)).sample(g, 0.0)
         assert final_speed_from_momentum(momentum(state)) == pytest.approx(beta, abs=1e-8)
+
+    def test_no_overflow_at_huge_multiplier_or_momentum(self):
+        # a * a and P * P overflow past about 1.3e154; both maps stay at +/-1
+        assert final_speed_from_delta(1e155) == 1.0
+        assert final_speed_from_momentum(-2e155) == 1.0
+        assert final_speed_from_momentum(2e155) == -1.0
+        assert final_speed_from_momentum(manifold_momentum(1e155)) == 1.0
 
     @given(delta=st.floats(-0.9, 9.0))
     @settings(max_examples=60, deadline=None)

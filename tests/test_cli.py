@@ -363,6 +363,19 @@ class TestCliCommands:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
+    @pytest.mark.parametrize("far, code", [(1e155, 0), (1e308, 1)])
+    def test_sweep_final_speed_verdict_ignores_delta_order(self, tmp_path, far, code):
+        # both speeds are exactly 1 at delta = 1e155; at 1e308 the momentum
+        # overflows to -inf and its speed is NaN, and a NaN gap fails wherever it sits
+        for i, deltas in enumerate(([0.5, far], [far, 0.5])):
+            cfg = write_config(tmp_path, f"c{i}.json", {
+                "version": 1, "kind": "final-speed", "deltas": deltas})
+            out = tmp_path / f"o{i}"
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == code
+            (check,) = json.loads((out / "summary.json").read_text())["checks"]
+            assert check["passed"] == (code == 0)
+            assert (check["measured"] == 0.0) == (code == 0)
+
     def test_workers_is_no_flag(self, tmp_path):
         # every command runs its cells in-process, so none takes --workers
         for command in _COMMANDS:
