@@ -456,7 +456,7 @@ _MODE_PROFILES = {
     "H-slope": (_h_slope, lambda x: -_tanh_s(x) * _sech_s(x) ** 2),
     "resonance": (lambda x: 1.0 - 1.5 * _sech_s(x) ** 2,
                   lambda x: (3.0 / _SQRT2) * _sech_s(x) ** 2 * _tanh_s(x)),
-    "tanh_s": (_tanh_s, lambda x: (1.0 / _SQRT2) * _sech_s(x) ** 2),
+    "tanh_s": (_tanh_s, _h_slope),
     # N4 = -i (2 +/- sqrt 3) e^{i sqrt 2 t}: constant in space
     "N4-plus": (lambda x: np.full_like(x, 2.0 + _SQRT3), np.zeros_like),
     "N4-minus": (lambda x: np.full_like(x, 2.0 - _SQRT3), np.zeros_like),
