@@ -494,9 +494,7 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
             b2 = final_speed_from_delta(delta)
             b1 = final_speed_from_momentum(manifold_momentum(delta))
             rows.append((delta, b1, b2, abs(b1 - b2)))
-        # np.max carries a NaN gap through, where max() skips all but a first one
-        bundle.check("final-speed identity", float(np.max([r[3] for r in rows])),
-                     1e-12 * tol_scale,
+        bundle.check("final-speed identity", np.max([r[3] for r in rows]), 1e-12 * tol_scale,
                      "momentum- and transform-defined speeds agree")
     elif kind == "energy-drift":
         t_end = _run_length(cfg, 10.0, "an energy-drift sweep")

@@ -177,9 +177,8 @@ def _offset_multiplier(delta: float) -> float:
 
 
 def final_speed_from_delta(delta: float) -> float:
-    """The speed whose transform parameter is 1 + delta.  From a = 2^27 on
-    the quotient rounds to 1.0, so a is capped there before a * a overflows."""
-    a = min(_offset_multiplier(delta), 2.0 ** 27)
+    """The speed whose transform parameter is 1 + delta."""
+    a = min(_offset_multiplier(delta), 2.0 ** 27)  # the quotient is 1.0 from 2^27 on
     return (a * a - 1.0) / (a * a + 1.0)
 
 
