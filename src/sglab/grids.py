@@ -241,10 +241,33 @@ def pde_residual(sampler, model: Model, t: float, grid: GridSpec, dt: float) -> 
     return u_tt - second_derivative(u_0, grid) + model.nonlinearity(u_0)
 
 
+# the functionals below build their density in ``derivative``'s array, a block
+# of nodes at a time, so that a call holds one grid-sized array
+_BLOCK = 2 ** 14
+
+
+def _blocks(n: int):
+    """Slices covering range(n) in runs of ``_BLOCK`` nodes."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _h1_density(pair: PerturbationPair) -> np.ndarray:
+    """first_x^2 + first^2 + second^2, built in ``derivative``'s array."""
+    d = derivative(pair.first, pair.grid)
+    for sl in _blocks(d.size):
+        b = d[sl]
+        np.square(b, out=b)
+        b += pair.first[sl] ** 2
+        b += pair.second[sl] ** 2
+    return d
+
+
 def weighted_norm_sq(pair: PerturbationPair, w: WeightSpec) -> float:
     """Integral of e^{-rate|x-center|} (first_x^2 + first^2 + second^2)."""
-    fx = derivative(pair.first, pair.grid)
-    density = w.values(pair.grid.x) * (fx ** 2 + pair.first ** 2 + pair.second ** 2)
+    density = _h1_density(pair)
+    x = pair.grid.x
+    for sl in _blocks(density.size):
+        density[sl] *= w.values(x[sl])
     return quadrature(density, pair.grid)
 
 
@@ -268,8 +291,7 @@ def local_energy_norm(pair: PerturbationPair, interval=None) -> float:
     restriction, and the integral uses the grid nodes inside the interval.
     """
     grid = pair.grid
-    fx = derivative(pair.first, grid)
-    density = fx ** 2 + pair.first ** 2 + pair.second ** 2
+    density = _h1_density(pair)
     if interval is not None:
         density = density[_interval_slice(grid, interval)]
     total = _trapezoid(density, grid.h)
@@ -282,15 +304,21 @@ def energy(state: FieldState, model: Model) -> float:
     The integral stops at the grid ends: a density that has not decayed there
     (radiation reaching the box ends, say) is truncated without notice.
     """
-    ux = derivative(state.u, state.grid)
-    density = 0.5 * (ux ** 2 + state.v ** 2) + model.potential(state.u)
+    density = derivative(state.u, state.grid)
+    for sl in _blocks(density.size):
+        b = density[sl]
+        np.square(b, out=b)
+        b += state.v[sl] ** 2
+        b *= 0.5
+        b += model.potential(state.u[sl])
     return quadrature(density, state.grid)
 
 
 def momentum(state: FieldState) -> float:
     """Momentum (1/2) int u_t u_x dx by trapezoid quadrature."""
-    ux = derivative(state.u, state.grid)
-    return 0.5 * quadrature(state.v * ux, state.grid)
+    density = derivative(state.u, state.grid)
+    density *= state.v
+    return 0.5 * quadrature(density, state.grid)
 
 
 def parity_check(values, grid: GridSpec, kind: str) -> float:
@@ -301,11 +329,10 @@ def parity_check(values, grid: GridSpec, kind: str) -> float:
     """
     grid.require_symmetric()
     f = _as_field(values, grid, "values")
-    if kind == "even":
-        return float(np.max(np.abs(f - f[::-1])))
-    if kind == "odd":
-        return float(np.max(np.abs(f + f[::-1])))
-    raise ParameterError(f"parity kind must be 'odd' or 'even', got {kind!r}")
+    if kind not in ("even", "odd"):
+        raise ParameterError(f"parity kind must be 'odd' or 'even', got {kind!r}")
+    defect = (np.subtract if kind == "even" else np.add)(f, f[::-1])
+    return float(np.max(np.abs(defect, out=defect)))
 
 
 # --- the scheme's 3-point lattice: `derivative`'s end rows, which the transform
@@ -319,7 +346,8 @@ def derivative(values, grid: GridSpec) -> np.ndarray:
     f = _as_field(values, grid, "values")
     h = grid.h
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
     return out

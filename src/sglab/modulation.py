@@ -71,8 +71,8 @@ def _mismatch(state: FieldState, slopes, beta: float, rho: float):
     """
     grid, x = state.grid, state.grid.x
     p = KinkParams(beta, rho).at(state.t)
-    q_x, q_tx = p.q_x(x), p.q_tx(x)
-    du, dv = state.u - p.q(x), state.v - p.q_t(x)
+    q, q_x, q_t, q_tx = p._forms(x)
+    du, dv = state.u - q, state.v - q_t
     value = quadrature(du * q_x + dv * q_tx, grid)
     dvalue = quadrature(slopes[0] * q_x + slopes[1] * q_tx, grid)
     return value, dvalue, du, dv

@@ -39,17 +39,15 @@ __all__ = [
 ]
 
 
-def _sech(x):
+def _sech(x, out=None):
+    """sech x = 1/cosh x, written into ``out`` (a new float array when None,
+    and x may be ``out``); a scalar or 0-d x gives a scalar."""
+    if out is None:
+        out = np.empty(np.shape(x))
     # 1/cosh overflows to 0 cleanly past |x| ~ 710; suppress the spurious warning
     with np.errstate(over="ignore"):
-        return 1.0 / np.cosh(x)
-
-
-def _arctan_exp(a):
-    """arctan(e^a), evaluated without overflow for large |a|."""
-    a = np.asarray(a, dtype=float)
-    small = np.arctan(np.exp(-np.abs(a)))
-    return np.where(a > 0, 0.5 * np.pi - small, small)
+        np.cosh(x, out=out)
+    return np.divide(1.0, out, out=out)[()]
 
 
 # cosh(u) e^{-|u|} in [1/2, 1] and sinh(u) e^{-|u|} in (-1/2, 1/2), bitwise odd
@@ -124,21 +122,60 @@ class KinkParams:
         """The kink at time t: centered at x0 + beta t, so x0 is the center at t = 0."""
         return KinkParams(self.beta, self.x0 + self.beta * t)
 
+    # Each closed form allocates only its result: it is evaluated inside the
+    # new array that ``_arg`` returns, and a scalar x gives a scalar.
+
     def _arg(self, x):
-        return self.gamma * (np.asarray(x, dtype=float) - self.x0)
+        """gamma (x - x0) in a new float array, 0-d for a scalar x."""
+        a = np.array(x, dtype=float)
+        a -= self.x0
+        a *= self.gamma
+        return a
+
+    @staticmethod
+    def _q_in(a):
+        """Overwrite the argument a with Q = 4 arctan(e^a), taken as
+        4 (pi/2 - arctan e^{-a}) for a > 0 so that e^a cannot overflow."""
+        positive = a > 0
+        np.negative(np.abs(a, out=a), out=a)
+        np.arctan(np.exp(a, out=a), out=a)
+        np.subtract(0.5 * np.pi, a, out=a, where=positive)
+        a *= 4.0
+        return a[()]
 
     def q(self, x):
-        return 4.0 * _arctan_exp(self._arg(x))
+        return self._q_in(self._arg(x))
 
     def q_x(self, x):
-        return 2.0 * self.gamma * _sech(self._arg(x))
+        s = self._arg(x)
+        _sech(s, s)
+        s *= 2.0 * self.gamma
+        return s[()]
 
     def q_t(self, x):
-        return -2.0 * self.beta * self.gamma * _sech(self._arg(x))
+        s = self._arg(x)
+        _sech(s, s)
+        s *= -2.0 * self.beta * self.gamma
+        return s[()]
 
     def q_tx(self, x):
+        s = self._arg(x)
+        t = np.tanh(s)
+        _sech(s, s)
+        s *= 2.0 * self.beta * self.gamma ** 2
+        s *= t
+        return s[()]
+
+    def _forms(self, x):
+        """(Q, Q_x, Q_t, Q_tx) at x from one argument, one sech and one tanh,
+        each bitwise equal to the method of its name."""
         a = self._arg(x)
-        return 2.0 * self.beta * self.gamma ** 2 * _sech(a) * np.tanh(a)
+        t = np.tanh(a)
+        s = _sech(a)
+        q_x, q_t = s * (2.0 * self.gamma), s * (-2.0 * self.beta * self.gamma)
+        s *= 2.0 * self.beta * self.gamma ** 2
+        s *= t
+        return self._q_in(a), q_x, q_t, s[()]
 
     def sin_cos_q(self, x, out, work):
         """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan.
@@ -199,7 +236,10 @@ def kink_profile_momentum(beta: float) -> float:
 
 
 def final_speed_from_momentum(P: float) -> float:
-    """The unique beta with -4 beta / sqrt(1 - beta^2) = P."""
+    """The unique beta with -4 beta / sqrt(1 - beta^2) = P; the limit -sign(P)
+    for an infinite P, where the quotient would be inf/inf."""
+    if math.isinf(P):
+        return -math.copysign(1.0, P)
     return -P / math.hypot(P, 4.0)
 
 

@@ -636,6 +636,18 @@ class TestFinalSpeeds:
         assert final_speed_from_momentum(2e155) == -1.0
         assert final_speed_from_momentum(manifold_momentum(1e155)) == 1.0
 
+    def test_infinite_momentum_gives_the_limit_speed(self):
+        # -P / hypot(P, 4) is inf/inf at P = +/-inf; its limit is -sign(P)
+        assert final_speed_from_momentum(-np.inf) == 1.0
+        assert final_speed_from_momentum(np.inf) == -1.0
+        assert final_speed_from_momentum(manifold_momentum(1e308)) == 1.0
+        assert np.isnan(final_speed_from_momentum(np.nan))
+
+    @pytest.mark.parametrize("P", [0.0, -0.0, 1e-300, -3.0, 7.5, -2e155, 1.7e308])
+    def test_finite_momentum_is_the_closed_form(self, P):
+        # repr tells the bits apart, the sign of zero included
+        assert repr(final_speed_from_momentum(P)) == repr(-P / math.hypot(P, 4.0))
+
     @given(delta=st.floats(-0.9, 9.0))
     @settings(max_examples=60, deadline=None)
     def test_speed_definitions_agree(self, delta):

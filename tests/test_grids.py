@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,12 @@ from sglab.grids import (
     SINE_GORDON,
     WeightSpec,
     _fix_boundary_rows,
+    _BLOCK,
     _second_difference,
     derivative,
+    energy,
     local_energy_norm,
+    momentum,
     parity_check,
     pde_residual,
     quadrature,
@@ -243,12 +248,126 @@ class TestNorms:
             local_energy_norm(pair, (-100.0, 0.0))
 
 
+def bits(value):
+    """The bytes of a float or float array, so that == compares bitwise."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def textbook_derivative(f, h):
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return out
+
+
+def textbook_quadrature(f, h):
+    return h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+
+class TestFunctionalsInPlace:
+    """The functionals build their density in ``derivative``'s array, a block
+    at a time; each must equal the whole-array numpy expression bit for bit."""
+
+    N = 3 * _BLOCK + 7  # three full blocks and a partial one
+
+    @pytest.fixture()
+    def fields(self, rng):
+        grid = GridSpec(-30.0, 30.0, self.N)
+        u, v = 2.0 * rng.standard_normal((2, self.N))
+        return grid, u, v
+
+    def test_derivative(self, fields):
+        grid, u, _ = fields
+        assert bits(derivative(u, grid)) == bits(textbook_derivative(u, grid.h))
+
+    @pytest.mark.parametrize("model, potential", [
+        (SINE_GORDON, lambda u: 1.0 - np.cos(u)),
+        (PHI4, lambda u: 0.25 * (1.0 - u * u) ** 2),
+    ])
+    def test_energy(self, fields, model, potential):
+        grid, u, v = fields
+        ux = textbook_derivative(u, grid.h)
+        density = 0.5 * (ux ** 2 + v ** 2) + potential(u)
+        assert bits(energy(FieldState(0.0, grid, u, v), model)) == bits(
+            textbook_quadrature(density, grid.h))
+
+    def test_momentum(self, fields):
+        grid, u, v = fields
+        ux = textbook_derivative(u, grid.h)
+        assert bits(momentum(FieldState(0.0, grid, u, v))) == bits(
+            0.5 * textbook_quadrature(v * ux, grid.h))
+
+    @pytest.mark.parametrize("interval", [None, (-7.3, 21.0)])
+    def test_local_energy_norm(self, fields, interval):
+        grid, u, v = fields
+        density = textbook_derivative(u, grid.h) ** 2 + u ** 2 + v ** 2
+        if interval is not None:
+            inside = (grid.x >= interval[0]) & (grid.x <= interval[1])
+            density = density[inside]
+        expected = np.sqrt(textbook_quadrature(density, grid.h))
+        assert bits(local_energy_norm(PerturbationPair(grid, u, v), interval)) == bits(expected)
+
+    def test_weighted_norm_sq(self, fields):
+        grid, u, v = fields
+        w = WeightSpec(0.4, center=-2.5)
+        weight = np.exp(-w.rate * np.abs(grid.x - w.center))
+        density = weight * (textbook_derivative(u, grid.h) ** 2 + u ** 2 + v ** 2)
+        assert bits(weighted_norm_sq(PerturbationPair(grid, u, v), w)) == bits(
+            textbook_quadrature(density, grid.h))
+
+    def test_inputs_are_not_modified(self, fields):
+        grid, u, v = fields
+        u0, v0 = u.copy(), v.copy()
+        state, pair = FieldState(0.0, grid, u, v), PerturbationPair(grid, u, v)
+        derivative(u, grid)
+        energy(state, SINE_GORDON)
+        energy(state, PHI4)
+        momentum(state)
+        local_energy_norm(pair, (-1.0, 1.0))
+        weighted_norm_sq(pair, WeightSpec(1.0))
+        parity_check(u, grid, "odd")
+        assert bits(u) == bits(u0) and bits(v) == bits(v0)
+
+
+def peak_arrays(call):
+    """tracemalloc's peak during call(), in arrays of N_PEAK floats."""
+    call()  # a first call pays any one-time allocation
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * N_PEAK)
+    finally:
+        tracemalloc.stop()
+
+
+N_PEAK = 200001
+
+
+@pytest.mark.parametrize("name", ["energy", "momentum", "q", "q_t"])
+def test_large_grid_kernels_hold_one_grid_array(name):
+    # each works inside the one array it allocates, derivative's or the kink's
+    # argument, with at most a bool mask (q) or block-sized temporaries beside it
+    grid = GridSpec(-40.0, 40.0, N_PEAK)
+    state = kink(KinkParams(0.3)).sample(grid, 0.0)
+    p = KinkParams(0.3)
+    call = {"energy": lambda: energy(state, SINE_GORDON), "momentum": lambda: momentum(state),
+            "q": lambda: p.q(grid.x), "q_t": lambda: p.q_t(grid.x)}[name]
+    assert peak_arrays(call) <= 1.25
+
+
 class TestParity:
     def test_tanh_is_odd(self, grid40):
         assert parity_check(np.tanh(grid40.x), grid40, "odd") < 1e-12
 
     def test_sech_is_even(self, grid40):
         assert parity_check(1.0 / np.cosh(grid40.x), grid40, "even") < 1e-12
+
+    def test_defects_are_the_whole_array_expressions(self, rng):
+        g = GridSpec(-5.0, 5.0, 1001)
+        f = rng.standard_normal(1001)
+        assert bits(parity_check(f, g, "even")) == bits(np.max(np.abs(f - f[::-1])))
+        assert bits(parity_check(f, g, "odd")) == bits(np.max(np.abs(f + f[::-1])))
 
     def test_sech_odd_defect_is_two(self, grid40):
         assert parity_check(1.0 / np.cosh(grid40.x), grid40, "odd") == pytest.approx(2.0)

@@ -13,6 +13,7 @@ from sglab.solutions import (
     ThreeSolitonParams,
     SolutionSampler,
     WobblerParams,
+    _sech,
     breather,
     kink,
     kink_profile,
@@ -138,6 +139,37 @@ class TestKinkProfile:
         assert np.max(np.abs(fd3 - p.q_tx(x))) < 1e-8
         fd4 = (p.at(eps).q_x(x) - p.at(-eps).q_x(x)) / (2 * eps)
         assert np.max(np.abs(fd4 - p.q_tx(x))) < 1e-8
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, -0.6])
+    def test_closed_forms_are_the_textbook_expressions(self, rng, beta):
+        # each form works inside its argument array; every value, past the
+        # overflow of cosh and e^a included, equals the whole-array expression
+        p = KinkParams(beta, 0.7)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 4001), 300.0 * rng.standard_normal(200),
+                            [0.0, -0.0, 711.0, -711.0, 1e5, -1e5, 1e300, -1e300]])
+        a = p.gamma * (x - p.x0)
+        small = np.arctan(np.exp(-np.abs(a)))
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(a)
+        expected = (4.0 * np.where(a > 0, 0.5 * np.pi - small, small),
+                    2.0 * p.gamma * sech,
+                    -2.0 * beta * p.gamma * sech,
+                    2.0 * beta * p.gamma ** 2 * sech * np.tanh(a))
+        x0 = x.copy()
+        got = (p.q(x), p.q_x(x), p.q_t(x), p.q_tx(x))
+        for value, want in zip(got, expected):
+            assert value.tobytes() == want.tobytes()
+        for value, want in zip(p._forms(x), expected):
+            assert value.tobytes() == want.tobytes()
+        assert x.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -1.5, 2, np.float64(3.0), np.array(0.25)])
+    def test_scalar_input_gives_a_scalar(self, x):
+        p = KinkParams(0.3, 0.1)
+        for value in (p.q(x), p.q_x(x), p.q_t(x), p.q_tx(x), *p._forms(x), _sech(x)):
+            assert isinstance(value, np.float64)
+        assert p.q(x) == p.q(np.array([x], dtype=float))[0]
+        assert _sech(x) == 1.0 / np.cosh(float(x))
 
     def test_one_kink_type(self):
         # the profile and the evolver's frame are the kink parameters themselves
