@@ -122,20 +122,18 @@ class KinkParams:
         """The kink at time t: centered at x0 + beta t, so x0 is the center at t = 0."""
         return KinkParams(self.beta, self.x0 + self.beta * t)
 
-    # Each closed form allocates only its result: it is evaluated inside the
-    # new array that ``_arg`` returns, and a scalar x gives a scalar.
-
     def _arg(self, x):
-        """gamma (x - x0) in a new float array, 0-d for a scalar x."""
+        """gamma (x - x0) in a new float array, 0-d for a scalar x: each closed
+        form below is evaluated inside it, and a scalar x gives a scalar."""
         a = np.array(x, dtype=float)
         a -= self.x0
         a *= self.gamma
         return a
 
-    @staticmethod
-    def _q_in(a):
-        """Overwrite the argument a with Q = 4 arctan(e^a), taken as
-        4 (pi/2 - arctan e^{-a}) for a > 0 so that e^a cannot overflow."""
+    def q(self, x):
+        # 4 arctan(e^a), taken as 4 (pi/2 - arctan e^{-a}) for a > 0 so that
+        # e^a cannot overflow
+        a = self._arg(x)
         positive = a > 0
         np.negative(np.abs(a, out=a), out=a)
         np.arctan(np.exp(a, out=a), out=a)
@@ -143,39 +141,29 @@ class KinkParams:
         a *= 4.0
         return a[()]
 
-    def q(self, x):
-        return self._q_in(self._arg(x))
-
     def q_x(self, x):
-        s = self._arg(x)
-        _sech(s, s)
-        s *= 2.0 * self.gamma
-        return s[()]
+        a = self._arg(x)
+        return np.multiply(_sech(a, a), 2.0 * self.gamma, out=a)[()]
 
     def q_t(self, x):
-        s = self._arg(x)
-        _sech(s, s)
-        s *= -2.0 * self.beta * self.gamma
-        return s[()]
+        a = self._arg(x)
+        return np.multiply(_sech(a, a), -2.0 * self.beta * self.gamma, out=a)[()]
 
     def q_tx(self, x):
-        s = self._arg(x)
-        t = np.tanh(s)
-        _sech(s, s)
-        s *= 2.0 * self.beta * self.gamma ** 2
-        s *= t
-        return s[()]
-
-    def _forms(self, x):
-        """(Q, Q_x, Q_t, Q_tx) at x from one argument, one sech and one tanh,
-        each bitwise equal to the method of its name."""
         a = self._arg(x)
         t = np.tanh(a)
-        s = _sech(a)
+        np.multiply(_sech(a, a), 2.0 * self.beta * self.gamma ** 2, out=a)
+        return np.multiply(a, t, out=a)[()]
+
+    def _forms(self, x):
+        """(Q, Q_x, Q_t, Q_tx) at x, the three slopes from one sech and one
+        tanh, each bitwise equal to the method of its name."""
+        a = self._arg(x)
+        t = np.tanh(a)
+        s = _sech(a, a)
         q_x, q_t = s * (2.0 * self.gamma), s * (-2.0 * self.beta * self.gamma)
-        s *= 2.0 * self.beta * self.gamma ** 2
-        s *= t
-        return self._q_in(a), q_x, q_t, s[()]
+        np.multiply(s, 2.0 * self.beta * self.gamma ** 2, out=a)
+        return self.q(x), q_x, q_t, np.multiply(a, t, out=a)[()]
 
     def sin_cos_q(self, x, out, work):
         """(sin Q, cos Q) in closed form, (-2 sech tanh, 1 - 2 sech^2), with no arctan.

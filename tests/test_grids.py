@@ -15,8 +15,8 @@ from sglab.grids import (
     PHI4,
     SINE_GORDON,
     WeightSpec,
-    _fix_boundary_rows,
     _BLOCK,
+    _fix_boundary_rows,
     _second_difference,
     derivative,
     energy,
@@ -330,6 +330,9 @@ class TestFunctionalsInPlace:
         assert bits(u) == bits(u0) and bits(v) == bits(v0)
 
 
+N_PEAK = 200001
+
+
 def peak_arrays(call):
     """tracemalloc's peak during call(), in arrays of N_PEAK floats."""
     call()  # a first call pays any one-time allocation
@@ -339,9 +342,6 @@ def peak_arrays(call):
         return tracemalloc.get_traced_memory()[1] / (8 * N_PEAK)
     finally:
         tracemalloc.stop()
-
-
-N_PEAK = 200001
 
 
 @pytest.mark.parametrize("name", ["energy", "momentum", "q", "q_t"])
