@@ -175,9 +175,7 @@ class KinkParams:
         np.subtract(x, self.x0, out=work)
         work *= self.gamma  # a
         np.tanh(work, out=sin_q)
-        with np.errstate(over="ignore"):  # as in _sech
-            np.cosh(work, out=cos_q)
-        np.divide(1.0, cos_q, out=work)  # s = sech a
+        _sech(work, work)  # s = sech a
         np.multiply(work, -2.0, out=cos_q)
         sin_q *= cos_q
         np.multiply(work, 2.0, out=cos_q)
