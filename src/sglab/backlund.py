@@ -90,12 +90,10 @@ class LiftReport:
 # --- the transform background -------------------------------------------------
 
 def _read_only(*arrays) -> tuple:
-    """The arrays, copied as read-only rows of one block.  A kept background
-    then pins one heap allocation, not one per array: with one per array the
-    heap stayed too fragmented for a later 800001-point array to reuse."""
-    block = np.array(arrays)
-    block.flags.writeable = False
-    return tuple(block)
+    """The arrays, made read-only in place."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=1)
@@ -154,6 +152,12 @@ class _Background:
         return cls(*_wobbler_fields(grid, beta, t), 1.0)
 
 
+def _at(f, g, half):
+    """The term c f + s g of ``_Angles`` at the trig (c, s) = half."""
+    c, s = half
+    return c * f + s * g
+
+
 class _Angles:
     """The trig terms of a background's residuals for one solve, whose
     unknown w is u (kink side, sign +1, y fixed) or y (vacuum side, sign -1,
@@ -184,10 +188,11 @@ class _Angles:
         cos_m, sin_m = bg.a * np.cos(m0), sign * bg.a * np.sin(m0)
         cos_sum, cos_diff = cos_p + cos_m, cos_p - cos_m
         sin_sum, sin_diff = sin_p + sin_m, sin_p - sin_m
-        self._plus = (cos_sum, -sin_sum)
-        self._minus = (cos_diff, -sin_diff)
-        coeff, cross = (0.5 * sin_sum, 0.5 * cos_sum), (0.5 * sin_diff, 0.5 * cos_diff)
-        self._coeff, self._cross_coeff = (coeff, cross) if sign > 0 else (cross, coeff)
+        self.plus = functools.partial(_at, cos_sum, -sin_sum)
+        self.minus = functools.partial(_at, cos_diff, -sin_diff)
+        coeff = functools.partial(_at, 0.5 * sin_sum, 0.5 * cos_sum)
+        cross = functools.partial(_at, 0.5 * sin_diff, 0.5 * cos_diff)
+        self.coeff, self.cross_coeff = (coeff, cross) if sign > 0 else (cross, coeff)
 
     @staticmethod
     def half(w) -> tuple:
@@ -196,23 +201,6 @@ class _Angles:
         t = np.tan(0.25 * w)
         d = 2.0 / (1.0 + t * t)
         return d - 1.0, t * d
-
-    @staticmethod
-    def _at(terms, half):
-        (f, g), (c, s) = terms, half
-        return c * f + s * g
-
-    def plus(self, half):
-        return self._at(self._plus, half)
-
-    def minus(self, half):
-        return self._at(self._minus, half)
-
-    def coeff(self, half):
-        return self._at(self._coeff, half)
-
-    def cross_coeff(self, half):
-        return self._at(self._cross_coeff, half)
 
 
 def _pair_residual(bg: _Background, u_s: PerturbationPair, y_v: PerturbationPair) -> tuple:
@@ -521,11 +509,12 @@ def lift_with_orthogonality(grid: GridSpec, y, v, delta: float, beta: float,
     if not grid.x_min < center < grid.x_max:
         raise ContractError(f"kink center {center:.3f} outside the grid")
     m = _center_index(grid, center)
-    q_x, q_tx = kinkp.q_x(grid.x), kinkp.q_tx(grid.x)
+    bg = _Background.kink(grid, mult, kinkp)
+    q_x, q_tx = bg.psi_x, kinkp.q_tx(grid.x)
     norm_sq = quadrature(q_x ** 2 + q_tx ** 2, grid)
     if norm_sq < 1e-8:
         raise SolverError("orthogonality normalization is ill-conditioned")
-    angles, f1, read_s = _kink_side(_Background.kink(grid, mult, kinkp), grid, y, v)
+    angles, f1, read_s = _kink_side(bg, grid, y, v)
 
     def g(u, s):
         return quadrature(u * q_x + s * q_tx, grid)

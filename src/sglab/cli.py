@@ -159,8 +159,7 @@ def _sampler_from(cfg):
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("verify-exact")
+def cmd_verify_exact(cfg, tol_scale, bundle):
     grid = _grid_from(cfg, n_points=8001)
     t = _get(cfg, "t", 0.7)
     dt = _get(cfg, "dt", grid.h)
@@ -201,11 +200,9 @@ def cmd_verify_exact(cfg, tol_scale) -> ReportBundle:
                   for ts in (0.0, 2.0, 6.0)}
         bundle.plots[f"{name}_snapshots"] = svg_line_plot(
             series, title=name, xlabel="x", ylabel="value")
-    return bundle
 
 
-def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("verify-bt")
+def cmd_verify_bt(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
     tol = 5e-6 * tol_scale
     betas = _get(cfg, "betas", [0.1, 0.3, 0.5, 0.7])
@@ -215,11 +212,9 @@ def cmd_verify_bt(cfg, tol_scale) -> ReportBundle:
              + linear_transform_cases(GridSpec(-30.0, 30.0, grid.n_points), 0.9))
     for label, worst in cases:
         bundle.check(label, worst, tol, _PROVENANCE[" ".join(label.split()[:2])])
-    return bundle
 
 
-def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("spectrum")
+def cmd_spectrum(cfg, tol_scale, bundle):
     # spectrum_ladder also solves on the grid halved, which needs 2001 points
     grid = _grid_from(cfg, n_points=_get(cfg, "grid.n_points", 4001, 4001), half_width=30.0)
     table = []
@@ -233,7 +228,6 @@ def cmd_spectrum(cfg, tol_scale) -> ReportBundle:
         table.append((name, " ".join(repr(v) for v in values), *orders))
     bundle.tables["spectra"] = (["operator", "eigenvalues", "order_coarse", "order_fine"],
                                 table)
-    return bundle
 
 
 def _input_pair(cfg, grid, default_input):
@@ -266,8 +260,7 @@ def _transform_rows(bundle, name, kind, rep, tol_scale):
     )
 
 
-def cmd_lift(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("lift")
+def cmd_lift(cfg, tol_scale, bundle):
     kind = _get(cfg, "map", "zero-to-kink")
     if kind == "manifold":
         # the map takes odd data, and its momentum row holds on criterion 5's grid
@@ -306,11 +299,9 @@ def cmd_lift(cfg, tol_scale) -> ReportBundle:
     bundle.plots["lift_result"] = svg_line_plot(
         {"first": (grid.x, rep.result.first), "second": (grid.x, rep.result.second)},
         title=f"{kind} output", xlabel="x", ylabel="value")
-    return bundle
 
 
-def cmd_descend(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("descend")
+def cmd_descend(cfg, tol_scale, bundle):
     pair = _input_pair(cfg, _grid_from(cfg), "random-odd")
     grid = pair.grid
     kind = _get(cfg, "map", "kink-to-zero")
@@ -332,11 +323,9 @@ def cmd_descend(cfg, tol_scale) -> ReportBundle:
         ["iterations", "final_residual"],
         [(rep.iterations, rep.final_residual)],
     )
-    return bundle
 
 
-def cmd_evolve(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("evolve")
+def cmd_evolve(cfg, tol_scale, bundle):
     grid = _grid_from(cfg)
     sampler, model = _sampler_from(cfg)
     # an absent background evolves the plain field; {} is the static kink
@@ -374,7 +363,6 @@ def cmd_evolve(cfg, tol_scale) -> ReportBundle:
                  "conservation along the run")
     bundle.plots["energy"] = svg_line_plot(
         {"energy": (traj.times, traj.energies)}, title="energy", xlabel="t", ylabel="E")
-    return bundle
 
 
 def _stability_manifold(cfg, tol_scale, bundle):
@@ -460,8 +448,7 @@ def _stability_wobbler(cfg, tol_scale, bundle):
                  "sup distance / noise size")
 
 
-def cmd_stability(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("stability")
+def cmd_stability(cfg, tol_scale, bundle):
     experiment = _get(cfg, "experiment", "kink-manifold")
     if experiment == "kink-manifold":
         _stability_manifold(cfg, tol_scale, bundle)
@@ -469,7 +456,6 @@ def cmd_stability(cfg, tol_scale) -> ReportBundle:
         _stability_wobbler(cfg, tol_scale, bundle)
     else:
         raise ParameterError(f"unknown stability experiment {experiment!r}")
-    return bundle
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -483,8 +469,7 @@ def _enough(items, key, least, kind):
     return items
 
 
-def cmd_sweep(cfg, tol_scale) -> ReportBundle:
-    bundle = ReportBundle("sweep")
+def cmd_sweep(cfg, tol_scale, bundle):
     kind = _get(cfg, "kind", "final-speed")
     rows = []
     if kind == "final-speed":
@@ -528,7 +513,6 @@ def cmd_sweep(cfg, tol_scale) -> ReportBundle:
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
     bundle.tables["sweep"] = (header, rows)
-    return bundle
 
 
 # --- entry point ------------------------------------------------------------------
@@ -586,8 +570,9 @@ def main(argv=None) -> int:
     tol_scale = 0.1 if args.strict else 1.0
     # every random draw seeds from cfg["seed"]: a config's "seed" key wins over --seed
     cfg.setdefault("seed", args.seed)
+    bundle = ReportBundle(args.command)
     try:
-        bundle = _COMMANDS[args.command](cfg, tol_scale)
+        _COMMANDS[args.command](cfg, tol_scale, bundle)
     except (ParameterError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

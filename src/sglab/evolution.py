@@ -40,8 +40,8 @@ KinkFrame = KinkParams
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Evolution parameters.  CFL requires dt <= 0.9 h on the run grid; a run
-    takes ceil(t_end / dt) equal steps, so none is longer than dt."""
+    """Evolution parameters.  CFL requires dt <= grids._CFL h on the run grid;
+    a run takes ceil(t_end / dt) equal steps, so none is longer than dt."""
 
     dt: float
     t_end: float

@@ -467,8 +467,8 @@ def _quarter(k, s):
     return -c if k % 4 >= 2 else c
 
 
-# profile p and its derivative p_x; 1 - (3/2) sech^2(x/sqrt 2) is the even
-# zero-energy resonance of the phi^4 operator
+# profile p and its derivative p_x; Y1 and Y0 are the eigenvalue-3/2 modes of the
+# phi^4 operator and its dual, and 1 - (3/2) sech^2(x/sqrt 2) its even threshold resonance
 _MODE_PROFILES = {
     "tanh": (np.tanh, lambda x: _sech(x) ** 2),
     "one": (np.ones_like, np.zeros_like),
@@ -493,8 +493,6 @@ _LINEAR_MODES = {
     "M": (("one", 1.0, 1),),
     "L-alt": (("tanh", 1.0, 3),),
     "M-alt": (("one", 1.0, 0),),
-    "Y0": (("Y0", 0.0, 0),),
-    "Y1": (("Y1", 0.0, 0),),
     "Q-slope": (("Q-slope", 0.0, 0),),
     "H-slope": (("H-slope", 0.0, 0),),
     "Y1-sin-pair": (("Y1", _OMEGA_INTERNAL, 1), ("Y0", _OMEGA_INTERNAL, 0)),

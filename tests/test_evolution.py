@@ -22,6 +22,7 @@ from sglab.grids import (
 )
 from sglab.inputs import smooth_random
 from sglab.modulation import track_modulation
+from sglab.reports import ReportBundle
 from sglab.solutions import (
     KinkParams,
     ThreeSolitonParams,
@@ -39,10 +40,14 @@ def pair_distance(grid, u1, v1, u2, v2):
     return local_energy_norm(PerturbationPair(grid, u1 - u2, v1 - v2))
 
 
-def test_cfl_violation_refused(grid40):
-    st = kink(KinkParams(0.0)).sample(grid40, 0.0)
+def test_cfl_violation_refused():
+    # leapfrog is stable up to dt = h; the evolver keeps a margin below it
+    grid = GridSpec(-20.0, 20.0, 801)
+    st = kink(KinkParams(0.0)).sample(grid, 0.0)
     with pytest.raises(ParameterError, match="CFL"):
-        evolve(st, SINE_GORDON, EvolveConfig(dt=0.05, t_end=1.0))
+        evolve(st, SINE_GORDON, EvolveConfig(dt=0.95 * grid.h, t_end=1.0))
+    traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.9 * grid.h, t_end=1.0))
+    assert traj.times[-1] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("ratio", [1.4, 2.4, 3.4])
@@ -215,6 +220,18 @@ def test_nonfinite_odd_half_grid_run_aborts_on_the_step_it_blows_up():
         evolve(huge, PHI4, EvolveConfig(dt=0.045, t_end=5.0, snapshot_every=1.0))
 
 
+def test_nonfinite_full_grid_run_aborts_on_the_step_it_blows_up():
+    # the same data on a grid one node longer, which has no mirror symmetry,
+    # so the run takes the whole grid; its probe, node m at x = h, catches the
+    # blow-up on the odd run's step, where a probe on a fixed end node would
+    # report only the next snapshot, 22 steps in at t = 0.982143
+    g = GridSpec(-20.0, 20.05, 802)
+    u0 = 1e3 * np.tanh(g.x) * np.exp(-g.x ** 2)
+    huge = FieldState(0.0, g, u0, np.zeros_like(u0))
+    with np.errstate(all="ignore"), pytest.raises(ContractError, match=r"at t = 0\.3125$"):
+        evolve(huge, PHI4, EvolveConfig(dt=0.045, t_end=5.0, snapshot_every=1.0))
+
+
 def test_probe_energy_constant_for_kink(grid40):
     st = kink(KinkParams(0.0)).sample(grid40, 0.0)
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=5.0, background=KinkFrame(),
@@ -230,9 +247,10 @@ def test_probe_modulation_is_padded_after_tube_exit():
     st = kink(KinkParams(0.2)).sample(GridSpec(-20.0, 20.0, 2001), 0.0)
     traj = evolve(st, SINE_GORDON, EvolveConfig(dt=0.01, t_end=4.0, background=KinkFrame()))
     assert len(traj) == 9 and track_modulation(traj, 0.0) == []
-    bundle = cmd_evolve({"solution": "kink", "params": {"beta": 0.2}, "grid": grid,
-                         "background": {}, "track_modulation": True,
-                         "t_end": 4.0, "dt": 0.01}, 1.0)
+    bundle = ReportBundle("evolve")
+    cmd_evolve({"solution": "kink", "params": {"beta": 0.2}, "grid": grid,
+                "background": {}, "track_modulation": True, "t_end": 4.0, "dt": 0.01},
+               1.0, bundle)
     header, rows = bundle.tables["run"]
     assert len(rows) == 9
     for key in ("rho", "rho_rate"):

@@ -8,6 +8,7 @@ import sglab
 from sglab.grids import (GridSpec, PHI4, SINE_GORDON, ParameterError, derivative, parity_check,
                          pde_residual)
 from sglab.solutions import (
+    _LINEAR_MODES,
     KinkParams,
     LINEAR_MODE_NAMES,
     ThreeSolitonParams,
@@ -23,6 +24,8 @@ from sglab.solutions import (
     two_kink,
     wobbler,
 )
+from sglab.spectra import kink_phi4_dual_operator, kink_phi4_operator, kink_sg_operator
+from wave_checks import apply_operator
 
 BETA_GAMMA_CASES = [(0.0, 1.0), (0.6, 1.25), (-0.8, 5.0 / 3.0)]
 
@@ -410,7 +413,8 @@ class TestLinearModes:
         assert np.max(np.abs(np.asarray(M.value(0.0, grid40.x)))) == 0.0
 
     def test_y1_odd_with_known_peak(self):
-        y1 = linear_mode("Y1")
+        # the internal-mode pair's Y1 component at t = 0 is the profile Y1 itself
+        y1 = linear_mode("Y1-cos-pair")[0]
         g = GridSpec(-10.0, 10.0, 20001)
         vals = np.asarray(y1.value(0.0, g.x))
         assert parity_check(vals, g, "odd") < 1e-14
@@ -424,8 +428,27 @@ class TestLinearModes:
         assert np.max(np.abs(np.asarray(L4.value(0.0, grid40.x)))) == 0.0
 
     def test_unknown_name(self):
-        with pytest.raises(ParameterError):
-            linear_mode("Z9")
+        # Y0 and Y1 name profiles of the internal-mode pairs, not modes
+        for name in ("Z9", "Y0", "Y1"):
+            with pytest.raises(ParameterError):
+                linear_mode(name)
+
+    @pytest.mark.parametrize("name", [name for name, rows in _LINEAR_MODES.items()
+                                      if len(rows) == 1 and rows[0][1] == 0.0])
+    def test_static_mode_is_a_zero_mode(self, name):
+        # a frequency-0 mode p solves the linearized equation only if L p = 0
+        # for a kink's operator L: the differenced max|L p| on [-30, 30] then
+        # falls as h^2 (measured: Q-slope 1.9e-4 -> 4.7e-5 under the sine-Gordon
+        # operator, H-slope 5.3e-5 -> 1.3e-5 under the phi^4 one), while an
+        # eigenfunction at 3/2, such as Y1, keeps max|L p| = 1.5 max|p|
+        p = linear_mode(name)
+        coarse, fine = GridSpec(-30.0, 30.0, 4001), GridSpec(-30.0, 30.0, 8001)
+        ratios = []
+        for op in (kink_sg_operator(), kink_phi4_operator(), kink_phi4_dual_operator()):
+            worst = [np.max(np.abs(apply_operator(op, p.value(0.0, g.x), g)))
+                     for g in (coarse, fine)]
+            ratios.append(worst[0] / worst[1])
+        assert any(ratio == pytest.approx(4.0, abs=0.4) for ratio in ratios), ratios
 
     @pytest.mark.parametrize("name", LINEAR_MODE_NAMES)
     def test_all_modes_time_derivatives(self, name, grid40):
